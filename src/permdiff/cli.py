@@ -594,6 +594,9 @@ def main(argv: list[str] | None = None) -> int:
     except AlgebraError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except RecursionError:
+        sys.stderr.write("error: input nested too deeply\n")
+        return 2
 
 
 if __name__ == "__main__":

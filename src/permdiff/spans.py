@@ -9,14 +9,17 @@ verify by exact rank computation that both families span the same space of
 dimension C(2n-3, n-1), respectively n * C(2n-3, n-1).
 
 Rank and membership use fraction-free Gaussian elimination on integer rows
-keyed by a fixed total monomial order, so results are exact and pivot
-choices are stable across runs.
+over small integer column ids, one per monomial, handed out in the order a
+basis first sees them; results are exact and deterministic.  The closure
+component on any k variables is the relabelled component on x1..xk, so only
+those are saturated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 from typing import Iterable, Iterator
 
@@ -35,42 +38,31 @@ from .algebra import (
 _NORMALIZE_EVERY = 8  # gcd-normalize a working row after this many eliminations
 
 
-def _int_row(p: DiffPermPoly) -> dict[Monomial, int]:
-    """Clear denominators: the primitive integer row spanning the same line."""
-    denom = 1
-    for c in p.terms.values():
-        if isinstance(c, Fraction):
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    row = {}
-    for m, c in p.terms.items():
-        v = c * denom
-        row[m] = int(v)
-    return row
-
-
-def _row_gcd_normalize(row: dict[Monomial, int]) -> dict[Monomial, int]:
+def _row_gcd_normalize(row: dict[int, int]) -> dict[int, int]:
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
             return row
     if g > 1:
-        return {m: v // g for m, v in row.items()}
+        return {c: v // g for c, v in row.items()}
     return row
 
 
 class SpanBasis:
     """Exact linear span of polynomials with membership queries.
 
-    ``elements`` keeps the independent input polynomials in insertion order;
-    ``echelon`` is the row-reduced integer representation (pivot monomial to
-    primitive row) realizing the same row space over Q.
+    ``elements`` keeps the independent input polynomials in insertion order.
+    Internally every monomial gets an integer column id the first time the
+    basis sees it, and the span is held as primitive integer rows keyed by
+    their smallest column.
     """
 
     def __init__(self, ctx: Context = CTX_Q):
         self.ctx = ctx
         self.elements: list[DiffPermPoly] = []
-        self._pivots: dict[Monomial, dict[Monomial, int]] = {}
+        self._cols: dict[Monomial, int] = {}
+        self._pivots: dict[int, dict[int, int]] = {}
 
     @classmethod
     def from_elements(cls, elems: Iterable[DiffPermPoly]) -> "SpanBasis":
@@ -84,30 +76,48 @@ class SpanBasis:
     def rank(self) -> int:
         return len(self._pivots)
 
-    @property
-    def echelon(self) -> dict[Monomial, dict[Monomial, int]]:
-        return self._pivots
+    def _int_row(self, p: DiffPermPoly) -> dict[int, int]:
+        """p as an integer row over this basis's column ids, denominators
+        cleared; unseen monomials get new columns."""
+        if p.ctx != self.ctx:
+            raise AlgebraError("mixed contexts in span")
+        if p.ctx.delta:
+            raise AlgebraError("span computations require rational "
+                               "coefficients")
+        denom = 1
+        for c in p.terms.values():
+            if isinstance(c, Fraction):
+                denom = denom * c.denominator // gcd(denom, c.denominator)
+        cols = self._cols
+        row = {}
+        for m, c in p.terms.items():
+            col = cols.get(m)
+            if col is None:
+                col = cols[m] = len(cols)
+            row[col] = int(c * denom)
+        return row
 
-    def _reduce(self, row: dict[Monomial, int]) -> dict[Monomial, int]:
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """Remainder of ``row`` against the pivots, empty iff ``row`` lies in
+        the span.  ``row`` is consumed: it may be updated in place."""
+        pivots = self._pivots
         steps = 0
         while row:
-            lead = min(row, key=monomial_key)
-            prow = self._pivots.get(lead)
+            lead = min(row)
+            prow = pivots.get(lead)
             if prow is None:
                 return row
             a, b = row[lead], prow[lead]
             g = gcd(a, b)
             fa, fb = b // g, a // g
-            nxt: dict[Monomial, int] = {}
-            for m, v in row.items():
-                nxt[m] = v * fa
-            for m, v in prow.items():
-                w = nxt.get(m, 0) - v * fb
+            if fa != 1:
+                row = {c: v * fa for c, v in row.items()}
+            for c, v in prow.items():
+                w = row.get(c, 0) - v * fb
                 if w:
-                    nxt[m] = w
-                elif m in nxt:
-                    del nxt[m]
-            row = nxt
+                    row[c] = w
+                else:
+                    del row[c]
             steps += 1
             if steps % _NORMALIZE_EVERY == 0 and row:
                 row = _row_gcd_normalize(row)
@@ -115,31 +125,19 @@ class SpanBasis:
 
     def add(self, p: DiffPermPoly) -> bool:
         """Insert a polynomial; True when it enlarged the span."""
-        if p.ctx != self.ctx:
-            raise AlgebraError("mixed contexts in span")
-        if p.ctx.delta:
-            raise AlgebraError("span computations require rational "
-                               "coefficients")
-        if p.is_zero():
-            return False
-        rem = self._reduce(_int_row(p))
+        rem = self._reduce(self._int_row(p))
         if not rem:
             return False
         rem = _row_gcd_normalize(rem)
-        lead = min(rem, key=monomial_key)
+        lead = min(rem)
         if rem[lead] < 0:
-            rem = {m: -v for m, v in rem.items()}
+            rem = {c: -v for c, v in rem.items()}
         self._pivots[lead] = rem
         self.elements.append(p)
         return True
 
     def contains(self, p: DiffPermPoly) -> bool:
-        if p.ctx != self.ctx:
-            raise AlgebraError("mixed contexts in span")
-        if p.ctx.delta:
-            raise AlgebraError("span computations require rational "
-                               "coefficients")
-        return not self._reduce(_int_row(p))
+        return not self._reduce(self._int_row(p))
 
 
 def rank(elems: Iterable[DiffPermPoly]) -> int:
@@ -208,38 +206,77 @@ def generate_S(n: int, variant: str) -> list[DiffPermPoly]:
     return out
 
 
-def generate_closure(tag: str, n: int) -> list[DiffPermPoly]:
-    """Spanning list of the multilinear degree-n component of the subalgebra
-    generated by x1..xn under the tagged product.
+def _relabel(p: DiffPermPoly, subset: tuple[int, ...],
+             images: dict[tuple[Symbol, int], Symbol]) -> DiffPermPoly:
+    """Move p from x1..xk onto the variables of ``subset`` by xi -> x_subset[i-1].
 
-    Works subset-by-subset: the component supported on a variable set A is
-    spanned by products of the components of complementary nonempty pieces
-    of A, so a single pass in order of increasing subset size saturates.
+    The map is strictly increasing, so sorted left factors stay sorted and
+    distinct monomials stay distinct.  ``images`` interns the image symbols,
+    one per (symbol, image variable) pair, across calls.
     """
+    def image(s: Symbol) -> Symbol:
+        key = (s, subset[s.var - 1])
+        got = images.get(key)
+        if got is None:
+            got = images[key] = Symbol(key[1], s.dord)
+        return got
+
+    return DiffPermPoly(p.ctx, {Monomial(tuple(map(image, m.left)),
+                                         image(m.last)): c
+                                for m, c in p.terms.items()}, _owned=True)
+
+
+def _closure_basis(tag: str, n: int) -> SpanBasis:
+    """The saturated span of the multilinear component on x1..xn; see
+    ``generate_closure``."""
     if tag not in ("loz", "bullet"):
         raise AlgebraError(f"closure is defined for loz/bullet, not {tag!r}")
     if n < 1:
         raise AlgebraError("degree must be >= 1")
-    allvars = tuple(range(1, n + 1))
-    spans: dict[tuple[int, ...], list[DiffPermPoly]] = {}
-    for k in allvars:
-        spans[(k,)] = [DiffPermPoly.generator(k, 0, CTX_Q)]
-    from itertools import combinations
+    basis = SpanBasis(CTX_Q)
+    basis.add(DiffPermPoly.generator(1, 0, CTX_Q))
+    canonical = [[], basis.elements]  # canonical[k]: the component on x1..xk
+    images: dict[tuple[Symbol, int], Symbol] = {}
+    relabelled: dict[tuple[int, ...], list[DiffPermPoly]] = {}
+
+    def component(subset: tuple[int, ...]) -> list[DiffPermPoly]:
+        k = len(subset)
+        if subset[-1] == k:
+            return canonical[k]
+        got = relabelled.get(subset)
+        if got is None:
+            got = relabelled[subset] = [_relabel(p, subset, images)
+                                        for p in canonical[k]]
+        return got
 
     for size in range(2, n + 1):
-        for subset in combinations(allvars, size):
-            basis = SpanBasis(CTX_Q)
-            sset = set(subset)
-            for lsize in range(1, size):
-                for left in combinations(subset, lsize):
-                    right = tuple(sorted(sset - set(left)))
-                    if tag == "loz" and subset[0] not in left:
-                        continue  # symmetric product: one order is enough
-                    for a in spans[left]:
-                        for b in spans[right]:
-                            basis.add(derived_product(tag, a, b))
-            spans[subset] = basis.elements
-    return spans[allvars]
+        basis = SpanBasis(CTX_Q)
+        allvars = tuple(range(1, size + 1))
+        for lsize in range(1, size):
+            for left in combinations(allvars, lsize):
+                if tag == "loz" and left[0] != 1:
+                    continue  # symmetric product: one order is enough
+                right = tuple(v for v in allvars if v not in left)
+                for a in component(left):
+                    for b in component(right):
+                        basis.add(derived_product(tag, a, b))
+        canonical.append(basis.elements)
+    return basis
+
+
+def generate_closure(tag: str, n: int) -> list[DiffPermPoly]:
+    """Spanning list of the multilinear degree-n component of the subalgebra
+    generated by x1..xn under the tagged product.
+
+    The component supported on a variable set A is spanned by products of
+    the components of complementary nonempty pieces of A, so a single pass
+    in order of increasing size saturates.  Only the components on x1..xk
+    are saturated; the one on any other k-subset is its image under the
+    increasing relabelling, which maps each product of one saturation to
+    the matching product of the other and keeps linear independence, so
+    the element lists agree.
+    """
+    return _closure_basis(tag, n).elements
 
 
 @dataclass
@@ -279,9 +316,9 @@ def verify_dimension(n: int, variant: str) -> DimensionReport:
     if n < 2:
         raise AlgebraError("verify_dimension needs n >= 2")
     tag = _variant_tag(variant)
-    closure = generate_closure(tag, n)
+    closure_basis = _closure_basis(tag, n)
+    closure = closure_basis.elements
     family = generate_S(n, variant)
-    closure_basis = SpanBasis.from_elements(closure)
     family_basis = SpanBasis.from_elements(family)
     report = DimensionReport(
         n=n,

@@ -150,6 +150,14 @@ class TestDispatch:
         assert code == 2
         assert "column 5" in err
 
+    @pytest.mark.parametrize("expr", ["d(" * 3000 + "x1" + ")" * 3000,
+                                      "(" * 3000 + "x1" + ")" * 3000])
+    def test_deep_nesting_exit_two(self, capsys, expr):
+        code, out, err = run_cli(capsys, "expand", expr, "--quiet")
+        assert code == 2
+        assert out == ""
+        assert err == "error: input nested too deeply\n"
+
     def test_check_file(self, tmp_path, capsys):
         good = tmp_path / "ids.txt"
         good.write_text("# commutativity of the symmetrized product\n"

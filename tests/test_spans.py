@@ -1,19 +1,26 @@
+import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import hypothesis.strategies as st
 import pytest
+from conftest import polys_st
 from hypothesis import given, settings
 
+import permdiff.spans as spans
 from permdiff.algebra import (
+    CTX_Q,
     AlgebraError,
     DiffPermPoly,
     derived_product,
+    monomial_key,
     rename_vars,
     x,
 )
 from permdiff.spans import (
     SpanBasis,
+    _relabel,
     dimension_formula,
     generate_S,
     generate_closure,
@@ -102,6 +109,54 @@ class TestRank:
             rank([DiffPermPoly.generator(1, 0, CTX_DELTA)])
 
 
+def fraction_rank(polys):
+    """Gauss-Jordan elimination over Fraction on dense rows; the oracle for
+    ``SpanBasis``."""
+    monos = sorted({m for p in polys for m in p.terms}, key=monomial_key)
+    rows = [[Fraction(p.terms.get(m, 0)) for m in monos] for p in polys]
+    r = 0
+    for col in range(len(monos)):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col] / prow[col]
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+        r += 1
+    return r
+
+
+small_polys = polys_st(max_var=2, max_order=1, max_degree=2, max_terms=3)
+
+
+class TestSpanBasisAgainstFractionOracle:
+    @given(st.lists(small_polys, max_size=6), small_polys,
+           st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    @settings(max_examples=150)
+    def test_rank_and_contains(self, polys, probe, coeffs):
+        basis = SpanBasis.from_elements(polys)
+        r = fraction_rank(polys)
+        assert basis.rank == r
+        assert basis.contains(probe) == (fraction_rank(polys + [probe]) == r)
+        combo = DiffPermPoly.zero(CTX_Q)
+        for c, p in zip(coeffs, polys):
+            combo = combo + p.scale(c)
+        assert basis.contains(combo)
+
+    @given(st.lists(small_polys, max_size=6), st.randoms(use_true_random=False),
+           st.lists(st.fractions().filter(bool), min_size=6, max_size=6))
+    @settings(max_examples=60)
+    def test_rank_invariant_under_shuffle_and_scaling(self, polys, rng,
+                                                      scales):
+        moved = [p.scale(c) for p, c in zip(polys, scales)]
+        rng.shuffle(moved)
+        assert SpanBasis.from_elements(moved).rank == \
+            SpanBasis.from_elements(polys).rank
+
+
 class TestGenerateClosure:
     def test_degree1(self):
         assert generate_closure("loz", 1) == [x(1)]
@@ -160,6 +215,40 @@ class TestClosureAgainstBruteForce:
         assert fast_basis.rank == brute_basis.rank
         assert all(brute_basis.contains(p) for p in fast)
         assert all(fast_basis.contains(p) for p in brute)
+
+
+def direct_components(tag, n, max_size):
+    """Every variable subset of x1..xn up to ``max_size`` saturated on its
+    own, with no relabelling; the slow reference for ``generate_closure``."""
+    allvars = tuple(range(1, n + 1))
+    comps = {(k,): [x(k)] for k in allvars}
+    for size in range(2, max_size + 1):
+        for subset in itertools.combinations(allvars, size):
+            basis = SpanBasis(CTX_Q)
+            for lsize in range(1, size):
+                for left in itertools.combinations(subset, lsize):
+                    if tag == "loz" and subset[0] not in left:
+                        continue
+                    right = tuple(v for v in subset if v not in left)
+                    for a in comps[left]:
+                        for b in comps[right]:
+                            basis.add(derived_product(tag, a, b))
+            comps[subset] = basis.elements
+    return comps
+
+
+class TestRelabelledComponents:
+    """The component on any subset is the relabelled component on x1..xk,
+    term for term and in the same element order."""
+
+    @pytest.mark.parametrize("tag", ["loz", "bullet"])
+    def test_matches_direct_saturation(self, tag):
+        direct = direct_components(tag, 5, 4)
+        canonical = {k: generate_closure(tag, k) for k in range(1, 5)}
+        for subset, want in direct.items():
+            got = [_relabel(p, subset, {}) for p in canonical[len(subset)]]
+            assert [list(p.terms.items()) for p in got] == \
+                [list(p.terms.items()) for p in want], subset
 
 
 class TestClosureProperty:
@@ -247,3 +336,27 @@ class TestVerifyDimension:
         rec = verify_dimension(2, "prime").record()
         assert rec == {"n": 2, "variant": "prime", "formula": 2,
                        "rank_closure": 2, "rank_S": 2, "ok": True}
+
+
+class TestVerifyDimensionWitnesses:
+    """A broken comparison family is reported with witnesses from both
+    sides."""
+
+    def test_dropped_family_element(self, monkeypatch):
+        full = generate_S
+        monkeypatch.setattr(spans, "generate_S",
+                            lambda n, variant: full(n, variant)[1:])
+        r = spans.verify_dimension(4, "star")
+        assert not r.ok
+        assert r.rank_S == r.size_S == 9 and r.rank_closure == 10
+        assert r.missing_from_S and not r.missing_from_closure
+
+    def test_family_element_outside_closure(self, monkeypatch):
+        full = generate_S
+        stray = x(1) * x(2) * x(3)
+        monkeypatch.setattr(spans, "generate_S",
+                            lambda n, variant: full(n, variant) + [stray])
+        r = spans.verify_dimension(3, "prime")
+        assert not r.ok
+        assert r.missing_from_closure == ["x1 x2 x3"]
+        assert not r.missing_from_S

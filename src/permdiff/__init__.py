@@ -26,7 +26,6 @@ from .algebra import (
     grade,
     is_multilinear,
     monomial_key,
-    mul,
     normalize,
     rename_vars,
     specialize_delta,

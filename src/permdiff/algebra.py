@@ -572,10 +572,6 @@ def derived_product(tag: str, a: DiffPermPoly, b: DiffPermPoly) -> DiffPermPoly:
     raise AlgebraError(f"unknown derived product tag: {tag!r}")
 
 
-def mul(a: DiffPermPoly, b: DiffPermPoly) -> DiffPermPoly:
-    return a * b
-
-
 def annihilator_test(p: DiffPermPoly) -> bool:
     """Right-annihilator membership: p kills the whole algebra from the left
     iff multiplying by one fresh generator gives zero.

@@ -233,17 +233,73 @@ def _check_subst(subst: Mapping[int, DiffPermPoly], ctx: Context):
                                f"expected {ctx}")
 
 
+def _linear_terms(node: Expr, ctx: Context) -> list[tuple[Scalar, Expr]]:
+    """Flatten nested Sum/Scale wrappers into (coefficient, term) pairs, in
+    tree order."""
+    out = []
+    stack: list[tuple[Scalar, Expr]] = [(1, node)]
+    while stack:
+        c, n = stack.pop()
+        if isinstance(n, Sum):
+            stack.extend((c, t) for t in reversed(n.terms))
+        elif isinstance(n, Scale):
+            stack.append((c * _coerce_scalar(n.coeff, ctx), n.body))
+        else:
+            out.append((c, n))
+    return out
+
+
 def eval_expr(e: Expr, subst: Mapping[int, DiffPermPoly],
               ctx: Context = CTX_Q) -> DiffPermPoly:
     """Structural evaluation with the ordinary derivation.
 
     Every variable must be bound; derived products and star require a
     single-derivation rational context.
+
+    A linear combination is expanded by bilinearity: its products that share
+    the operation and a structurally equal left operand are evaluated as one
+    product whose right operand is the weighted sum of theirs.  That sum is
+    grouped again in turn, so a sum of right-nested products is evaluated
+    along its prefix tree instead of summand by summand.
     """
     if ctx.delta:
         raise AlgebraError("δ context: use eval_delta")
     _check_subst(subst, ctx)
     cache: dict[int, DiffPermPoly] = {}
+    # Grouped products built here; the cache is keyed by id(), so they must
+    # outlive the evaluation.
+    built: list[Expr] = []
+
+    def combine(node: Expr) -> DiffPermPoly:
+        terms: list[tuple[Scalar, Expr]] = []
+        groups: dict[tuple, list[tuple[Scalar, Expr]]] = {}
+        for c, t in _linear_terms(node, ctx):
+            if isinstance(t, (DerOp, Bracket, Mul)):
+                key = (getattr(t, "tag", None), t.lhs)
+                groups.setdefault(key, []).append((c, t))
+            else:
+                terms.append((c, t))
+        for (tag, lhs), members in groups.items():
+            if len(members) == 1:
+                terms.extend(members)
+                continue
+            rhs = Sum(tuple(t.rhs if c == 1 else Scale(c, t.rhs)
+                            for c, t in members))
+            t = Mul(lhs, rhs) if tag is None else DerOp(tag, lhs, rhs)
+            built.append(t)
+            terms.append((1, t))
+        acc: dict[Monomial, Scalar] = {}
+        for c, t in terms:
+            for m, x in rec(t).terms.items():
+                if c != 1:
+                    x = c * x
+                prev = acc.get(m)
+                s = x if prev is None else prev + x
+                if s:
+                    acc[m] = s
+                elif prev is not None:
+                    del acc[m]
+        return DiffPermPoly(ctx, acc, _owned=True)
 
     def rec(node: Expr) -> DiffPermPoly:
         got = cache.get(id(node))
@@ -270,12 +326,8 @@ def eval_expr(e: Expr, subst: Mapping[int, DiffPermPoly],
                    - derived_product(t, a, derived_product(t, b, c)))
         elif isinstance(node, Star):
             val = rec(node.body).star()
-        elif isinstance(node, Scale):
-            val = rec(node.body).scale(node.coeff)
-        elif isinstance(node, Sum):
-            val = DiffPermPoly.zero(ctx)
-            for t in node.terms:
-                val = val + rec(t)
+        elif isinstance(node, (Scale, Sum)):
+            val = combine(node)
         else:
             raise AlgebraError(f"not an expression node: {node!r}")
         cache[id(node)] = val

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -15,8 +16,11 @@ from permdiff.exprs import (
     Star,
     Sum,
     Var,
+    standard_identity,
     suite_cases,
 )
+
+DEEP = "d(" * 3000 + "x1" + ")" * 3000
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +161,33 @@ class TestDispatch:
         assert code == 2
         assert out == ""
         assert err == "error: input nested too deeply\n"
+
+    @pytest.mark.parametrize("text", [
+        DEEP,
+        f"{DEEP} + {DEEP.replace('x1', 'x2')}",
+        f"diamond({DEEP}, x2) - diamond({DEEP}, x3)",
+    ], ids=["deep", "sum-of-two", "deep-left-operands"])
+    def test_deep_check_file_and_reduce_exit_two(self, tmp_path, capsys,
+                                                  text):
+        path = tmp_path / "deep.txt"
+        path.write_text(text + "\n")
+        for argv in (("check", "--file", str(path)), ("reduce", text)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv[0]
+            assert out == ""
+            assert err == "error: input nested too deeply\n"
+
+    def test_check_file_relabelled_std7(self, tmp_path, capsys):
+        image = {1: 4, 2: 7, 3: 1, 4: 6, 5: 2, 6: 5, 7: 3}
+        text = re.sub(r"x(\d+)", lambda m: f"x{image[int(m.group(1))]}",
+                      pretty(standard_identity("diamond", 7)))
+        path = tmp_path / "std7.txt"
+        path.write_text("# degree-7 diamond standard identity\n" + text + "\n")
+        code, out, err = run_cli(capsys, "check", "--file", str(path),
+                                 "--quiet")
+        assert code == 0
+        assert json.loads(out)["cases"] == [
+            {"name": "line2", "expected": True, "got": True}]
 
     def test_check_file(self, tmp_path, capsys):
         good = tmp_path / "ids.txt"

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -10,16 +12,21 @@ from permdiff.algebra import (
     AlgebraError,
     Context,
     DELTA,
+    DERIVED_PRODUCT_TAGS,
     DiffPermPoly,
     apply_substitution,
     derived_product,
+    monomial_key,
     specialize_delta,
     x,
 )
+from permdiff.cli import parse_expr, pretty
 from permdiff.exprs import (
     Assoc,
+    Bracket,
     Der,
     DerOp,
+    Expr,
     FormalVectorField,
     Mul,
     NonMultilinearError,
@@ -97,6 +104,111 @@ def _tree_strategy(max_depth=3, nvars=3):
         max_leaves=6)
 
 
+def reference_eval(e, subst):
+    """Per-node evaluation without grouping: every product is expanded on
+    its own and a sum is folded with ``+``.  Slow, independent oracle for
+    ``eval_expr``."""
+    cache = {}
+
+    def rec(node):
+        got = cache.get(id(node))
+        if got is not None:
+            return got
+        if isinstance(node, Var):
+            val = subst[node.index]
+        elif isinstance(node, Mul):
+            val = rec(node.lhs) * rec(node.rhs)
+        elif isinstance(node, Der):
+            val = rec(node.body).derive(node.axis)
+        elif isinstance(node, (DerOp, Bracket)):
+            val = derived_product(node.tag, rec(node.lhs), rec(node.rhs))
+        elif isinstance(node, Scale):
+            val = rec(node.body).scale(node.coeff)
+        elif isinstance(node, Sum):
+            val = DiffPermPoly.zero(CTX_Q)
+            for t in node.terms:
+                val = val + rec(t)
+        else:
+            raise TypeError(f"reference_eval: unsupported node {node!r}")
+        cache[id(node)] = val
+        return val
+
+    return rec(e)
+
+
+def _clone(e):
+    """A structurally equal copy of ``e`` that shares no node with it."""
+    parts = []
+    for f in dataclasses.fields(e):
+        val = getattr(e, f.name)
+        if isinstance(val, Expr):
+            val = _clone(val)
+        elif isinstance(val, tuple):
+            val = tuple(_clone(t) for t in val)
+        parts.append(val)
+    return type(e)(*parts)
+
+
+_OPERANDS = (Var(1), Var(2), Var(3), Der(Var(1)), Mul(Var(2), Var(3)),
+             DerOp("succ", Var(3), Var(1)))
+
+
+def _linear_strategy():
+    """Sums of products over all six tags whose left operands recur, both
+    shared and as unshared equal copies, with nested sums, scalings and
+    summands that cancel."""
+    left = st.one_of(st.sampled_from(_OPERANDS),
+                     st.sampled_from(_OPERANDS).map(_clone))
+    tag = st.sampled_from(DERIVED_PRODUCT_TAGS)
+    coeff = st.sampled_from((-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-2, 3)))
+    expr = st.recursive(
+        left,
+        lambda sub: st.one_of(
+            st.tuples(tag, left, sub).map(lambda t: DerOp(*t)),
+            st.tuples(tag, left, sub).map(lambda t: Bracket(*t)),
+            st.tuples(left, sub).map(lambda t: Mul(*t)),
+            st.tuples(coeff, sub).map(lambda t: Scale(*t)),
+            st.lists(sub, min_size=1, max_size=4).map(
+                lambda ts: Sum(tuple(ts))),
+            sub.map(lambda t: Sum((t, Scale(-1, _clone(t))))),
+        ),
+        max_leaves=8)
+    return st.lists(expr, min_size=2, max_size=6).map(lambda ts: Sum(tuple(ts)))
+
+
+class TestGroupedEvaluation:
+    """``eval_expr`` evaluates a sum by grouping products with equal left
+    operands; it must agree with the ungrouped per-node recursion."""
+
+    @given(_linear_strategy())
+    @settings(max_examples=150)
+    def test_matches_ungrouped_reference(self, tree):
+        assert eval_expr(tree, gens(3)) == reference_eval(tree, gens(3))
+
+    def test_unshared_equal_summands_cancel(self):
+        t = DerOp("diamond", DerOp("loz", v(1), v(2)), Mul(v(3), Der(v(1))))
+        assert eval_expr(Sum((t, Scale(-1, _clone(t)))), gens(3)).is_zero()
+        e = Sum((Scale(2, DerOp("prec", v(1), v(2))),
+                 Sum((Scale(-1, DerOp("prec", v(1), v(2))),
+                      Scale(-1, DerOp("prec", Var(1), Var(2)))))))
+        assert eval_expr(e, gens(2)).is_zero()
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_parsed_and_library_standard_identities_agree(self, n):
+        library = standard_identity("diamond", n)
+        parsed = parse_expr(pretty(library))
+        want = reference_eval(library, gens(n))
+        assert eval_expr(library, gens(n)) == want
+        assert eval_expr(parsed, gens(n)) == want
+        verdict = check_identity(parsed, n)
+        assert verdict == check_identity(library, n)
+        if n == 6:
+            assert want.is_zero() and verdict.is_identity
+        else:
+            witness = min(want.terms.items(), key=lambda mc: monomial_key(mc[0]))
+            assert verdict.witness == witness
+
+
 class TestSubstitutionSoundness:
     @given(_tree_strategy(), st.data())
     @settings(max_examples=120)
@@ -172,6 +284,9 @@ class TestCheckIdentity:
         assert not verdict.is_identity
         m, c = verdict.witness
         assert c != 0 and m.degree == 5
+
+    def test_std7_holds(self):
+        assert check_identity(standard_identity("diamond", 7), 7).is_identity
 
     def test_jacobi_under_diamond(self):
         e = (DerOp("diamond", DerOp("diamond", v(1), v(2)), v(3))

@@ -4,7 +4,7 @@
 import sys
 import time
 
-from permdiff import SUITE_IDS, format_monomial, format_scalar, run_suite
+from permdiff import SUITE_IDS, format_monomial, run_suite
 
 
 def main() -> int:
@@ -17,7 +17,7 @@ def main() -> int:
                     f" expected={r.expected}")
             if r.verdict.witness is not None:
                 m, c = r.verdict.witness
-                line += f"  witness {format_scalar(c)} * {format_monomial(m)}"
+                line += f"  witness {c} * {format_monomial(m)}"
             print(line)
             bad += not r.ok
     print(f"{bad} unexpected verdicts, {time.time() - t0:.2f}s")

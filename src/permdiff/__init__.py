@@ -22,7 +22,6 @@ from .algebra import (
     derived_product,
     format_monomial,
     format_poly,
-    format_scalar,
     grade,
     is_multilinear,
     monomial_key,

@@ -33,10 +33,10 @@ from .algebra import (
     AlgebraError,
     DELTA,
     DeltaPoly,
+    DERIVED_PRODUCT_TAGS,
     DiffPermPoly,
     format_monomial,
     format_poly,
-    format_scalar,
 )
 from .exprs import (
     Assoc,
@@ -59,7 +59,7 @@ from .reduction import reduce_identity
 from .spans import verify_dimension
 from .witt import structure_table, verify_tables
 
-OPNAMES = ("prec", "succ", "loz", "bullet", "diamond", "circ")
+OPNAMES = DERIVED_PRODUCT_TAGS
 
 
 class ParseError(Exception):
@@ -358,7 +358,7 @@ def _witness_json(witness) -> dict | None:
     if witness is None:
         return None
     m, c = witness
-    return {"monomial": format_monomial(m), "coeff": format_scalar(c)}
+    return {"monomial": format_monomial(m), "coeff": str(c)}
 
 
 def _emit(obj, quiet: bool, summary: list[str], fmt: str = "json") -> None:
@@ -486,7 +486,7 @@ def _cmd_reduce(args) -> int:
     if result.certificate is not None:
         (mono, coeff), = result.certificate.terms.items()
         doc["m"] = result.m
-        doc["coefficient"] = format_scalar(coeff)
+        doc["coefficient"] = str(coeff)
         doc["certificate"] = format_poly(result.certificate)
     doc["trace"] = [{"step": i, "name": s.name,
                      "rule": {k: (list(v) if isinstance(v, (tuple, list))
@@ -508,7 +508,7 @@ def _cmd_expand(args) -> int:
     poly = eval_expr(expr, subst, CTX_Q)
     doc = {"expression": pretty(expr),
            "terms": [{"monomial": format_monomial(m),
-                      "coeff": format_scalar(c)}
+                      "coeff": str(c)}
                      for m, c in poly.sorted_terms()],
            "text": format_poly(poly)}
     _emit(doc, args.quiet, [f"{format_poly(poly)}"], args.format)
@@ -522,6 +522,7 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true",
                         help="suppress the human-readable summary on stderr")
+    common.add_argument("--format", choices=("json", "text"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],
@@ -532,14 +533,12 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--file", help="file with one candidate identity per line")
     p.add_argument("--product", choices=OPNAMES, default=None,
                    help="product used by assoc(...)/bracket(...)")
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dim", parents=[common], help="verify multilinear dimensions of the "
                                    "generated subalgebras")
     p.add_argument("--variant", choices=("star", "prime"), required=True)
     p.add_argument("--n", required=True, help="degree or range, e.g. 4 or 2..6")
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("table", parents=[common], help="emit Witt-type bracket tables")
@@ -549,19 +548,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="also check computed entries against the embedded "
                         "coefficient rules")
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("reduce", parents=[common], help="run the identity reduction pipeline")
     p.add_argument("expr", help="multilinear identity candidate")
     p.add_argument("--product", choices=OPNAMES, default=None)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("expand", parents=[common], help="expand an expression to normal form")
     p.add_argument("expr")
     p.add_argument("--product", choices=OPNAMES, default=None)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_expand)
     return ap
 

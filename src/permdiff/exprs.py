@@ -32,10 +32,12 @@ from .algebra import (
     Context,
     DeltaPoly,
     DELTA,
+    DERIVED_PRODUCTS,
     DiffPermPoly,
     Monomial,
     Scalar,
     _coerce_scalar,
+    _merge,
     derived_product,
     monomial_key,
 )
@@ -134,6 +136,12 @@ def v(i: int) -> Var:
     return Var(i)
 
 
+def _associator(prod: Callable, a, b, c):
+    """(a, b, c) = prod(prod(a, b), c) - prod(a, prod(b, c)), for trees and
+    for polynomials alike."""
+    return prod(prod(a, b), c) - prod(a, prod(b, c))
+
+
 def desugar(e: Expr) -> Expr:
     """Expand derived products, associators and brackets into the primitive
     nodes Var / Mul / Der / Scale / Sum / Star."""
@@ -152,24 +160,19 @@ def desugar(e: Expr) -> Expr:
     if isinstance(e, Bracket):
         return desugar(DerOp(e.tag, e.lhs, e.rhs))
     if isinstance(e, Assoc):
-        return desugar(DerOp(e.tag, DerOp(e.tag, e.a, e.b), e.c)
-                       + Scale(-1, DerOp(e.tag, e.a, DerOp(e.tag, e.b, e.c))))
+        return desugar(_associator(lambda x, y: DerOp(e.tag, x, y),
+                                   e.a, e.b, e.c))
     if isinstance(e, DerOp):
         a, b = desugar(e.lhs), desugar(e.rhs)
-        tag = e.tag
-        if tag == "prec":
-            return Mul(a, Der(b))
-        if tag == "succ":
-            return Mul(Der(a), b)
-        if tag == "loz":
-            return Sum((Mul(a, Der(b)), Mul(b, Der(a))))
-        if tag == "bullet":
-            return Sum((Mul(Der(a), b), Mul(a, Der(b))))
-        if tag == "diamond":
-            return Sum((Mul(a, Der(b)), Scale(-1, Mul(b, Der(a)))))
-        if tag == "circ":
-            return Sum((Mul(Der(a), b), Scale(-1, Mul(a, Der(b)))))
-        raise AlgebraError(f"unknown derived product tag: {tag!r}")
+        summands = DERIVED_PRODUCTS.get(e.tag)
+        if summands is None:
+            raise AlgebraError(f"unknown derived product tag: {e.tag!r}")
+        terms = []
+        for sign, swap, left_derived in summands:
+            u, v = (b, a) if swap else (a, b)
+            t = Mul(Der(u), v) if left_derived else Mul(u, Der(v))
+            terms.append(t if sign > 0 else Scale(-1, t))
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
     raise AlgebraError(f"not an expression node: {e!r}")
 
 
@@ -293,12 +296,7 @@ def eval_expr(e: Expr, subst: Mapping[int, DiffPermPoly],
             for m, x in rec(t).terms.items():
                 if c != 1:
                     x = c * x
-                prev = acc.get(m)
-                s = x if prev is None else prev + x
-                if s:
-                    acc[m] = s
-                elif prev is not None:
-                    del acc[m]
+                _merge(acc, m, x)
         return DiffPermPoly(ctx, acc, _owned=True)
 
     def rec(node: Expr) -> DiffPermPoly:
@@ -320,10 +318,8 @@ def eval_expr(e: Expr, subst: Mapping[int, DiffPermPoly],
         elif isinstance(node, Assoc):
             if ctx.arity != 1:
                 raise AlgebraError("derived products require a single derivation")
-            a, b, c = rec(node.a), rec(node.b), rec(node.c)
-            t = node.tag
-            val = (derived_product(t, derived_product(t, a, b), c)
-                   - derived_product(t, a, derived_product(t, b, c)))
+            val = _associator(lambda x, y: derived_product(node.tag, x, y),
+                              rec(node.a), rec(node.b), rec(node.c))
         elif isinstance(node, Star):
             val = rec(node.body).star()
         elif isinstance(node, (Scale, Sum)):

@@ -31,6 +31,7 @@ from .algebra import (
     Monomial,
     Scalar,
     Symbol,
+    _merge,
     annihilator_test,
     apply_substitution,
     is_multilinear,
@@ -93,13 +94,7 @@ def decompose(f: DiffPermPoly, k: int) -> Decomposition:
             rest = Monomial(m.left[:i] + m.left[i + 1:], m.last)
             side = pacc
         n = max(n, s)
-        bucket = side.setdefault(s, {})
-        prev = bucket.get(rest)
-        v = c if prev is None else prev + c
-        if v:
-            bucket[rest] = v
-        elif prev is not None:
-            del bucket[rest]
+        _merge(side.setdefault(s, {}), rest, c)
     g = tuple(DiffPermPoly(ctx, gacc.get(s, {}), _owned=True)
               for s in range(n + 1))
     p = tuple(DiffPermPoly(ctx, pacc.get(s, {}), _owned=True)
@@ -219,13 +214,7 @@ def multiset_normal_form(p: DiffPermPoly) -> DiffPermPoly:
     acc: dict[Monomial, Scalar] = {}
     for m, c in p.terms.items():
         fs = sorted(m.factors)
-        key = Monomial(tuple(fs[:-1]), fs[-1])
-        prev = acc.get(key)
-        v = c if prev is None else prev + c
-        if v:
-            acc[key] = v
-        elif prev is not None:
-            del acc[key]
+        _merge(acc, Monomial(tuple(fs[:-1]), fs[-1]), c)
     return DiffPermPoly(p.ctx, acc, _owned=True)
 
 
@@ -269,13 +258,7 @@ def _strip_factors(poly: DiffPermPoly, strip: list[Symbol], last_var: int
             scalar_part = c if scalar_part is None else scalar_part + c
             continue
         fs.sort()
-        key = Monomial(tuple(fs[:-1]), fs[-1])
-        prev = acc.get(key)
-        v = c if prev is None else prev + c
-        if v:
-            acc[key] = v
-        elif prev is not None:
-            del acc[key]
+        _merge(acc, Monomial(tuple(fs[:-1]), fs[-1]), c)
     if scalar_part is not None:
         if acc or not scalar_part:
             return None, None

@@ -16,11 +16,12 @@ instantiation over a finite exponent box.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, LinearCombination, _merge
 
 Rational = Union[int, Fraction]
 
@@ -40,69 +41,19 @@ class WBasis(NamedTuple):
     i: int
 
 
-def _merge(acc: dict, key, val) -> None:
-    prev = acc.get(key)
-    v = val if prev is None else prev + val
-    if v:
-        acc[key] = v
-    elif prev is not None:
-        del acc[key]
+class PermTensorElem(LinearCombination):
+    """Element of the tensor perm algebra P_n: a linear combination of
+    ``TBasis`` elements; immutable by convention."""
 
-
-class PermTensorElem:
-    """Element of the tensor perm algebra P_n; immutable by convention."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[TBasis, Rational], _owned=False):
-        if not _owned:
-            terms = {b: c for b, c in terms.items() if c}
-        self.n = n
-        self.terms = terms
+    __slots__ = ()
+    n = LinearCombination.space  # the space slot, under its name here
+    _MISMATCH = "tensor algebra dimension mismatch"
 
     @classmethod
     def basis(cls, n: int, e: tuple[int, ...], alpha: int) -> "PermTensorElem":
         if len(e) != n or not 1 <= alpha <= n or any(k < 0 for k in e):
             raise AlgebraError("bad tensor basis data")
         return cls(n, {TBasis(tuple(e), alpha): 1}, _owned=True)
-
-    @classmethod
-    def zero(cls, n: int) -> "PermTensorElem":
-        return cls(n, {}, _owned=True)
-
-    def _check(self, other: "PermTensorElem"):
-        if self.n != other.n:
-            raise AlgebraError("tensor algebra dimension mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, PermTensorElem):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "PermTensorElem") -> "PermTensorElem":
-        self._check(other)
-        acc = dict(self.terms)
-        for b, c in other.terms.items():
-            _merge(acc, b, c)
-        return PermTensorElem(self.n, acc, _owned=True)
-
-    def __neg__(self) -> "PermTensorElem":
-        return PermTensorElem(self.n, {b: -c for b, c in self.terms.items()},
-                              _owned=True)
-
-    def __sub__(self, other: "PermTensorElem") -> "PermTensorElem":
-        return self + (-other)
-
-    def scale(self, c: Rational) -> "PermTensorElem":
-        if not c:
-            return PermTensorElem.zero(self.n)
-        return PermTensorElem(self.n, {b: c * v for b, v in self.terms.items()},
-                              _owned=True)
 
     def __repr__(self):
         return f"<PermTensorElem n={self.n} {self.terms}>"
@@ -134,61 +85,20 @@ def euler_derivation(i: int, a: PermTensorElem) -> PermTensorElem:
     return PermTensorElem(a.n, acc, _owned=True)
 
 
-class WittElement:
-    """Element of the Witt-type algebra: tensor coefficients on derivation
-    slots; immutable by convention."""
+class WittElement(LinearCombination):
+    """Element of the Witt-type algebra: a linear combination of ``WBasis``
+    elements, tensor coefficients on derivation slots; immutable by
+    convention."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[WBasis, Rational], _owned=False):
-        if not _owned:
-            terms = {b: c for b, c in terms.items() if c}
-        self.n = n
-        self.terms = terms
+    __slots__ = ()
+    n = LinearCombination.space  # the space slot, under its name here
+    _MISMATCH = "Witt algebra dimension mismatch"
 
     @classmethod
     def basis(cls, n: int, e: tuple[int, ...], alpha: int, i: int) -> "WittElement":
         if len(e) != n or not 1 <= alpha <= n or not 1 <= i <= n:
             raise AlgebraError("bad Witt basis data")
         return cls(n, {WBasis(tuple(e), alpha, i): 1}, _owned=True)
-
-    @classmethod
-    def zero(cls, n: int) -> "WittElement":
-        return cls(n, {}, _owned=True)
-
-    def _check(self, other: "WittElement"):
-        if self.n != other.n:
-            raise AlgebraError("Witt algebra dimension mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, WittElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "WittElement") -> "WittElement":
-        self._check(other)
-        acc = dict(self.terms)
-        for b, c in other.terms.items():
-            _merge(acc, b, c)
-        return WittElement(self.n, acc, _owned=True)
-
-    def __neg__(self) -> "WittElement":
-        return WittElement(self.n, {b: -c for b, c in self.terms.items()},
-                           _owned=True)
-
-    def __sub__(self, other: "WittElement") -> "WittElement":
-        return self + (-other)
-
-    def scale(self, c: Rational) -> "WittElement":
-        if not c:
-            return WittElement.zero(self.n)
-        return WittElement(self.n, {b: c * v for b, v in self.terms.items()},
-                           _owned=True)
 
     def __repr__(self):
         return f"<WittElement n={self.n} {self.terms}>"
@@ -390,13 +300,16 @@ def _slot_name(n: int, idx: int) -> str:
     return ("x", "y")[idx - 1] if n == 2 else str(idx)
 
 
-def _coeff_str(c: Rational) -> str:
-    return str(c)
+def _exponent_box(n: int, bound: int):
+    """Exponent pairs (e1, e2) with entries in 0..bound, lexicographically."""
+    for exps in itertools.product(range(bound + 1), repeat=2 * n):
+        yield exps[:n], exps[n:]
 
 
 def structure_table(n: int, kind: str, bound: int) -> dict:
     """Explicit bracket values for all basis pairs with exponents up to
-    ``bound``, ordered by (block, left pattern, exponents) for stable diffs.
+    ``bound``, for stable diffs ordered by block (in rule order), then
+    (left, right) slot pattern, then exponents.
     Entries carry the computed results; for n = 1 and n = 2 they coincide
     with the embedded coefficient rules (see ``verify_tables``)."""
     if n not in (1, 2):
@@ -406,49 +319,30 @@ def structure_table(n: int, kind: str, bound: int) -> dict:
     if bound < 0:
         raise AlgebraError("bound must be >= 0")
     bracket = lie_bracket if kind == "lie" else leibniz_bracket
+    # the one rank-one pattern serves both brackets
+    rules = W1_RULES if n == 1 else (
+        W2_LIE_RULES if kind == "lie" else W2_LEIBNIZ_RULES)
+    # blocks in the order the rules first list them, patterns sorted within
+    block_rank: dict[str, int] = {}
+    for rule in rules:
+        block_rank.setdefault(rule.block, len(block_rank))
+    patterns = sorted((block_rank[r.block], r.left, r.right) for r in rules)
     entries = []
-    if n == 1:
-        pairs = [(((m,), 1, 1), ((p,), 1, 1))
-                 for m in range(bound + 1) for p in range(bound + 1)]
-    else:
-        if kind == "lie":
-            block_order = [((1, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (1, 1)),
-                           ((2, 1), (2, 1)),
-                           ((1, 2), (1, 2)), ((1, 2), (2, 2)), ((2, 2), (1, 2)),
-                           ((2, 2), (2, 2)),
-                           ((1, 1), (1, 2)), ((1, 1), (2, 2)), ((2, 1), (1, 2)),
-                           ((2, 1), (2, 2)),
-                           ((1, 2), (1, 1)), ((1, 2), (2, 1)), ((2, 2), (1, 1)),
-                           ((2, 2), (2, 1))]
-        else:
-            block_order = [(l, r)
-                           for l in [(1, 1), (1, 2)] for r in
-                           [(1, 1), (1, 2), (2, 1), (2, 2)]] + \
-                          [(l, r)
-                           for l in [(2, 1), (2, 2)] for r in
-                           [(1, 1), (1, 2), (2, 1), (2, 2)]]
-        pairs = []
-        for (al, il), (be, jr) in block_order:
-            for m in range(bound + 1):
-                for nn in range(bound + 1):
-                    for p in range(bound + 1):
-                        for q in range(bound + 1):
-                            pairs.append((((m, nn), al, il), ((p, q), be, jr)))
-    for (e1, a1, i1), (e2, a2, i2) in pairs:
-        left = WittElement.basis(n, e1, a1, i1)
-        right = WittElement.basis(n, e2, a2, i2)
-        out = bracket(left, right)
-        entries.append({
-            "left": {"e": list(e1), "alpha": _slot_name(n, a1),
-                     "i": _slot_name(n, i1)},
-            "right": {"e": list(e2), "alpha": _slot_name(n, a2),
-                      "i": _slot_name(n, i2)},
-            "result": [{"coeff": _coeff_str(c),
-                        "basis": {"e": list(b.e),
-                                  "alpha": _slot_name(n, b.alpha),
-                                  "i": _slot_name(n, b.i)}}
-                       for b, c in sorted(out.terms.items())],
-        })
+    for _, (a1, i1), (a2, i2) in patterns:
+        for e1, e2 in _exponent_box(n, bound):
+            out = bracket(WittElement.basis(n, e1, a1, i1),
+                          WittElement.basis(n, e2, a2, i2))
+            entries.append({
+                "left": {"e": list(e1), "alpha": _slot_name(n, a1),
+                         "i": _slot_name(n, i1)},
+                "right": {"e": list(e2), "alpha": _slot_name(n, a2),
+                          "i": _slot_name(n, i2)},
+                "result": [{"coeff": str(c),
+                            "basis": {"e": list(b.e),
+                                      "alpha": _slot_name(n, b.alpha),
+                                      "i": _slot_name(n, b.i)}}
+                           for b, c in sorted(out.terms.items())],
+            })
     return {"n": n, "kind": kind, "bound": bound, "entries": entries}
 
 
@@ -487,7 +381,7 @@ def _format_witt(v: WittElement, n: int) -> str:
     for b, c in sorted(v.terms.items()):
         name = (f"E[{','.join(map(str, b.e))};"
                 f"{_slot_name(n, b.alpha)},{_slot_name(n, b.i)}]")
-        parts.append(f"{_coeff_str(c)}*{name}")
+        parts.append(f"{c}*{name}")
     return " + ".join(parts)
 
 
@@ -495,44 +389,25 @@ def verify_tables(bound: int = 3) -> TableVerification:
     """Exhaustively instantiate every embedded coefficient rule over the
     exponent box 0..bound and compare with the computed brackets."""
     out = []
-    # n = 1
-    rule = W1_RULES[0]
-    chk = RuleCheck("lie", rule.block, "E[m;1,1]", "E[p;1,1]")
-    for m in range(bound + 1):
-        for p in range(bound + 1):
-            left = WittElement.basis(1, (m,), 1, 1)
-            right = WittElement.basis(1, (p,), 1, 1)
-            got = lie_bracket(left, right)
-            want = rule.expected(1, m, 0, p, 0)
-            chk.checked += 1
-            if got != want:
-                chk.mismatches.append({
-                    "at": [m, p],
-                    "computed": _format_witt(got, 1),
-                    "expected": _format_witt(want, 1)})
-    out.append(chk)
-    # n = 2
-    for rules, bracket in ((W2_LIE_RULES, lie_bracket),
-                           (W2_LEIBNIZ_RULES, leibniz_bracket)):
+    for n, rules in ((1, W1_RULES), (2, W2_LIE_RULES + W2_LEIBNIZ_RULES)):
+        left_exps, right_exps = ("m", "p") if n == 1 else ("m,n", "p,q")
         for rule in rules:
-            al, il = rule.left
-            be, jr = rule.right
-            chk = RuleCheck(rule.table, rule.block,
-                            f"E[m,n;{_slot_name(2, al)},{_slot_name(2, il)}]",
-                            f"E[p,q;{_slot_name(2, be)},{_slot_name(2, jr)}]")
-            for m in range(bound + 1):
-                for n_ in range(bound + 1):
-                    for p in range(bound + 1):
-                        for q in range(bound + 1):
-                            left = WittElement.basis(2, (m, n_), al, il)
-                            right = WittElement.basis(2, (p, q), be, jr)
-                            got = bracket(left, right)
-                            want = rule.expected(2, m, n_, p, q)
-                            chk.checked += 1
-                            if got != want:
-                                chk.mismatches.append({
-                                    "at": [m, n_, p, q],
-                                    "computed": _format_witt(got, 2),
-                                    "expected": _format_witt(want, 2)})
+            bracket = lie_bracket if rule.table == "lie" else leibniz_bracket
+            (al, il), (be, jr) = rule.left, rule.right
+            chk = RuleCheck(
+                rule.table, rule.block,
+                f"E[{left_exps};{_slot_name(n, al)},{_slot_name(n, il)}]",
+                f"E[{right_exps};{_slot_name(n, be)},{_slot_name(n, jr)}]")
+            for e1, e2 in _exponent_box(n, bound):
+                got = bracket(WittElement.basis(n, e1, al, il),
+                              WittElement.basis(n, e2, be, jr))
+                # a rule reads (m, n, p, q); rank one has no n and no q
+                want = rule.expected(n, *(e1 + (0,))[:2], *(e2 + (0,))[:2])
+                chk.checked += 1
+                if got != want:
+                    chk.mismatches.append({
+                        "at": [*e1, *e2],
+                        "computed": _format_witt(got, n),
+                        "expected": _format_witt(want, n)})
             out.append(chk)
     return TableVerification(bound, out)

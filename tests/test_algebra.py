@@ -320,6 +320,18 @@ class TestDerivedProducts:
         with pytest.raises(AlgebraError, match="unknown"):
             derived_product("wedge", x(1), x(2))
 
+    def test_each_product_matches_its_formula_term_for_term(self):
+        # spans hand out column ids in term order, so the order is pinned too
+        a = x(1) * x(2) + x(3, 1).scale(2)
+        b = x(2, 1) - x(1) * x(3) + x(3)
+        da, db = a.derive(), b.derive()
+        want = {"prec": a * db, "succ": da * b, "loz": a * db + b * da,
+                "bullet": da * b + a * db, "diamond": a * db - b * da,
+                "circ": da * b - a * db}
+        for tag, w in want.items():
+            got = derived_product(tag, a, b)
+            assert list(got.terms.items()) == list(w.terms.items())
+
 
 class TestAnnihilator:
     def test_perm_commutator(self):

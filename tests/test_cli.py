@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from permdiff import cli
+from permdiff.algebra import DERIVED_PRODUCT_TAGS
 from permdiff.cli import ParseError, main, parse_expr, pretty
 from permdiff.exprs import (
     Assoc,
@@ -225,10 +227,22 @@ class TestDispatch:
         assert err == ""
 
     def test_text_format(self, capsys):
-        code, out, err = run_cli(capsys, "check", "--suite", "d",
-                                 "--format", "text", "--quiet")
-        assert code == 0
-        assert "prec-pre-lie" in out and not out.startswith("{")
+        # --format comes from the common parent parser of every subcommand
+        for argv, marker in [
+                (("check", "--suite", "d"), "prec-pre-lie"),
+                (("dim", "--variant", "star", "--n", "2..3"), "dim=3"),
+                (("table", "--n", "1", "--kind", "lie", "--bound", "1"),
+                 "4 entries"),
+                (("reduce", "x1 * d(x2)"), "outcome: derivative_only"),
+                (("expand", "loz(x1, x2)"), "x1 x2'")]:
+            code, out, err = run_cli(capsys, *argv, "--format", "text",
+                                     "--quiet")
+            assert code == 0, argv
+            assert marker in out and not out.startswith(("{", "[")), argv
+            assert err == "", argv
+
+    def test_opnames_are_the_derived_product_tags(self):
+        assert cli.OPNAMES is DERIVED_PRODUCT_TAGS
 
     def test_dim_bad_range_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "dim", "--variant", "star",

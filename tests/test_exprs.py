@@ -87,6 +87,26 @@ class TestEval:
         e = Assoc("diamond", v(1), DerOp("bullet", v(2), v(3)), v(4))
         assert eval_expr(desugar(e), gens(4)) == eval_expr(e, gens(4))
 
+    def test_desugar_spells_each_product(self):
+        a, b = v(1), v(2)
+        want = {
+            "prec": Mul(a, Der(b)),
+            "succ": Mul(Der(a), b),
+            "loz": Sum((Mul(a, Der(b)), Mul(b, Der(a)))),
+            "bullet": Sum((Mul(Der(a), b), Mul(a, Der(b)))),
+            "diamond": Sum((Mul(a, Der(b)), Scale(-1, Mul(b, Der(a))))),
+            "circ": Sum((Mul(Der(a), b), Scale(-1, Mul(a, Der(b))))),
+        }
+        assert tuple(want) == DERIVED_PRODUCT_TAGS
+        for tag, tree in want.items():
+            assert desugar(DerOp(tag, a, b)) == tree
+            assoc = desugar(Assoc(tag, a, b, v(3)))
+            assert assoc == Sum((desugar(DerOp(tag, DerOp(tag, a, b), v(3))),
+                                 Scale(-1, desugar(DerOp(tag, a, DerOp(
+                                     tag, b, v(3)))))))
+        with pytest.raises(AlgebraError, match="unknown derived product"):
+            desugar(DerOp("wedge", a, b))
+
 
 def _tree_strategy(max_depth=3, nvars=3):
     leaf = st.integers(1, nvars).map(Var)

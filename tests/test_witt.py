@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from permdiff import witt
 from permdiff.algebra import AlgebraError
 from permdiff.witt import (
     PermTensorElem,
@@ -245,6 +247,24 @@ class TestVerifyTables:
         # [E^{y,y}_{0,0}, E^{y,y}_{0,0}]_o = (n - q) E^{y,y} = 0 at the origin
         assert leibniz_bracket(E(2, (0, 0), 2, 2), E(2, (0, 0), 2, 2)).is_zero()
 
+    @pytest.mark.parametrize("attr, n, at, expected", [
+        ("W1_RULES", 1, [0, 0], "1*E[1;1,1]"),
+        ("W2_LIE_RULES", 2, [0, 0, 0, 0], "1*E[1,0;x,x]"),
+    ])
+    def test_mismatch_names_exponents_and_both_sides(self, monkeypatch, attr,
+                                                      n, at, expected):
+        rules = getattr(witt, attr)
+        coeff, exps, alpha, i = rules[0].targets[0]
+        off_by_one = dataclasses.replace(rules[0], targets=(
+            (lambda *mnpq: coeff(*mnpq) + 1, exps, alpha, i),))
+        monkeypatch.setattr(witt, attr, (off_by_one,) + rules[1:])
+        ver = verify_tables(1)
+        chk = next(r for r in ver.rules if r.block == rules[0].block)
+        assert not ver.ok and chk.checked == 2 ** (2 * n)
+        assert len(chk.mismatches) == chk.checked
+        assert chk.mismatches[0] == {"at": at, "computed": "0",
+                                     "expected": expected}
+
     def test_skew_block_consistency(self):
         # the derived block is exactly minus the mirrored mixed block
         for m, n, p, q in itertools.product(range(3), repeat=4):
@@ -253,3 +273,97 @@ class TestVerifyTables:
                 lhs = lie_bracket(E(2, (m, n), al, il), E(2, (p, q), be, jr))
                 rhs = lie_bracket(E(2, (p, q), be, jr), E(2, (m, n), al, il))
                 assert lhs == rhs.scale(-1)
+
+
+def _patterns(table):
+    """(left, right) slot patterns of a table's entries, one per entry."""
+    return [((e["left"]["alpha"], e["left"]["i"]),
+             (e["right"]["alpha"], e["right"]["i"])) for e in table["entries"]]
+
+
+class TestTableOrder:
+    """The entry and rule order of the emitted tables, pinned: the CLI's
+    JSON output must stay byte-stable."""
+
+    LIE_2 = [
+        (("x", "x"), ("x", "x")), (("x", "x"), ("y", "x")),
+        (("y", "x"), ("x", "x")), (("y", "x"), ("y", "x")),
+        (("x", "y"), ("x", "y")), (("x", "y"), ("y", "y")),
+        (("y", "y"), ("x", "y")), (("y", "y"), ("y", "y")),
+        (("x", "x"), ("x", "y")), (("x", "x"), ("y", "y")),
+        (("y", "x"), ("x", "y")), (("y", "x"), ("y", "y")),
+        (("x", "y"), ("x", "x")), (("x", "y"), ("y", "x")),
+        (("y", "y"), ("x", "x")), (("y", "y"), ("y", "x")),
+    ]
+    LEIBNIZ_2 = [
+        (("x", "x"), ("x", "x")), (("x", "x"), ("x", "y")),
+        (("x", "x"), ("y", "x")), (("x", "x"), ("y", "y")),
+        (("x", "y"), ("x", "x")), (("x", "y"), ("x", "y")),
+        (("x", "y"), ("y", "x")), (("x", "y"), ("y", "y")),
+        (("y", "x"), ("x", "x")), (("y", "x"), ("x", "y")),
+        (("y", "x"), ("y", "x")), (("y", "x"), ("y", "y")),
+        (("y", "y"), ("x", "x")), (("y", "y"), ("x", "y")),
+        (("y", "y"), ("y", "x")), (("y", "y"), ("y", "y")),
+    ]
+    RULES = [
+        ("lie", "n=1", "E[m;1,1]", "E[p;1,1]"),
+        ("lie", "i", "E[m,n;x,x]", "E[p,q;x,x]"),
+        ("lie", "i", "E[m,n;x,x]", "E[p,q;y,x]"),
+        ("lie", "i", "E[m,n;y,x]", "E[p,q;x,x]"),
+        ("lie", "i", "E[m,n;y,x]", "E[p,q;y,x]"),
+        ("lie", "ii", "E[m,n;x,y]", "E[p,q;x,y]"),
+        ("lie", "ii", "E[m,n;x,y]", "E[p,q;y,y]"),
+        ("lie", "ii", "E[m,n;y,y]", "E[p,q;x,y]"),
+        ("lie", "ii", "E[m,n;y,y]", "E[p,q;y,y]"),
+        ("lie", "iii", "E[m,n;x,x]", "E[p,q;x,y]"),
+        ("lie", "iii", "E[m,n;x,x]", "E[p,q;y,y]"),
+        ("lie", "iii", "E[m,n;y,x]", "E[p,q;x,y]"),
+        ("lie", "iii", "E[m,n;y,x]", "E[p,q;y,y]"),
+        ("lie", "iii-skew", "E[m,n;x,y]", "E[p,q;x,x]"),
+        ("lie", "iii-skew", "E[m,n;y,y]", "E[p,q;x,x]"),
+        ("lie", "iii-skew", "E[m,n;x,y]", "E[p,q;y,x]"),
+        ("lie", "iii-skew", "E[m,n;y,y]", "E[p,q;y,x]"),
+        ("leibniz", "a", "E[m,n;x,x]", "E[p,q;x,x]"),
+        ("leibniz", "a", "E[m,n;x,x]", "E[p,q;x,y]"),
+        ("leibniz", "a", "E[m,n;x,y]", "E[p,q;x,x]"),
+        ("leibniz", "a", "E[m,n;x,y]", "E[p,q;x,y]"),
+        ("leibniz", "a", "E[m,n;x,x]", "E[p,q;y,x]"),
+        ("leibniz", "a", "E[m,n;x,x]", "E[p,q;y,y]"),
+        ("leibniz", "a", "E[m,n;x,y]", "E[p,q;y,x]"),
+        ("leibniz", "a", "E[m,n;x,y]", "E[p,q;y,y]"),
+        ("leibniz", "b", "E[m,n;y,x]", "E[p,q;x,x]"),
+        ("leibniz", "b", "E[m,n;y,x]", "E[p,q;x,y]"),
+        ("leibniz", "b", "E[m,n;y,y]", "E[p,q;x,x]"),
+        ("leibniz", "b", "E[m,n;y,y]", "E[p,q;x,y]"),
+        ("leibniz", "b", "E[m,n;y,x]", "E[p,q;y,x]"),
+        ("leibniz", "b", "E[m,n;y,x]", "E[p,q;y,y]"),
+        ("leibniz", "b", "E[m,n;y,y]", "E[p,q;y,x]"),
+        ("leibniz", "b", "E[m,n;y,y]", "E[p,q;y,y]"),
+    ]
+
+    @pytest.mark.parametrize("n, kind, blocks", [
+        (1, "lie", [(("1", "1"), ("1", "1"))]),
+        (1, "leibniz", [(("1", "1"), ("1", "1"))]),
+        (2, "lie", LIE_2),
+        (2, "leibniz", LEIBNIZ_2),
+    ])
+    def test_entry_order(self, n, kind, blocks):
+        table = structure_table(n, kind, 1)
+        per_block = 2 ** (2 * n)
+        assert _patterns(table) == [b for b in blocks for _ in range(per_block)]
+        exps = [tuple(e["left"]["e"] + e["right"]["e"])
+                for e in table["entries"][:per_block]]
+        assert exps == list(itertools.product(range(2), repeat=2 * n))
+
+    def test_rule_order(self):
+        got = [(r.table, r.block, r.left, r.right)
+               for r in verify_tables(1).rules]
+        assert got == self.RULES
+
+    def test_rank_one_leibniz_table_values(self):
+        table = structure_table(1, "leibniz", 1)
+        for entry in table["entries"]:
+            (m,), (p,) = entry["left"]["e"], entry["right"]["e"]
+            want = leibniz_bracket(E(1, (m,), 1, 1), E(1, (p,), 1, 1))
+            assert [(r["coeff"], r["basis"]["e"]) for r in entry["result"]] \
+                == [(str(c), list(b.e)) for b, c in sorted(want.terms.items())]

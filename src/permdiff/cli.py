@@ -546,8 +546,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("lie", "leibniz"), required=True)
     p.add_argument("--bound", type=int, default=2)
     p.add_argument("--verify", action="store_true",
-                   help="also check computed entries against the embedded "
-                        "coefficient rules")
+                   help="also check the computed brackets against every "
+                        "embedded coefficient rule (rank-one Lie, rank-two "
+                        "Lie and Leibniz; no rank-one Leibniz rule is "
+                        "embedded) over exponents 0..max(bound, 3), "
+                        "whatever --n and --kind say")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("reduce", parents=[common], help="run the identity reduction pipeline")

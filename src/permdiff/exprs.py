@@ -470,7 +470,8 @@ class FormalVectorField:
                 raise AlgebraError("vector field coefficient context mismatch")
             if not 1 <= idx <= ctx.arity:
                 raise AlgebraError("derivation index out of range")
-            acc[idx] = acc.get(idx, DiffPermPoly.zero(ctx)) + coeff
+            prev = acc.get(idx)
+            acc[idx] = coeff if prev is None else prev + coeff
         terms = tuple((i, p) for i, p in sorted(acc.items()) if not p.is_zero())
         return cls(ctx, terms)
 

@@ -5,14 +5,18 @@ the symmetrized product a b' + b a' and the closure under a' b + a b'.  For
 each we can generate the multilinear degree-n component by a span saturation
 over variable subsets, generate the explicit comparison family (star images,
 respectively derivatives, of the weight -2 multilinear basis monomials), and
-verify by exact rank computation that both families span the same space of
-dimension C(2n-3, n-1), respectively n * C(2n-3, n-1).
+verify that both span the same space of dimension C(2n-3, n-1), respectively
+n * C(2n-3, n-1).
 
-Rank and membership use fraction-free Gaussian elimination on integer rows
+The verification first tries a proof in the coordinates of the family: the
+family is in echelon form, every top-level product lies in its span, and the
+products' coordinate rows have full rank modulo a prime, which bounds their
+rank over Q from below.  When a step fails it falls back to the exact path:
+rank and membership by fraction-free Gaussian elimination on integer rows
 over small integer column ids, one per monomial, handed out in the order a
-basis first sees them; results are exact and deterministic.  The closure
-component on any k variables is the relabelled component on x1..xk, so only
-those are saturated.
+basis first sees them.  Results are exact and deterministic either way.  The
+closure component on any k variables is the relabelled component on x1..xk,
+so only those are built.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .algebra import (
     Context,
     DiffPermPoly,
     Monomial,
+    Rational,
     Symbol,
     derived_product,
     format_poly,
@@ -145,6 +150,50 @@ def rank(elems: Iterable[DiffPermPoly]) -> int:
     return SpanBasis.from_elements(elems).rank
 
 
+#: the prime of ``modular_rank``, 2^61 - 1
+MODULUS = (1 << 61) - 1
+
+
+def modular_rank(rows: Iterable[dict[int, Rational]],
+                 stop: int | None = None) -> int:
+    """Rank over GF(MODULUS) of sparse rational rows, each a map from column
+    to value; reading stops once the rank reaches ``stop``.
+
+    Each row's denominators are cleared before it is reduced modulo the
+    prime, which scales the row by a nonzero rational, so the result never
+    exceeds the rank over Q, whatever the prime.
+    """
+    p = MODULUS
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(pivots) == stop:
+            break
+        denom = 1
+        for v in row.values():
+            if isinstance(v, Fraction):
+                denom = denom * v.denominator // gcd(denom, v.denominator)
+        r = {}
+        for c, v in row.items():
+            v = int(v * denom) % p
+            if v:
+                r[c] = v
+        while r:
+            lead = min(r)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(r[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in r.items()}
+                break
+            f = r[lead]
+            for c, v in prow.items():
+                w = (r.get(c, 0) - f * v) % p
+                if w:
+                    r[c] = w
+                else:
+                    del r[c]
+    return len(pivots)
+
+
 def dimension_formula(n: int, variant: str) -> int:
     """Multilinear dimension of the generated subalgebra in degree n."""
     if variant == "star":
@@ -226,6 +275,46 @@ def _relabel(p: DiffPermPoly, subset: tuple[int, ...],
                                 for m, c in p.terms.items()}, _owned=True)
 
 
+class _Components:
+    """Spanning lists of the closure components on x1..xk for k = 1, 2, ...,
+    and their images on other variable sets.
+
+    ``canonical[k]`` spans the component on x1..xk; the one on any other
+    k-subset is its image under the increasing relabelling (see
+    ``generate_closure``), built once per subset.
+    """
+
+    def __init__(self):
+        self.canonical: list[list[DiffPermPoly]] = [
+            [], [DiffPermPoly.generator(1, 0, CTX_Q)]]
+        self._images: dict[tuple[Symbol, int], Symbol] = {}
+        self._relabelled: dict[tuple[int, ...], list[DiffPermPoly]] = {}
+
+    def on(self, subset: tuple[int, ...]) -> list[DiffPermPoly]:
+        k = len(subset)
+        if subset[-1] == k:
+            return self.canonical[k]
+        got = self._relabelled.get(subset)
+        if got is None:
+            got = self._relabelled[subset] = [
+                _relabel(p, subset, self._images) for p in self.canonical[k]]
+        return got
+
+    def products(self, tag: str) -> Iterator[DiffPermPoly]:
+        """Every tagged product of the components on two complementary
+        pieces of x1..xk, k = len(canonical): a spanning list of the
+        component on x1..xk."""
+        allvars = tuple(range(1, len(self.canonical) + 1))
+        for lsize in range(1, len(allvars)):
+            for left in combinations(allvars, lsize):
+                if tag == "loz" and left[0] != 1:
+                    continue  # symmetric product: one order is enough
+                right = tuple(v for v in allvars if v not in left)
+                for a in self.on(left):
+                    for b in self.on(right):
+                        yield derived_product(tag, a, b)
+
+
 def _closure_basis(tag: str, n: int) -> SpanBasis:
     """The saturated span of the multilinear component on x1..xn; see
     ``generate_closure``."""
@@ -233,34 +322,13 @@ def _closure_basis(tag: str, n: int) -> SpanBasis:
         raise AlgebraError(f"closure is defined for loz/bullet, not {tag!r}")
     if n < 1:
         raise AlgebraError("degree must be >= 1")
-    basis = SpanBasis(CTX_Q)
-    basis.add(DiffPermPoly.generator(1, 0, CTX_Q))
-    canonical = [[], basis.elements]  # canonical[k]: the component on x1..xk
-    images: dict[tuple[Symbol, int], Symbol] = {}
-    relabelled: dict[tuple[int, ...], list[DiffPermPoly]] = {}
-
-    def component(subset: tuple[int, ...]) -> list[DiffPermPoly]:
-        k = len(subset)
-        if subset[-1] == k:
-            return canonical[k]
-        got = relabelled.get(subset)
-        if got is None:
-            got = relabelled[subset] = [_relabel(p, subset, images)
-                                        for p in canonical[k]]
-        return got
-
-    for size in range(2, n + 1):
+    comps = _Components()
+    basis = SpanBasis.from_elements(comps.canonical[1])
+    for _ in range(2, n + 1):
         basis = SpanBasis(CTX_Q)
-        allvars = tuple(range(1, size + 1))
-        for lsize in range(1, size):
-            for left in combinations(allvars, lsize):
-                if tag == "loz" and left[0] != 1:
-                    continue  # symmetric product: one order is enough
-                right = tuple(v for v in allvars if v not in left)
-                for a in component(left):
-                    for b in component(right):
-                        basis.add(derived_product(tag, a, b))
-        canonical.append(basis.elements)
+        for p in comps.products(tag):
+            basis.add(p)
+        comps.canonical.append(basis.elements)
     return basis
 
 
@@ -308,14 +376,108 @@ class DimensionReport:
         }
 
 
+class _Echelon:
+    """A family whose leads are pairwise distinct, with exact coordinates of
+    the members of its span.
+
+    An element's lead is its greatest monomial, ordered by the derivative
+    order of the last factor first, then by ``monomial_key``.  Columns are
+    the monomials of the family's support, numbered from the greatest down,
+    so a lead is the smallest column of its row.
+    """
+
+    def __init__(self, family: list[DiffPermPoly]):
+        support = {m for p in family for m in p.terms}
+        order = sorted(support, key=lambda m: (m.last.order, monomial_key(m)),
+                       reverse=True)
+        self.cols = {m: i for i, m in enumerate(order)}
+        self.by_lead: dict[int, tuple[int, dict[int, Rational]]] = {}
+        for i, p in enumerate(family):
+            row = {self.cols[m]: c for m, c in p.terms.items()}
+            self.by_lead.setdefault(min(row, default=-1), (i, row))
+        self.independent = (len(self.by_lead) == len(family)
+                            and -1 not in self.by_lead)
+
+    def coordinates(self, p: DiffPermPoly) -> dict[int, Rational] | None:
+        """The coefficients of p over the family, by index, from a triangular
+        sweep over the leads; None when a nonzero remainder is left."""
+        cols = self.cols
+        row = {}
+        for m, c in p.terms.items():
+            col = cols.get(m)
+            if col is None:
+                return None
+            row[col] = c
+        coords = {}
+        while row:
+            lead = min(row)
+            hit = self.by_lead.get(lead)
+            if hit is None:
+                return None
+            i, erow = hit
+            lc = erow[lead]
+            f = row[lead] if lc == 1 else Fraction(row[lead]) / lc
+            coords[i] = f
+            for c, v in erow.items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+        return coords
+
+
+def _coordinate_proof(tag: str, variant: str, n: int) -> list[DiffPermPoly] | None:
+    """The family ``generate_S(n, variant)`` when it is proved to be a basis
+    of the closure component on x1..xn, else None.
+
+    Level by level for k = 2..n: the family in degree k has distinct leads,
+    so it is independent; every top-level product of the components on
+    complementary pieces, each the relabelled family proved at a lower
+    level, lies in its span, so the closure does; and the coordinate rows
+    of the products have rank over GF(MODULUS), a lower bound of their rank
+    over Q, equal to the family's size, so the closure is the whole span.
+    """
+    comps = _Components()
+    family: list[DiffPermPoly] = []
+    for k in range(2, n + 1):
+        family = generate_S(k, variant)
+        echelon = _Echelon(family)
+        if not echelon.independent:
+            return None
+        rows = []
+        for p in comps.products(tag):
+            row = echelon.coordinates(p)
+            if row is None:
+                return None
+            rows.append(row)
+        # Sparse rows first keep the pivots sparse: star n=7 reaches full
+        # rank after 888 of 2667 rows in this order, 2562 in product order.
+        rows.sort(key=len)
+        if modular_rank(rows, stop=len(family)) < len(family):
+            return None
+        comps.canonical.append(family)
+    return family
+
+
 def verify_dimension(n: int, variant: str) -> DimensionReport:
     """Check, in degree n: the saturated closure span and the explicit family
     have equal rank, the family is linearly independent, its size matches the
     closed-form dimension, and each family is contained in the span of the
-    other.  Failures carry witness elements."""
+    other.  Failures carry witness elements.
+
+    The coordinate proof (``_coordinate_proof``) settles all of this when it
+    succeeds; otherwise the closure is saturated and both containments are
+    checked by elimination, which gives the same report."""
     if n < 2:
         raise AlgebraError("verify_dimension needs n >= 2")
     tag = _variant_tag(variant)
+    family = _coordinate_proof(tag, variant, n)
+    if family is not None:
+        size = len(family)
+        return DimensionReport(n=n, variant=variant,
+                               formula=dimension_formula(n, variant),
+                               rank_closure=size, rank_S=size, size_S=size)
     closure_basis = _closure_basis(tag, n)
     closure = closure_basis.elements
     family = generate_S(n, variant)

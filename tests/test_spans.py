@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import pytest
@@ -14,16 +15,19 @@ from permdiff.algebra import (
     AlgebraError,
     DiffPermPoly,
     derived_product,
+    format_poly,
     monomial_key,
     rename_vars,
     x,
 )
 from permdiff.spans import (
+    DimensionReport,
     SpanBasis,
     _relabel,
     dimension_formula,
     generate_S,
     generate_closure,
+    modular_rank,
     rank,
     verify_dimension,
     weight_minus2_monomials,
@@ -113,9 +117,16 @@ def fraction_rank(polys):
     """Gauss-Jordan elimination over Fraction on dense rows; the oracle for
     ``SpanBasis``."""
     monos = sorted({m for p in polys for m in p.terms}, key=monomial_key)
-    rows = [[Fraction(p.terms.get(m, 0)) for m in monos] for p in polys]
+    return fraction_matrix_rank([[p.terms.get(m, 0) for m in monos]
+                                 for p in polys])
+
+
+def fraction_matrix_rank(matrix):
+    """Rank over Q of a dense matrix of rationals, by Gauss-Jordan
+    elimination over Fraction."""
+    rows = [[Fraction(a) for a in row] for row in matrix]
     r = 0
-    for col in range(len(monos)):
+    for col in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
@@ -127,6 +138,42 @@ def fraction_rank(polys):
                 rows[i] = [a - f * b for a, b in zip(row, prow)]
         r += 1
     return r
+
+
+def matrices(max_rows, max_cols, entries):
+    return st.integers(1, max_cols).flatmap(lambda cols: st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), max_size=max_rows))
+
+
+def as_rows(matrix):
+    return [dict(enumerate(row)) for row in matrix]
+
+
+class TestModularRankAgainstFractionOracle:
+    @given(matrices(6, 6, st.integers(-10, 10)))
+    @settings(max_examples=200)
+    def test_equals_exact_rank_on_small_matrices(self, matrix):
+        # Hadamard: every minor is at most (10 * sqrt(6))^6 < 2^61 - 1 in
+        # absolute value, so none that is nonzero over Q vanishes mod p
+        assert modular_rank(as_rows(matrix)) == fraction_matrix_rank(matrix)
+
+    @given(matrices(8, 8, st.fractions(-10**6, 10**6, max_denominator=12)),
+           st.lists(st.fractions(-3, 3, max_denominator=4), max_size=8),
+           st.sampled_from([2, 3, 5, spans.MODULUS]))
+    @settings(max_examples=200)
+    def test_never_exceeds_exact_rank(self, matrix, mix, p):
+        if matrix:  # append a rational combination of the rows
+            matrix = matrix + [[sum(c * row[j] for c, row in zip(mix, matrix))
+                                for j in range(len(matrix[0]))]]
+        with patch.object(spans, "MODULUS", p):
+            got = modular_rank(as_rows(matrix))
+        assert got <= fraction_matrix_rank(matrix)
+
+    @given(matrices(6, 6, st.integers(-10, 10)), st.integers(0, 7))
+    @settings(max_examples=100)
+    def test_stops_at_the_bound(self, matrix, stop):
+        assert modular_rank(as_rows(matrix), stop=stop) == \
+            min(stop, fraction_matrix_rank(matrix))
 
 
 small_polys = polys_st(max_var=2, max_order=1, max_degree=2, max_terms=3)
@@ -360,3 +407,67 @@ class TestVerifyDimensionWitnesses:
         assert not r.ok
         assert r.missing_from_closure == ["x1 x2 x3"]
         assert not r.missing_from_S
+
+
+def exact_report(n, variant):
+    """The report of the exact path alone: the saturated closure, the
+    eliminated family and both containment sweeps; the oracle for the
+    coordinate proof."""
+    closure_basis = spans._closure_basis(spans._variant_tag(variant), n)
+    family = spans.generate_S(n, variant)
+    family_basis = SpanBasis.from_elements(family)
+    return DimensionReport(
+        n=n, variant=variant, formula=dimension_formula(n, variant),
+        rank_closure=closure_basis.rank, rank_S=family_basis.rank,
+        size_S=len(family),
+        missing_from_closure=[format_poly(p) for p in family
+                              if not closure_basis.contains(p)],
+        missing_from_S=[format_poly(p) for p in closure_basis.elements
+                        if not family_basis.contains(p)])
+
+
+def coordinate_proof(n, variant):
+    return spans._coordinate_proof(spans._variant_tag(variant), variant, n)
+
+
+class TestCoordinateProof:
+    """The coordinate proof gives the report of the exact path, and falls
+    back to that path whenever one of its steps fails."""
+
+    @pytest.mark.parametrize("variant,n", [("star", n) for n in range(2, 7)]
+                             + [("prime", n) for n in range(2, 6)])
+    def test_matches_exact_path(self, variant, n):
+        assert coordinate_proof(n, variant) == generate_S(n, variant)
+        assert verify_dimension(n, variant) == exact_report(n, variant)
+
+    @pytest.mark.parametrize("variant,n", [("star", 4), ("prime", 3)])
+    def test_modular_shortfall_falls_back(self, monkeypatch, variant, n):
+        # modulo 2 the half-integer rewrites of degree 3 are lost
+        monkeypatch.setattr(spans, "MODULUS", 2)
+        assert coordinate_proof(n, variant) is None
+        r = verify_dimension(n, variant)
+        assert r.ok and r == exact_report(n, variant)
+
+    @pytest.mark.parametrize("broken", [lambda f: f + f[:1], lambda f: f[1:]],
+                             ids=["repeated", "dropped"])
+    @pytest.mark.parametrize("variant,n", [("star", 2), ("star", 4),
+                                           ("prime", 2), ("prime", 3)])
+    def test_broken_family_falls_back(self, monkeypatch, variant, n, broken):
+        # broken in degree n only: the lower degrees are proved as usual
+        full = generate_S
+        monkeypatch.setattr(spans, "generate_S", lambda k, v: (
+            broken(full(k, v)) if k == n else full(k, v)))
+        assert coordinate_proof(n, variant) is None
+        r = verify_dimension(n, variant)
+        assert not r.ok and r == exact_report(n, variant)
+
+    @pytest.mark.parametrize("scale", [Fraction(1, 3), 3])
+    @pytest.mark.parametrize("variant,n", [("star", 5), ("prime", 4)])
+    def test_scaled_family_element(self, monkeypatch, variant, n, scale):
+        # scaled by 3, the element's coordinates have denominator 3
+        full = generate_S
+        monkeypatch.setattr(spans, "generate_S", lambda k, v: [
+            full(k, v)[0].scale(scale)] + full(k, v)[1:])
+        assert coordinate_proof(n, variant) == spans.generate_S(n, variant)
+        r = verify_dimension(n, variant)
+        assert r.ok and r == exact_report(n, variant)

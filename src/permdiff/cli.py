@@ -475,11 +475,11 @@ def _cmd_table(args) -> int:
 
 def _cmd_reduce(args) -> int:
     expr = parse_expr(args.expr, product=args.product)
-    nvars = max(used_vars(expr), default=0)
-    if nvars == 0:
+    vs = used_vars(expr)
+    if not vs:
         sys.stderr.write("expression has no variables\n")
         return 2
-    subst = {i: DiffPermPoly.generator(i) for i in range(1, nvars + 1)}
+    subst = {i: DiffPermPoly.generator(i) for i in vs}
     poly = eval_expr(expr, subst, CTX_Q)
     result = reduce_identity(poly)
     doc = {"input": format_poly(poly), "outcome": result.outcome}
@@ -503,8 +503,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_expand(args) -> int:
     expr = parse_expr(args.expr, product=args.product)
-    nvars = max(used_vars(expr), default=0)
-    subst = {i: DiffPermPoly.generator(i) for i in range(1, nvars + 1)}
+    subst = {i: DiffPermPoly.generator(i) for i in used_vars(expr)}
     poly = eval_expr(expr, subst, CTX_Q)
     doc = {"expression": pretty(expr),
            "terms": [{"monomial": format_monomial(m),

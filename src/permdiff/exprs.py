@@ -418,11 +418,6 @@ class Verdict:
     witness: tuple[Monomial, Scalar] | None = None
 
 
-def _generators(arity_vars: int, ctx: Context) -> dict[int, DiffPermPoly]:
-    return {i: DiffPermPoly.generator(i, 0, ctx)
-            for i in range(1, arity_vars + 1)}
-
-
 def check_identity(e: Expr, nvars: int, ctx: Context = CTX_Q) -> Verdict:
     """Decide whether ``e = 0`` holds identically, by substituting distinct
     generators for x1..x_nvars and expanding.
@@ -434,12 +429,11 @@ def check_identity(e: Expr, nvars: int, ctx: Context = CTX_Q) -> Verdict:
     vs = used_vars(e)
     if vs and max(vs) > nvars:
         raise AlgebraError(f"expression uses x{max(vs)} beyond arity {nvars}")
-    subst = _generators(nvars, ctx)
+    subst = {i: DiffPermPoly.generator(i, 0, ctx) for i in vs}
     poly = eval_delta(e, subst, ctx) if ctx.delta else eval_expr(e, subst, ctx)
-    want = tuple(range(1, nvars + 1))
     for m in poly.terms:
         seen = tuple(sorted(s.var for s in m.factors))
-        if seen != want:
+        if len(seen) != nvars or seen != tuple(range(1, nvars + 1)):
             raise NonMultilinearError(
                 f"expansion is not multilinear in x1..x{nvars}: "
                 f"monomial variables {seen}")

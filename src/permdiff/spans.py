@@ -8,15 +8,16 @@ respectively derivatives, of the weight -2 multilinear basis monomials), and
 verify that both span the same space of dimension C(2n-3, n-1), respectively
 n * C(2n-3, n-1).
 
-The verification first tries a proof in the coordinates of the family: the
-family is in echelon form, every top-level product lies in its span, and the
-products' coordinate rows have full rank modulo a prime, which bounds their
-rank over Q from below.  When a step fails it falls back to the exact path:
-rank and membership by fraction-free Gaussian elimination on integer rows
-over small integer column ids, one per monomial, handed out in the order a
-basis first sees them.  Results are exact and deterministic either way.  The
-closure component on any k variables is the relabelled component on x1..xk,
-so only those are built.
+The verification first tries a proof from the product factorisations
+a•b = (ab)' and, when a* = a' and b* = b', a⧫b = (ab)*: the closure is d,
+resp. star, of the span of plain products, whose rank modulo a prime bounds
+its rank from below.  Its checks (the columns, the family's size, distinct
+leads, each element the image of its lead lowered, and s* = s' for star)
+are spelled out at ``verify_dimension``.  When one fails, the exact path
+runs: rank and membership by fraction-free Gaussian elimination on integer
+rows over small integer column ids, one per monomial.  Results are exact
+and deterministic either way.  The closure component on any k variables is
+the relabelled component on x1..xk, so only those are built.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .algebra import (
     Monomial,
     Rational,
     Symbol,
+    _merge,
     derived_product,
     format_poly,
     monomial_key,
@@ -300,10 +302,10 @@ class _Components:
                 _relabel(p, subset, self._images) for p in self.canonical[k]]
         return got
 
-    def products(self, tag: str) -> Iterator[DiffPermPoly]:
-        """Every tagged product of the components on two complementary
-        pieces of x1..xk, k = len(canonical): a spanning list of the
-        component on x1..xk."""
+    def products(self, tag: str) -> Iterator[tuple[DiffPermPoly, DiffPermPoly]]:
+        """Every pair (a, b) of elements of the components on two
+        complementary pieces of x1..xk, k = len(canonical): their tagged
+        products span the component on x1..xk."""
         allvars = tuple(range(1, len(self.canonical) + 1))
         for lsize in range(1, len(allvars)):
             for left in combinations(allvars, lsize):
@@ -312,7 +314,7 @@ class _Components:
                 right = tuple(v for v in allvars if v not in left)
                 for a in self.on(left):
                     for b in self.on(right):
-                        yield derived_product(tag, a, b)
+                        yield a, b
 
 
 def _closure_basis(tag: str, n: int) -> SpanBasis:
@@ -326,8 +328,8 @@ def _closure_basis(tag: str, n: int) -> SpanBasis:
     basis = SpanBasis.from_elements(comps.canonical[1])
     for _ in range(2, n + 1):
         basis = SpanBasis(CTX_Q)
-        for p in comps.products(tag):
-            basis.add(p)
+        for a, b in comps.products(tag):
+            basis.add(derived_product(tag, a, b))
         comps.canonical.append(basis.elements)
     return basis
 
@@ -376,83 +378,56 @@ class DimensionReport:
         }
 
 
-class _Echelon:
-    """A family whose leads are pairwise distinct, with exact coordinates of
-    the members of its span.
-
-    An element's lead is its greatest monomial, ordered by the derivative
-    order of the last factor first, then by ``monomial_key``.  Columns are
-    the monomials of the family's support, numbered from the greatest down,
-    so a lead is the smallest column of its row.
-    """
-
-    def __init__(self, family: list[DiffPermPoly]):
-        support = {m for p in family for m in p.terms}
-        order = sorted(support, key=lambda m: (m.last.order, monomial_key(m)),
-                       reverse=True)
-        self.cols = {m: i for i, m in enumerate(order)}
-        self.by_lead: dict[int, tuple[int, dict[int, Rational]]] = {}
-        for i, p in enumerate(family):
-            row = {self.cols[m]: c for m, c in p.terms.items()}
-            self.by_lead.setdefault(min(row, default=-1), (i, row))
-        self.independent = (len(self.by_lead) == len(family)
-                            and -1 not in self.by_lead)
-
-    def coordinates(self, p: DiffPermPoly) -> dict[int, Rational] | None:
-        """The coefficients of p over the family, by index, from a triangular
-        sweep over the leads; None when a nonzero remainder is left."""
-        cols = self.cols
-        row = {}
-        for m, c in p.terms.items():
-            col = cols.get(m)
-            if col is None:
-                return None
-            row[col] = c
-        coords = {}
-        while row:
-            lead = min(row)
-            hit = self.by_lead.get(lead)
-            if hit is None:
-                return None
-            i, erow = hit
-            lc = erow[lead]
-            f = row[lead] if lc == 1 else Fraction(row[lead]) / lc
-            coords[i] = f
-            for c, v in erow.items():
-                w = row.get(c, 0) - f * v
-                if w:
-                    row[c] = w
-                else:
-                    del row[c]
-        return coords
+def _leads(family: list[DiffPermPoly]) -> list[Monomial] | None:
+    """The leads of the family's elements, or None when an element is zero
+    or two leads coincide.  A lead is the greatest monomial, ordered by the
+    derivative order of the last factor first, then by ``monomial_key``;
+    distinct leads put the family in echelon form, so it is independent."""
+    if not all(family):
+        return None
+    leads = [max(p.terms, key=lambda m: (m.last.order, monomial_key(m)))
+             for p in family]
+    return leads if len(set(leads)) == len(leads) else None
 
 
 def _coordinate_proof(tag: str, variant: str, n: int) -> list[DiffPermPoly] | None:
-    """The family ``generate_S(n, variant)`` when it is proved to be a basis
-    of the closure component on x1..xn, else None.
-
-    Level by level for k = 2..n: the family in degree k has distinct leads,
-    so it is independent; every top-level product of the components on
-    complementary pieces, each the relabelled family proved at a lower
-    level, lies in its span, so the closure does; and the coordinate rows
-    of the products have rank over GF(MODULUS), a lower bound of their rank
-    over Q, equal to the family's size, so the closure is the whole span.
-    """
+    """The family ``generate_S(n, variant)`` when the factorisation proof
+    (see ``verify_dimension``) shows it is a basis of the closure component
+    on x1..xn, else None."""
+    star = variant == "star"
+    image = DiffPermPoly.star if star else DiffPermPoly.derive
+    column = (lambda m: tuple(sorted(m.factors))) if star else (lambda m: m)
     comps = _Components()
     family: list[DiffPermPoly] = []
     for k in range(2, n + 1):
-        family = generate_S(k, variant)
-        echelon = _Echelon(family)
-        if not echelon.independent:
+        # check 5: this level's operands are the last level's family, or x1
+        if star and any(s.star() != s.derive() for s in comps.canonical[-1]):
             return None
-        rows = []
-        for p in comps.products(tag):
-            row = echelon.coordinates(p)
-            if row is None:
+        cols = {}
+        for m in weight_minus2_monomials(k):
+            cols.setdefault(column(m), len(cols))
+        family = generate_S(k, variant)
+        leads = _leads(family)  # check 3
+        if len(family) != len(cols) or leads is None:  # check 2
+            return None
+        for p, lead in zip(family, leads):  # check 4
+            if not lead.last.order:
                 return None
+            u = Monomial(lead.left, lead.last.derived(0, -1))
+            img = image(DiffPermPoly(CTX_Q, {u: 1}, _owned=True))
+            c = Fraction(p.terms[lead], img.terms[lead])
+            if column(u) not in cols or img.scale(c).terms != p.terms:
+                return None
+        rows = []
+        for a, b in comps.products(tag):
+            row: dict[int, Rational] = {}
+            for m, c in (a * b).terms.items():
+                col = cols.get(column(m))
+                if col is None:  # check 1
+                    return None
+                _merge(row, col, c)
             rows.append(row)
-        # Sparse rows first keep the pivots sparse: star n=7 reaches full
-        # rank after 888 of 2667 rows in this order, 2562 in product order.
+        # Sparse rows first keep the pivots sparse.
         rows.sort(key=len)
         if modular_rank(rows, stop=len(family)) < len(family):
             return None
@@ -466,9 +441,30 @@ def verify_dimension(n: int, variant: str) -> DimensionReport:
     closed-form dimension, and each family is contained in the span of the
     other.  Failures carry witness elements.
 
-    The coordinate proof (``_coordinate_proof``) settles all of this when it
-    succeeds; otherwise the closure is saturated and both containments are
-    checked by elimination, which gives the same report."""
+    The factorisation proof (``_coordinate_proof``) settles all of this when
+    it succeeds.  For k = 2..n, the component on x1..xk is spanned by the
+    products of elements a, b of the components on complementary pieces,
+    each a lower-degree family (or x1) relabelled.  As a•b = (ab)', and
+    a⧫b = (ab)* when a* = a' and b* = b', the component is d (resp. star) of
+    the span of the rows ab, read in monomials (resp. in factor multisets,
+    coefficients summed, all that star sees).  The proof checks:
+
+    1. every column is a weight -2 monomial on x1..xk (resp. the factor
+       multiset of one), so the component lies in d (resp. star) of their
+       span;
+    2. the family S_k has one element per column;
+    3. the leads of S_k are pairwise distinct, so S_k is independent;
+    4. each element is a nonzero multiple of d(u) (resp. star(u)) for u a
+       column, its lead with the last factor's order lowered by one; with
+       2 and 3, d (resp. star) maps the columns onto a basis of span(S_k)
+       and is injective on their span;
+    5. for star, s* = s' on every operand s of level k.
+
+    Then rank |S_k| of the rows modulo ``MODULUS``, a lower bound of their
+    rank over Q, hence by 4 of the component's, proves that the component
+    is span(S_k).  If a step fails, the closure is saturated and both
+    containments are checked by elimination, which gives the same report.
+    """
     if n < 2:
         raise AlgebraError("verify_dimension needs n >= 2")
     tag = _variant_tag(variant)

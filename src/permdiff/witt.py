@@ -306,6 +306,11 @@ def _exponent_box(n: int, bound: int):
         yield exps[:n], exps[n:]
 
 
+#: the largest exponent bound ``structure_table`` accepts: the rank-two Lie
+#: table at 12 has 28561 entries per slot pattern, 272 MB of JSON
+MAX_TABLE_BOUND = 12
+
+
 def structure_table(n: int, kind: str, bound: int) -> dict:
     """Explicit bracket values for all basis pairs with exponents up to
     ``bound``, for stable diffs ordered by block (in rule order), then
@@ -316,8 +321,8 @@ def structure_table(n: int, kind: str, bound: int) -> dict:
         raise AlgebraError("structure tables cover n = 1 and n = 2 only")
     if kind not in ("lie", "leibniz"):
         raise AlgebraError(f"unknown table kind: {kind!r}")
-    if bound < 0:
-        raise AlgebraError("bound must be >= 0")
+    if not 0 <= bound <= MAX_TABLE_BOUND:
+        raise AlgebraError(f"bound must be in 0..{MAX_TABLE_BOUND}")
     bracket = lie_bracket if kind == "lie" else leibniz_bracket
     # the one rank-one pattern serves both brackets
     rules = W1_RULES if n == 1 else (

@@ -21,6 +21,7 @@ from permdiff.exprs import (
     standard_identity,
     suite_cases,
 )
+from permdiff.witt import MAX_TABLE_BOUND
 
 DEEP = "d(" * 3000 + "x1" + ")" * 3000
 
@@ -178,6 +179,31 @@ class TestDispatch:
             assert code == 2, argv[0]
             assert out == ""
             assert err == "error: input nested too deeply\n"
+
+    @pytest.mark.parametrize("argv,code,want", [
+        (("expand", "x3000000"), 0, '"text": "x3000000"'),
+        (("reduce", "x3000000*x1"), 0, '"certificate": "x1\' x3000000\'"'),
+        (("check", "--file", "{big}"), 2,
+         "error: expansion is not multilinear in x1..x3000000: "
+         "monomial variables (1, 3000000)\n"),
+    ], ids=["expand", "reduce", "check-file"])
+    def test_huge_variable_index_is_fast(self, tmp_path, argv, code, want):
+        # generators are built for the variables used, not for x1..x3000000
+        big = tmp_path / "big.txt"
+        big.write_text("x3000000 * x1\n")
+        argv = [a.format(big=big) for a in argv]
+        r = subprocess.run([sys.executable, "-m", "permdiff", *argv,
+                            "--quiet"], capture_output=True, text=True,
+                           timeout=10)
+        assert r.returncode == code
+        assert want in (r.stdout if code == 0 else r.stderr)
+
+    def test_table_bound_above_the_cap_usage_error(self, capsys):
+        for bound in ("100000000000000000000", str(MAX_TABLE_BOUND + 1)):
+            code, out, err = run_cli(capsys, "table", "--n", "1", "--kind",
+                                     "lie", "--bound", bound, "--quiet")
+            assert code == 2 and out == ""
+            assert err == f"error: bound must be in 0..{MAX_TABLE_BOUND}\n"
 
     def test_check_file_relabelled_std7(self, tmp_path, capsys):
         image = {1: 4, 2: 7, 3: 1, 4: 6, 5: 2, 6: 5, 7: 3}

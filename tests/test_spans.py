@@ -461,6 +461,66 @@ class TestCoordinateProof:
         r = verify_dimension(n, variant)
         assert not r.ok and r == exact_report(n, variant)
 
+    @pytest.mark.parametrize("variant,n", [("star", 7), ("prime", 6)])
+    def test_closes_beyond_the_exact_path(self, variant, n):
+        assert coordinate_proof(n, variant) == generate_S(n, variant)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_star_is_derivative_on_the_star_family(self, k):
+        # the lemma behind a⧫b = (ab)* for the operands of degree k
+        assert all(s.star() == s.derive() for s in generate_S(k, "star"))
+
+    @pytest.mark.parametrize("n,level", [(3, 2), (4, 2), (4, 3)])
+    def test_family_breaking_the_lemma_falls_back(self, monkeypatch, n,
+                                                  level):
+        # equal terms, so checks 1-4 pass at ``level``; its star is negated,
+        # so s* = s' fails for the operands of the next level
+        class StarNegated(DiffPermPoly):
+            __slots__ = ()
+
+            def star(self):
+                return -super().star()
+
+        full = generate_S
+        monkeypatch.setattr(spans, "generate_S", lambda k, v: [
+            StarNegated(p.ctx, p.terms, _owned=True) if k == level else p
+            for p in full(k, v)])
+        assert coordinate_proof(level, "star") is not None
+        assert coordinate_proof(n, "star") is None
+        r = verify_dimension(n, "star")
+        assert r.ok and r == exact_report(n, "star")
+
+    @pytest.mark.parametrize("added", ["stray", "partner"])
+    @pytest.mark.parametrize("variant,n", [("star", 3), ("star", 5),
+                                           ("prime", 2), ("prime", 4)])
+    def test_element_not_an_image_of_its_lead_falls_back(
+            self, monkeypatch, variant, n, added):
+        # the element with the greatest lead gets a term below that lead:
+        # a monomial outside the closure, or another element of the family,
+        # which keeps the span; the size and the distinct leads stay
+        full = generate_S
+
+        def broken(k, v):
+            family = full(k, v)
+            if k != n:
+                return family
+            leads = spans._leads(family)
+            top = max(range(len(family)), key=lambda i: (
+                leads[i].last.order, monomial_key(leads[i])))
+            extra = family[top - 1]
+            if added == "stray":
+                extra = x(1)
+                for i in range(2, n + 1):
+                    extra = extra * x(i)
+            return family[:top] + [family[top] + extra] + family[top + 1:]
+
+        monkeypatch.setattr(spans, "generate_S", broken)
+        assert spans._leads(spans.generate_S(n, variant)) is not None
+        assert coordinate_proof(n, variant) is None
+        r = verify_dimension(n, variant)
+        assert r.ok == (added == "partner")
+        assert r == exact_report(n, variant)
+
     @pytest.mark.parametrize("scale", [Fraction(1, 3), 3])
     @pytest.mark.parametrize("variant,n", [("star", 5), ("prime", 4)])
     def test_scaled_family_element(self, monkeypatch, variant, n, scale):

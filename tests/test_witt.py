@@ -219,6 +219,12 @@ class TestStructureTable:
         with pytest.raises(AlgebraError):
             structure_table(3, "lie", 1)
 
+    def test_bound_outside_the_box(self):
+        assert structure_table(1, "lie", witt.MAX_TABLE_BOUND)["entries"]
+        for bound in (-1, witt.MAX_TABLE_BOUND + 1, 10 ** 20):
+            with pytest.raises(AlgebraError):
+                structure_table(1, "lie", bound)
+
 
 class TestVerifyTables:
     def test_full_agreement(self):

@@ -304,10 +304,10 @@ def pretty(e: Expr, _prec: int = 0) -> str:
         return f"d({pretty(e.body)})"
     if isinstance(e, Star):
         return f"star({pretty(e.body)})"
+    if isinstance(e, Bracket):  # before DerOp, which it extends
+        return f"bracket({pretty(e.lhs)}, {pretty(e.rhs)})"
     if isinstance(e, DerOp):
         return f"{e.tag}({pretty(e.lhs)}, {pretty(e.rhs)})"
-    if isinstance(e, Bracket):
-        return f"bracket({pretty(e.lhs)}, {pretty(e.rhs)})"
     if isinstance(e, Assoc):
         return f"assoc({pretty(e.a)}, {pretty(e.b)}, {pretty(e.c)})"
     if isinstance(e, Mul):

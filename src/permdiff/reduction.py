@@ -169,12 +169,7 @@ def h_step(h: DiffPermPoly, t: int,
     if roles is None:
         roles = _detect_roles(h)
     y, z, u = roles
-    ctx = h.ctx
-    gy = DiffPermPoly.generator(y, 0, ctx)
-    gt = DiffPermPoly.generator(t, 0, ctx)
-    gu = DiffPermPoly.generator(u, 0, ctx)
-    A = (apply_substitution(h, {y: gy * gt})
-         - apply_substitution(h, {u: gt * gu}))
+    A = _final_step(h, t, y, u)
     return A - rename_vars(A, {y: z, z: y})
 
 

@@ -237,7 +237,7 @@ def weight_minus2_monomials(n: int) -> list[Monomial]:
 
 def generate_S(n: int, variant: str) -> list[DiffPermPoly]:
     """The explicit comparison family in degree n: star images (variant
-    ``star``, deduplicated since star only sees the factor multiset) or
+    ``star``, one per factor multiset, since star only sees the multiset) or
     derivatives (variant ``prime``) of the weight -2 multilinear monomials."""
     if n < 2:
         raise AlgebraError("generate_S needs degree n >= 2")
@@ -247,13 +247,11 @@ def generate_S(n: int, variant: str) -> list[DiffPermPoly]:
     seen: set[tuple] = set()
     for m in weight_minus2_monomials(n):
         u = DiffPermPoly(CTX_Q, {m: 1})
-        img = u.star() if variant == "star" else u.derive()
-        if variant == "star":
-            key = tuple(sorted(img.terms.items(), key=lambda mc: monomial_key(mc[0])))
-            if key in seen:
-                continue
+        if variant == "prime":
+            out.append(u.derive())
+        elif (key := tuple(sorted(m.factors))) not in seen:
             seen.add(key)
-        out.append(img)
+            out.append(u.star())
     return out
 
 

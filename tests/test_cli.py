@@ -2,11 +2,14 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from permdiff import cli
-from permdiff.algebra import DERIVED_PRODUCT_TAGS
+from permdiff.algebra import DERIVED_PRODUCT_TAGS, DiffPermPoly
 from permdiff.cli import ParseError, main, parse_expr, pretty
 from permdiff.exprs import (
     Assoc,
@@ -18,6 +21,7 @@ from permdiff.exprs import (
     Star,
     Sum,
     Var,
+    eval_expr,
     standard_identity,
     suite_cases,
 )
@@ -47,6 +51,30 @@ def find_tag(e):
         elif isinstance(n, Sum):
             stack.extend(n.terms)
     return None
+
+
+def grammar_trees(product):
+    """Trees the parser can produce with ``--product`` set to ``product``:
+    no scalar 1 and no -1 directly over a scaled node, which the parser
+    folds into one coefficient."""
+    coeff = st.sampled_from((-2, -1, 0, 2, Fraction(1, 2), Fraction(-3, 2)))
+    return st.recursive(
+        st.integers(1, 3).map(Var),
+        lambda sub: st.one_of(
+            sub.map(Der),
+            sub.map(Star),
+            st.tuples(st.sampled_from(DERIVED_PRODUCT_TAGS), sub, sub).map(
+                lambda t: DerOp(*t)),
+            st.tuples(sub, sub).map(lambda t: Bracket(product, *t)),
+            st.tuples(sub, sub, sub).map(lambda t: Assoc(product, *t)),
+            st.tuples(sub, sub).map(lambda t: Mul(*t)),
+            st.tuples(coeff, sub).filter(
+                lambda t: not (t[0] == -1 and isinstance(t[1], Scale))).map(
+                lambda t: Scale(*t)),
+            st.lists(sub, min_size=2, max_size=3).map(
+                lambda ts: Sum(tuple(ts))),
+        ),
+        max_leaves=5)
 
 
 class TestParse:
@@ -89,6 +117,18 @@ class TestParse:
             parse_expr("assoc(x1, x2, x3)")
         got = parse_expr("assoc(x1, x2, x3)", product="loz")
         assert got == Assoc("loz", Var(1), Var(2), Var(3))
+
+    @given(st.sampled_from(DERIVED_PRODUCT_TAGS).flatmap(
+        lambda p: st.tuples(st.just(p), grammar_trees(p))))
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_on_random_trees(self, product_tree):
+        product, tree = product_tree
+        text = pretty(tree)
+        back = parse_expr(text, product=product)
+        assert pretty(back) == text
+        assert back == tree  # equality is class-exact: Bracket is no DerOp
+        gens = {i: DiffPermPoly.generator(i) for i in (1, 2, 3)}
+        assert eval_expr(back, gens) == eval_expr(tree, gens)
 
     def test_round_trip_on_all_suite_expressions(self):
         for sid in ("a", "b", "c", "d", "e", "f"):
@@ -151,6 +191,14 @@ class TestDispatch:
         assert code == 0
         doc = json.loads(out)
         assert doc["text"] == "x1 x2' + x2 x1'"
+
+    def test_expand_prints_bracket_and_assoc(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--product", "diamond",
+                                 "bracket(x1, x2) - assoc(x1, x2, x3)",
+                                 "--quiet")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["expression"] == "bracket(x1, x2) - assoc(x1, x2, x3)"
 
     def test_parse_error_exit_two(self, capsys):
         code, out, err = run_cli(capsys, "expand", "x1 *", "--quiet")

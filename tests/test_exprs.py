@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -212,6 +213,28 @@ class TestGroupedEvaluation:
                  Sum((Scale(-1, DerOp("prec", v(1), v(2))),
                       Scale(-1, DerOp("prec", Var(1), Var(2)))))))
         assert eval_expr(e, gens(2)).is_zero()
+
+    def test_parsed_std7_derives_as_often_as_the_library_tree(self,
+                                                             monkeypatch):
+        # the memo is structural, so the unshared equal suffixes of a parsed
+        # tree are expanded once, as the library tree's shared ones are
+        image = {1: 4, 2: 7, 3: 1, 4: 6, 5: 2, 6: 5, 7: 3}
+        text = re.sub(r"x(\d+)", lambda m: f"x{image[int(m.group(1))]}",
+                      pretty(standard_identity("diamond", 7)))
+        derive = DiffPermPoly.derive
+        calls = []
+
+        def counted(self, *args):
+            calls.append(None)
+            return derive(self, *args)
+
+        monkeypatch.setattr(DiffPermPoly, "derive", counted)
+        counts = []
+        for tree in (parse_expr(text), standard_identity("diamond", 7)):
+            calls.clear()
+            assert check_identity(tree, 7).is_identity
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_parsed_and_library_standard_identities_agree(self, n):

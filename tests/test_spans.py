@@ -61,6 +61,20 @@ class TestGenerateS:
             assert len(monos) == n * images
             assert images == comb(2 * n - 3, n - 1)
 
+    def test_star_family_matches_image_keyed_construction(self):
+        # the family keeps one monomial per factor multiset before starring;
+        # keying the star images themselves must give the same list
+        for n in range(2, 8):
+            want, seen = [], set()
+            for m in weight_minus2_monomials(n):
+                img = DiffPermPoly(CTX_Q, {m: 1}).star()
+                key = tuple(sorted(img.terms.items(),
+                                   key=lambda mc: monomial_key(mc[0])))
+                if key not in seen:
+                    seen.add(key)
+                    want.append(img)
+            assert generate_S(n, "star") == want, n
+
     def test_prime_images_all_distinct(self):
         for n in range(2, 5):
             elems = generate_S(n, "prime")

@@ -52,7 +52,6 @@ from .exprs import (
     desugar,
     eval_delta,
     eval_expr,
-    run_all_suites,
     run_suite,
     standard_identity,
     suite_cases,

@@ -16,17 +16,22 @@ Expression grammar::
     var    := 'x' digits        rational := digits ['/' digits]
     opname := prec | succ | loz | bullet | diamond | circ
 
+Digits are ASCII ``0-9`` and names ASCII ``[A-Za-z][A-Za-z0-9_]*``; blanks
+and tabs separate tokens, and any other character is a syntax error.
 ``assoc``/``bracket`` use the product selected with --product.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import re
+import string
 import sys
+from dataclasses import fields
 from fractions import Fraction
-from typing import NamedTuple
 
 from .algebra import (
     CTX_Q,
@@ -69,94 +74,81 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # NUM NAME OP END
-    value: object
-    col: int
+# One token after optional blanks: a number, a name, an operator, any other
+# character, which no rule accepts, or "" at the end of the text.
+_TOKEN = re.compile(r"[ \t]*([0-9]+(?:/[0-9]+)?|[A-Za-z][A-Za-z0-9_]*"
+                    r"|[-+*(),]|\Z|.)", re.S)
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset(string.ascii_letters)
+_STARTS = _DIGITS | _LETTERS | frozenset("+-*(),")  # first chars of tokens
 
+# The call forms of the grammar: name -> (node class, operand count).  A
+# derived product is tagged with its own name; assoc and bracket are tagged
+# with the product chosen by --product.
+CALL_FORMS = {"d": (Der, 1), "star": (Star, 1),
+              **dict.fromkeys(OPNAMES, (DerOp, 2)),
+              "assoc": (Assoc, 3), "bracket": (Bracket, 2)}
 
-def _tokenize(text: str, line: int = 1) -> list[Token]:
-    toks: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                k = j
-                while k < n and text[k].isdigit():
-                    k += 1
-                den = int(text[j:k])
-                if den == 0:
-                    raise ParseError("zero denominator", line, col)
-                toks.append(Token("NUM", Fraction(num, den), col))
-                i = k
-            else:
-                toks.append(Token("NUM", Fraction(num), col))
-                i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("NAME", text[i:j], col))
-            i = j
-            continue
-        if ch in "+-*(),":
-            toks.append(Token("OP", ch, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("END", None, n + 1))
-    return toks
+# The inverse: node class -> (call name, operand fields).  A DerOp prints as
+# its tag.
+_PRINTED_FORMS = {
+    cls: (None if cls is DerOp else name,
+          [f.name for f in fields(cls) if f.name != "tag"][:arity])
+    for name, (cls, arity) in CALL_FORMS.items()}
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], line: int, product: str | None):
-        self.toks = toks
+    """Recursive descent over the tokens of one line.  Columns are found
+    again only when an error is raised."""
+
+    def __init__(self, text: str, line: int, product: str | None):
+        self.text = text
+        self.toks = _TOKEN.findall(text)
         self.pos = 0
         self.line = line
         self.product = product
 
-    def peek(self) -> Token:
+    def error(self, message: str) -> ParseError:
+        """The error at the next token; a character outside the grammar
+        anywhere in the line is reported instead, as the first error."""
+        matches = list(_TOKEN.finditer(self.text))
+        for m in matches:
+            if m[1] and m[1][0] not in _STARTS:
+                return ParseError(f"unexpected character {m[1]!r}",
+                                  self.line, m.start(1) + 1)
+        return ParseError(message, self.line, matches[self.pos].start(1) + 1)
+
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def take(self) -> Token:
-        t = self.toks[self.pos]
+    def expect_op(self, op: str) -> None:
+        if self.toks[self.pos] != op:
+            raise self.error(f"expected {op!r}")
         self.pos += 1
-        return t
 
-    def expect_op(self, op: str) -> Token:
-        t = self.peek()
-        if t.kind != "OP" or t.value != op:
-            raise ParseError(f"expected {op!r}", self.line, t.col)
-        return self.take()
+    def integer(self, digits: str) -> int:
+        """The value of ASCII digits in the next token; more digits than the
+        interpreter converts are a parse error."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"number of {len(digits)} digits is too long"
+                             ) from None
 
     def parse_expr(self) -> Expr:
         t = self.peek()
-        if t.kind == "OP" and t.value in "+-":
-            self.take()
-            first_sign = -1 if t.value == "-" else 1
-        else:
-            first_sign = 1
+        if t == "+" or t == "-":
+            self.pos += 1
         node = self.parse_term()
-        if first_sign < 0:
+        if t == "-":
             node = _negate(node)
         terms = [node]
         while True:
             t = self.peek()
-            if t.kind == "OP" and t.value in "+-":
-                self.take()
+            if t == "+" or t == "-":
+                self.pos += 1
                 nxt = self.parse_term()
-                terms.append(nxt if t.value == "+" else _negate(nxt))
+                terms.append(nxt if t == "+" else _negate(nxt))
             else:
                 break
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
@@ -165,16 +157,11 @@ class _Parser:
         scalars: list = []
         nodes: list[Expr] = []
         self._collect_factor(scalars, nodes)
-        while True:
-            t = self.peek()
-            if t.kind == "OP" and t.value == "*":
-                self.take()
-                self._collect_factor(scalars, nodes)
-            else:
-                break
+        while self.peek() == "*":
+            self.pos += 1
+            self._collect_factor(scalars, nodes)
         if not nodes:
-            raise ParseError("term has no generator factor", self.line,
-                             self.peek().col)
+            raise self.error("term has no generator factor")
         node = nodes[0]
         for nxt in nodes[1:]:
             node = Mul(node, nxt)
@@ -189,72 +176,51 @@ class _Parser:
 
     def _collect_factor(self, scalars: list, nodes: list[Expr]) -> None:
         t = self.peek()
-        if t.kind == "NUM":
-            self.take()
-            scalars.append(t.value)
-            return
-        if t.kind == "NAME" and t.value == "delta":
-            self.take()
+        if t[:1] in _DIGITS:
+            num, _, den = t.partition("/")
+            num, den = self.integer(num), self.integer(den or "1")
+            if den == 0:
+                raise self.error("zero denominator")
+            self.pos += 1
+            scalars.append(Fraction(num, den))
+        elif t == "delta":
+            self.pos += 1
             scalars.append(DELTA)
-            return
-        nodes.append(self.parse_atom())
+        else:
+            nodes.append(self.parse_atom())
 
     def parse_atom(self) -> Expr:
-        t = self.take()
-        if t.kind == "OP" and t.value == "(":
+        t = self.peek()
+        if t == "(":
+            self.pos += 1
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
-        if t.kind == "NAME":
-            name = t.value
-            if name.startswith("x") and name[1:].isdigit():
-                idx = int(name[1:])
-                if idx < 1:
-                    raise ParseError("variable index must be >= 1",
-                                     self.line, t.col)
-                return Var(idx)
-            if name == "d":
-                self.expect_op("(")
-                inner = self.parse_expr()
-                self.expect_op(")")
-                return Der(inner)
-            if name == "star":
-                self.expect_op("(")
-                inner = self.parse_expr()
-                self.expect_op(")")
-                return Star(inner)
-            if name in OPNAMES:
-                self.expect_op("(")
-                a = self.parse_expr()
-                self.expect_op(",")
-                b = self.parse_expr()
-                self.expect_op(")")
-                return DerOp(name, a, b)
-            if name == "assoc":
-                if self.product is None:
-                    raise ParseError("assoc(...) needs --product", self.line,
-                                     t.col)
-                self.expect_op("(")
-                a = self.parse_expr()
-                self.expect_op(",")
-                b = self.parse_expr()
-                self.expect_op(",")
-                c = self.parse_expr()
-                self.expect_op(")")
-                return Assoc(self.product, a, b, c)
-            if name == "bracket":
-                if self.product is None:
-                    raise ParseError("bracket(...) needs --product",
-                                     self.line, t.col)
-                self.expect_op("(")
-                a = self.parse_expr()
-                self.expect_op(",")
-                b = self.parse_expr()
-                self.expect_op(")")
-                return Bracket(self.product, a, b)
-            raise ParseError(f"unknown operation name {name!r}", self.line,
-                             t.col)
-        raise ParseError("expected factor", self.line, t.col)
+        if t[:1] not in _LETTERS:
+            raise self.error("expected factor")
+        if t[0] == "x" and t[1:].isdigit():
+            idx = self.integer(t[1:])
+            if idx < 1:
+                raise self.error("variable index must be >= 1")
+            self.pos += 1
+            return Var(idx)
+        form = CALL_FORMS.get(t)
+        if form is None:
+            raise self.error(f"unknown operation name {t!r}")
+        cls, arity = form
+        args = []
+        if hasattr(cls, "tag"):  # a derived product, assoc or bracket
+            args.append(t if cls is DerOp else self.product)
+            if args[0] is None:
+                raise self.error(f"{t}(...) needs --product")
+        self.pos += 1
+        self.expect_op("(")
+        args.append(self.parse_expr())
+        for _ in range(arity - 1):
+            self.expect_op(",")
+            args.append(self.parse_expr())
+        self.expect_op(")")
+        return cls(*args)
 
 
 def _as_int(c: Fraction):
@@ -272,11 +238,10 @@ def _negate(node: Expr) -> Expr:
 def parse_expr(text: str, product: str | None = None, line: int = 1) -> Expr:
     """Parse one expression; whitespace-insensitive.  Unbound variables are
     an evaluation-time error, not a parse error."""
-    parser = _Parser(_tokenize(text, line), line, product)
+    parser = _Parser(text, line, product)
     node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "END":
-        raise ParseError("trailing input", line, tail.col)
+    if parser.peek():
+        raise parser.error("trailing input")
     return node
 
 
@@ -300,16 +265,11 @@ def pretty(e: Expr, _prec: int = 0) -> str:
     tree back."""
     if isinstance(e, Var):
         return f"x{e.index}"
-    if isinstance(e, Der):
-        return f"d({pretty(e.body)})"
-    if isinstance(e, Star):
-        return f"star({pretty(e.body)})"
-    if isinstance(e, Bracket):  # before DerOp, which it extends
-        return f"bracket({pretty(e.lhs)}, {pretty(e.rhs)})"
-    if isinstance(e, DerOp):
-        return f"{e.tag}({pretty(e.lhs)}, {pretty(e.rhs)})"
-    if isinstance(e, Assoc):
-        return f"assoc({pretty(e.a)}, {pretty(e.b)}, {pretty(e.c)})"
+    form = _PRINTED_FORMS.get(type(e))
+    if form is not None:
+        name, operands = form
+        args = ", ".join(pretty(getattr(e, f)) for f in operands)
+        return f"{name or e.tag}({args})"
     if isinstance(e, Mul):
         lhs = pretty(e.lhs, 1)
         if isinstance(e.lhs, (Sum, Scale)):
@@ -363,7 +323,12 @@ def _witness_json(witness) -> dict | None:
 
 def _emit(obj, quiet: bool, summary: list[str], fmt: str = "json") -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(obj, indent=2, ensure_ascii=False) + "\n")
+        # written as it is encoded, in batches of chunks: one write per
+        # chunk is slow on an unbuffered stdout (python -u)
+        chunks = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(obj)
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         for line in summary:
             sys.stdout.write(line + "\n")
@@ -396,7 +361,7 @@ def _cmd_check(args) -> int:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             sys.stderr.write(f"cannot read {args.file}: {exc}\n")
             return 2
         for lineno, raw in enumerate(lines, start=1):
@@ -404,10 +369,7 @@ def _cmd_check(args) -> int:
             if not text or text.startswith("#"):
                 continue
             expr = parse_expr(text, product=args.product, line=lineno)
-            nvars = max(used_vars(expr), default=0)
-            if nvars == 0:
-                raise ParseError("expression has no variables", lineno, 1)
-            verdict = check_identity(expr, nvars)
+            verdict = check_identity(expr, max(used_vars(expr)))
             entry = {"name": f"line{lineno}", "expected": True,
                      "got": verdict.is_identity}
             w = _witness_json(verdict.witness)
@@ -475,11 +437,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_reduce(args) -> int:
     expr = parse_expr(args.expr, product=args.product)
-    vs = used_vars(expr)
-    if not vs:
-        sys.stderr.write("expression has no variables\n")
-        return 2
-    subst = {i: DiffPermPoly.generator(i) for i in vs}
+    subst = {i: DiffPermPoly.generator(i) for i in used_vars(expr)}
     poly = eval_expr(expr, subst, CTX_Q)
     result = reduce_identity(poly)
     doc = {"input": format_poly(poly), "outcome": result.outcome}

@@ -712,7 +712,3 @@ def suite_cases(suite_id: str) -> list[SuiteCase]:
 def run_suite(suite_id: str) -> list[SuiteResult]:
     return [SuiteResult(c.name, c.expected, c.run())
             for c in suite_cases(suite_id)]
-
-
-def run_all_suites() -> list[tuple[str, list[SuiteResult]]]:
-    return [(sid, run_suite(sid)) for sid in SUITE_IDS]

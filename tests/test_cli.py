@@ -16,6 +16,7 @@ from permdiff.exprs import (
     Bracket,
     Der,
     DerOp,
+    Expr,
     Mul,
     Scale,
     Star,
@@ -137,6 +138,24 @@ class TestParse:
                 back = parse_expr(text, product=find_tag(case.expr))
                 assert back == case.expr, case.name
 
+    # grammar pieces mixed with characters outside the grammar: non-ASCII
+    # digits and letters, an underscore, a lone slash, a newline
+    FRAGMENTS = ("x1", "x2", "x", "d(", "star(", "diamond(", "assoc(",
+                 "bracket(", "(", ")", ",", "+", "-", "*", " ", "\t", "3",
+                 "1/2", "2/0", "/", "delta", "_", "\n", "\u00b2", "\u0663",
+                 "\u00e9", "\u03b4", "x1\u00b2", "\uff11")
+
+    @given(st.one_of(st.text(), st.lists(st.sampled_from(FRAGMENTS)).map(
+        "".join)), st.sampled_from((None, "diamond")))
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_parses_or_is_a_parse_error(self, text, product):
+        try:
+            got = parse_expr(text, product=product)
+        except ParseError as exc:
+            assert exc.line == 1 and 1 <= exc.col <= len(text) + 1
+        else:
+            assert isinstance(got, Expr)
+
 
 class TestDispatch:
     def test_check_suite_all_exit_zero(self, capsys):
@@ -199,6 +218,29 @@ class TestDispatch:
         assert code == 0
         doc = json.loads(out)
         assert doc["expression"] == "bracket(x1, x2) - assoc(x1, x2, x3)"
+
+    @pytest.mark.parametrize("expr,message", [
+        ("x\u00b2", "column 2: unexpected character '\u00b2'"),
+        ("\u00b2", "column 1: unexpected character '\u00b2'"),
+        ("\u0663 * x1", "column 1: unexpected character '\u0663'"),
+        ("x\u0663", "column 2: unexpected character '\u0663'"),
+        ("x" + "7" * 5000, "column 1: number of 5000 digits is too long"),
+        ("7" * 5000 + " * x1", "column 1: number of 5000 digits is too long"),
+    ], ids=["superscript-after-x", "superscript", "arabic-indic-digit",
+            "arabic-indic-index", "long-index", "long-coefficient"])
+    def test_hostile_expression_exit_two(self, capsys, expr, message):
+        code, out, err = run_cli(capsys, "expand", expr, "--quiet")
+        assert code == 2 and out == ""
+        assert err == f"syntax error at line 1, {message}\n"
+
+    def test_check_file_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe" + "x1 * x2\n".encode("utf-16-le"))
+        code, out, err = run_cli(capsys, "check", "--file", str(path),
+                                 "--quiet")
+        assert code == 2 and out == ""
+        assert err.startswith(f"cannot read {path}: 'utf-8' codec")
+        assert err.count("\n") == 1
 
     def test_parse_error_exit_two(self, capsys):
         code, out, err = run_cli(capsys, "expand", "x1 *", "--quiet")

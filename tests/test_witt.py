@@ -151,6 +151,35 @@ class TestLeibnizBracket:
             assert lhs == rhs
 
 
+class TestFusedFormulasMatchTheDefinition:
+    """The brackets are computed by fused coefficient rules; here each one is
+    rebuilt from ``perm_product`` and ``euler_derivation`` on every basis
+    pair, 16 for n=1 (exponents up to 3) and 1296 for n=2 (up to 2)."""
+
+    @staticmethod
+    def _slot(t, i):
+        """The tensor element t placed in derivation slot i: t D_i."""
+        return WittElement(t.n, {witt.WBasis(e, alpha, i): c
+                                 for (e, alpha), c in t.terms.items()})
+
+    def test_brackets_are_built_from_the_perm_product_and_derivations(self):
+        pairs = 0
+        for n, bound in ((1, 3), (2, 2)):
+            box = witt_box(n, bound)
+            for v, w in itertools.product(box, repeat=2):
+                (e, alpha, i), = v.terms
+                (f, beta, j), = w.terms
+                a, b = T(n, e, alpha), T(n, f, beta)
+                a_dib = self._slot(perm_product(a, euler_derivation(i, b)), j)
+                dja_b = self._slot(perm_product(euler_derivation(j, a), b), i)
+                b_dja = self._slot(perm_product(b, euler_derivation(j, a)), i)
+                assert witt_prec(v, w) == a_dib
+                assert leibniz_bracket(v, w) == dja_b - a_dib
+                assert lie_bracket(v, w) == a_dib - b_dja
+                pairs += 1
+        assert pairs == 1312
+
+
 class TestRankThree:
     """No reference table exists beyond rank two, but the brackets work for
     any rank; spot-check the defining laws at rank three."""

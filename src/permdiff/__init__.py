@@ -22,9 +22,11 @@ from .algebra import (
     derived_product,
     format_monomial,
     format_poly,
+    format_scalar,
     grade,
     is_multilinear,
     monomial_key,
+    multiset_normal_form,
     normalize,
     rename_vars,
     specialize_delta,
@@ -52,6 +54,7 @@ from .exprs import (
     desugar,
     eval_delta,
     eval_expr,
+    eval_on_generators,
     run_suite,
     standard_identity,
     suite_cases,
@@ -69,7 +72,6 @@ from .reduction import (
     decompose,
     h0,
     h_step,
-    multiset_normal_form,
     reduce_identity,
 )
 from .spans import (

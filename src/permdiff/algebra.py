@@ -15,6 +15,7 @@ delta-scaled Leibniz rule.  There is no floating point anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -429,10 +430,8 @@ class DiffPermPoly(LinearCombination):
             for s in m.factors:
                 if len(s.dord) != ctx.arity:
                     raise AlgebraError("symbol arity does not match context")
-            c = _coerce_scalar(c, ctx)
-            prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-        return cls(ctx, {m: c for m, c in acc.items() if c}, _owned=True)
+            _merge(acc, m, _coerce_scalar(c, ctx))
+        return cls(ctx, acc, _owned=True)
 
     @classmethod
     def monomial(cls, syms: Sequence[Symbol], coeff: Scalar = 1,
@@ -555,6 +554,17 @@ class DiffPermPoly(LinearCombination):
         return f"<DiffPermPoly {format_poly(self)}>"
 
 
+def format_scalar(c: Scalar) -> str:
+    """``str(c)``, or an ``AlgebraError`` for a number with more digits than
+    the interpreter converts to text."""
+    try:
+        return str(c)
+    except ValueError:
+        raise AlgebraError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} "
+            "digits and cannot be printed") from None
+
+
 def format_poly(p: DiffPermPoly) -> str:
     if p.is_zero():
         return "0"
@@ -563,9 +573,9 @@ def format_poly(p: DiffPermPoly) -> str:
         mono = format_monomial(m)
         if isinstance(c, DeltaPoly):
             if len([x for x in c.coeffs if x]) > 1:
-                parts.append((+1, f"({c}) {mono}"))
+                parts.append((+1, f"({format_scalar(c)}) {mono}"))
             else:
-                s = str(c)
+                s = format_scalar(c)
                 if s.startswith("-"):
                     parts.append((-1, f"{s[1:]} {mono}" if s != "-1" else mono))
                 else:
@@ -573,7 +583,8 @@ def format_poly(p: DiffPermPoly) -> str:
         else:
             sign = 1 if c > 0 else -1
             a = abs(c)
-            parts.append((sign, mono if a == 1 else f"{a} {mono}"))
+            parts.append((sign, mono if a == 1
+                          else f"{format_scalar(a)} {mono}"))
     sign, head = parts[0]
     out = ("-" if sign < 0 else "") + head
     for sign, piece in parts[1:]:
@@ -621,19 +632,21 @@ def derived_product(tag: str, a: DiffPermPoly, b: DiffPermPoly) -> DiffPermPoly:
     return out
 
 
-def annihilator_test(p: DiffPermPoly) -> bool:
-    """Right-annihilator membership: p kills the whole algebra from the left
-    iff multiplying by one fresh generator gives zero.
+def multiset_normal_form(p: DiffPermPoly) -> DiffPermPoly:
+    """Representative of p modulo the right annihilator: every monomial is
+    replaced by the fully sorted monomial on the same factor multiset."""
+    acc: dict[Monomial, Scalar] = {}
+    for m, c in p.terms.items():
+        fs = sorted(m.factors)
+        _merge(acc, Monomial(tuple(fs[:-1]), fs[-1]), c)
+    return DiffPermPoly(p.ctx, acc, _owned=True)
 
-    Right multiplication sorts every factor of p into the left part, so the
-    product only remembers factor multisets; it vanishes exactly when p is a
-    combination of differences of monomials with equal factor multisets,
-    which is the right annihilator of the free algebra.
-    """
-    if p.is_zero():
-        return True
-    fresh = DiffPermPoly.generator(p.max_var() + 1, 0, p.ctx)
-    return (p * fresh).is_zero()
+
+def annihilator_test(p: DiffPermPoly) -> bool:
+    """Right-annihilator membership: p q = 0 for every q iff the multiset
+    normal form of p is zero, since a right product sorts every factor of p
+    into its left part and so only remembers p's factor multisets."""
+    return multiset_normal_form(p).is_zero()
 
 
 def apply_substitution(p: DiffPermPoly,

@@ -34,14 +34,13 @@ from dataclasses import fields
 from fractions import Fraction
 
 from .algebra import (
-    CTX_Q,
     AlgebraError,
     DELTA,
     DeltaPoly,
     DERIVED_PRODUCT_TAGS,
-    DiffPermPoly,
     format_monomial,
     format_poly,
+    format_scalar,
 )
 from .exprs import (
     Assoc,
@@ -55,10 +54,9 @@ from .exprs import (
     Sum,
     Var,
     check_identity,
-    eval_expr,
+    eval_on_generators,
     run_suite,
     SUITE_IDS,
-    used_vars,
 )
 from .reduction import reduce_identity
 from .spans import verify_dimension
@@ -257,7 +255,7 @@ def _coeff_text(c) -> str:
             return "delta"
         raise AlgebraError("only the bare delta scalar is printable; "
                            "spell other delta coefficients as sums")
-    return str(c)
+    return format_scalar(c)
 
 
 def pretty(e: Expr, _prec: int = 0) -> str:
@@ -314,11 +312,8 @@ def pretty(e: Expr, _prec: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _witness_json(witness) -> dict | None:
-    if witness is None:
-        return None
-    m, c = witness
-    return {"monomial": format_monomial(m), "coeff": str(c)}
+def _term_json(m, c) -> dict:
+    return {"monomial": format_monomial(m), "coeff": format_scalar(c)}
 
 
 def _emit(obj, quiet: bool, summary: list[str], fmt: str = "json") -> None:
@@ -338,8 +333,6 @@ def _emit(obj, quiet: bool, summary: list[str], fmt: str = "json") -> None:
 
 
 def _cmd_check(args) -> int:
-    cases = []
-    ok = True
     if args.suite:
         suite_list = list(SUITE_IDS) if args.suite == "all" else [args.suite]
         for sid in suite_list:
@@ -347,15 +340,8 @@ def _cmd_check(args) -> int:
                 sys.stderr.write(f"unknown suite: {sid}\n")
                 return 2
         label = args.suite
-        for sid in suite_list:
-            for r in run_suite(sid):
-                entry = {"name": r.name, "expected": r.expected,
-                         "got": r.verdict.is_identity}
-                w = _witness_json(r.verdict.witness)
-                if w is not None:
-                    entry["witness"] = w
-                cases.append(entry)
-                ok = ok and r.ok
+        results = [(r.name, r.expected, r.verdict)
+                   for sid in suite_list for r in run_suite(sid)]
     else:
         label = args.file
         try:
@@ -364,19 +350,21 @@ def _cmd_check(args) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             sys.stderr.write(f"cannot read {args.file}: {exc}\n")
             return 2
+        results = []
         for lineno, raw in enumerate(lines, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
             expr = parse_expr(text, product=args.product, line=lineno)
-            verdict = check_identity(expr, max(used_vars(expr)))
-            entry = {"name": f"line{lineno}", "expected": True,
-                     "got": verdict.is_identity}
-            w = _witness_json(verdict.witness)
-            if w is not None:
-                entry["witness"] = w
-            cases.append(entry)
-            ok = ok and verdict.is_identity
+            results.append((f"line{lineno}", True, check_identity(expr)))
+    cases = []
+    for name, expected, verdict in results:
+        entry = {"name": name, "expected": expected,
+                 "got": verdict.is_identity}
+        if verdict.witness is not None:
+            entry["witness"] = _term_json(*verdict.witness)
+        cases.append(entry)
+    ok = all(c["got"] == c["expected"] for c in cases)
     report = {"suite": label, "cases": cases}
     summary = [f"{'ok' if c['got'] == c['expected'] else 'FAIL'}  "
                f"{c['name']}: got={c['got']} expected={c['expected']}"
@@ -436,15 +424,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    expr = parse_expr(args.expr, product=args.product)
-    subst = {i: DiffPermPoly.generator(i) for i in used_vars(expr)}
-    poly = eval_expr(expr, subst, CTX_Q)
+    poly = eval_on_generators(parse_expr(args.expr, product=args.product))
     result = reduce_identity(poly)
     doc = {"input": format_poly(poly), "outcome": result.outcome}
     if result.certificate is not None:
         (mono, coeff), = result.certificate.terms.items()
         doc["m"] = result.m
-        doc["coefficient"] = str(coeff)
+        doc["coefficient"] = format_scalar(coeff)
         doc["certificate"] = format_poly(result.certificate)
     doc["trace"] = [{"step": i, "name": s.name,
                      "rule": {k: (list(v) if isinstance(v, (tuple, list))
@@ -461,12 +447,9 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_expand(args) -> int:
     expr = parse_expr(args.expr, product=args.product)
-    subst = {i: DiffPermPoly.generator(i) for i in used_vars(expr)}
-    poly = eval_expr(expr, subst, CTX_Q)
+    poly = eval_on_generators(expr)
     doc = {"expression": pretty(expr),
-           "terms": [{"monomial": format_monomial(m),
-                      "coeff": str(c)}
-                     for m, c in poly.sorted_terms()],
+           "terms": [_term_json(m, c) for m, c in poly.sorted_terms()],
            "text": format_poly(poly)}
     _emit(doc, args.quiet, [f"{format_poly(poly)}"], args.format)
     return 0

@@ -34,12 +34,12 @@ from .algebra import (
     DELTA,
     DERIVED_PRODUCTS,
     DiffPermPoly,
+    LinearCombination,
     Monomial,
     Scalar,
     _coerce_scalar,
     _merge,
     derived_product,
-    monomial_key,
 )
 
 
@@ -402,19 +402,34 @@ class Verdict:
     witness: tuple[Monomial, Scalar] | None = None
 
 
-def check_identity(e: Expr, nvars: int, ctx: Context = CTX_Q) -> Verdict:
+def eval_on_generators(e: Expr, ctx: Context = CTX_Q,
+                       variables: set[int] | None = None) -> DiffPermPoly:
+    """``e`` evaluated on distinct free generators, x_i for each variable
+    x_i it uses (``variables``, when the caller has them already), with the
+    δ-parametric rule in a δ context and the ordinary derivation otherwise."""
+    if variables is None:
+        variables = used_vars(e)
+    subst = {i: DiffPermPoly.generator(i, 0, ctx) for i in variables}
+    return eval_delta(e, subst, ctx) if ctx.delta else eval_expr(e, subst, ctx)
+
+
+def check_identity(e: Expr, nvars: int | None = None,
+                   ctx: Context = CTX_Q) -> Verdict:
     """Decide whether ``e = 0`` holds identically, by substituting distinct
-    generators for x1..x_nvars and expanding.
+    generators for x1..x_nvars and expanding; ``nvars`` defaults to the
+    largest variable index in ``e``.
 
     The candidate must be multilinear: each monomial of the expansion has to
     contain each of the variables exactly once.  Non-multilinear candidates
     are rejected rather than multilinearized.
     """
     vs = used_vars(e)
-    if vs and max(vs) > nvars:
-        raise AlgebraError(f"expression uses x{max(vs)} beyond arity {nvars}")
-    subst = {i: DiffPermPoly.generator(i, 0, ctx) for i in vs}
-    poly = eval_delta(e, subst, ctx) if ctx.delta else eval_expr(e, subst, ctx)
+    top = max(vs, default=0)
+    if nvars is None:
+        nvars = top
+    elif top > nvars:
+        raise AlgebraError(f"expression uses x{top} beyond arity {nvars}")
+    poly = eval_on_generators(e, ctx, vs)
     for m in poly.terms:
         seen = tuple(sorted(s.var for s in m.factors))
         if len(seen) != nvars or seen != tuple(range(1, nvars + 1)):
@@ -423,8 +438,7 @@ def check_identity(e: Expr, nvars: int, ctx: Context = CTX_Q) -> Verdict:
                 f"monomial variables {seen}")
     if poly.is_zero():
         return Verdict(True, None)
-    m, c = min(poly.terms.items(), key=lambda mc: monomial_key(mc[0]))
-    return Verdict(False, (m, c))
+    return Verdict(False, poly.sorted_terms()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +446,13 @@ def check_identity(e: Expr, nvars: int, ctx: Context = CTX_Q) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalVectorField:
-    """Sum of coefficient polynomials attached to formal derivation slots."""
+class FormalVectorField(LinearCombination):
+    """Sum of coefficient polynomials attached to formal derivation slots:
+    a linear combination keyed by the slot index 1..arity of ``ctx``."""
 
-    ctx: Context
-    terms: tuple[tuple[int, DiffPermPoly], ...]
+    __slots__ = ()
+    ctx = LinearCombination.space  # the space slot, under its name here
+    _MISMATCH = "vector field coefficient context mismatch"
 
     @classmethod
     def make(cls, pairs: list[tuple[DiffPermPoly, int]],
@@ -445,52 +460,28 @@ class FormalVectorField:
         acc: dict[int, DiffPermPoly] = {}
         for coeff, idx in pairs:
             if coeff.ctx != ctx:
-                raise AlgebraError("vector field coefficient context mismatch")
+                raise AlgebraError(cls._MISMATCH)
             if not 1 <= idx <= ctx.arity:
                 raise AlgebraError("derivation index out of range")
-            prev = acc.get(idx)
-            acc[idx] = coeff if prev is None else prev + coeff
-        terms = tuple((i, p) for i, p in sorted(acc.items()) if not p.is_zero())
-        return cls(ctx, terms)
-
-    def __add__(self, other: "FormalVectorField") -> "FormalVectorField":
-        pairs = [(p, i) for i, p in self.terms] + [(p, i) for i, p in other.terms]
-        return FormalVectorField.make(pairs, self.ctx)
-
-    def __sub__(self, other: "FormalVectorField") -> "FormalVectorField":
-        pairs = [(p, i) for i, p in self.terms] + [(-p, i) for i, p in other.terms]
-        return FormalVectorField.make(pairs, self.ctx)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+            _merge(acc, idx, coeff)
+        return cls(ctx, acc, _owned=True)
 
 
 def vf_leibniz_bracket(X: FormalVectorField,
                        Y: FormalVectorField) -> FormalVectorField:
     """[a D_i, b D_j] = D_j(a) b D_i - a D_i(b) D_j, extended bilinearly."""
     pairs = []
-    for i, a in X.terms:
-        for j, b in Y.terms:
-            pairs.append((a.derive(j) * b, i))
-            pairs.append((-(a * b.derive(i)), j))
+    for i, a in X.terms.items():
+        for j, b in Y.terms.items():
+            pairs += [(a.derive(j) * b, i), (-(a * b.derive(i)), j)]
     return FormalVectorField.make(pairs, X.ctx)
 
 
 def vf_prec(X: FormalVectorField, Y: FormalVectorField) -> FormalVectorField:
     """(a D_i) prec (b D_j) = (a D_i(b)) D_j, extended bilinearly."""
-    pairs = []
-    for i, a in X.terms:
-        for j, b in Y.terms:
-            pairs.append((a * b.derive(i), j))
-    return FormalVectorField.make(pairs, X.ctx)
-
-
-def _vf_witness(Z: FormalVectorField) -> tuple[Monomial, Scalar] | None:
-    for _, p in Z.terms:
-        if not p.is_zero():
-            m, c = min(p.terms.items(), key=lambda mc: monomial_key(mc[0]))
-            return (m, c)
-    return None
+    return FormalVectorField.make(
+        [(a * b.derive(i), j)
+         for i, a in X.terms.items() for j, b in Y.terms.items()], X.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +625,9 @@ def _w_formal_case(kind: str) -> Verdict:
                     lhs, rhs = axy, ayx
                 diff = lhs - rhs
                 if not diff.is_zero():
-                    return Verdict(False, _vf_witness(diff))
+                    # witness: the least term at the lowest nonzero slot
+                    least = diff.terms[min(diff.terms)].sorted_terms()[0]
+                    return Verdict(False, least)
     return Verdict(True, None)
 
 
@@ -664,49 +657,50 @@ class SuiteResult:
         return self.verdict.is_identity == self.expected
 
 
-SUITE_IDS = ("a", "b", "c", "d", "e", "f", "g", "h")
+# Suite id -> builder of its cases, built on request.
+_SUITES: dict[str, Callable[[], list[SuiteCase]]] = {
+    "a": lambda: [
+        SuiteCase("loz-commutative", True, 2,
+                  DerOp("loz", v(1), v(2)) - DerOp("loz", v(2), v(1))),
+        SuiteCase("loz-tortken", True, 4, _tortken_loz()),
+        SuiteCase("loz-degree5", True, 5, _degree5_loz()),
+    ],
+    "b": lambda: [
+        SuiteCase("bullet-left-comm", True, 3,
+                  DerOp("bullet", DerOp("bullet", v(1), v(2)), v(3))
+                  - DerOp("bullet", DerOp("bullet", v(2), v(1)), v(3))),
+        SuiteCase("bullet-tortken-di-1", True, 4, _tortken_di_1()),
+        SuiteCase("bullet-tortken-di-2", True, 4, _tortken_di_2()),
+    ],
+    "c": lambda: [
+        SuiteCase("diamond-anticomm", True, 2,
+                  DerOp("diamond", v(1), v(2)) + DerOp("diamond", v(2), v(1))),
+        SuiteCase("diamond-jacobi", True, 3, _jacobi("diamond")),
+        SuiteCase("diamond-std6", True, 6, standard_identity("diamond", 6)),
+        SuiteCase("diamond-std5", False, 5, standard_identity("diamond", 5)),
+    ],
+    "d": lambda: [
+        SuiteCase("prec-pre-lie", True, 3,
+                  Assoc("prec", v(1), v(2), v(3))
+                  - Assoc("prec", v(2), v(1), v(3))),
+    ],
+    "e": lambda: [SuiteCase("delta-leibniz", True, 3, _delta_leibniz(),
+                            ctx=CTX_DELTA)],
+    "f": lambda: [SuiteCase("delta-transposed", True, 3, _delta_transposed(),
+                            ctx=CTX_DELTA)],
+    "g": lambda: [SuiteCase("formal-W-leibniz", True,
+                            runner=lambda: _w_formal_case("leibniz"))],
+    "h": lambda: [SuiteCase("formal-W-pre-lie", True,
+                            runner=lambda: _w_formal_case("prelie"))],
+}
+SUITE_IDS = tuple(_SUITES)
 
 
 def suite_cases(suite_id: str) -> list[SuiteCase]:
-    if suite_id == "a":
-        comm = DerOp("loz", v(1), v(2)) - DerOp("loz", v(2), v(1))
-        return [
-            SuiteCase("loz-commutative", True, 2, comm),
-            SuiteCase("loz-tortken", True, 4, _tortken_loz()),
-            SuiteCase("loz-degree5", True, 5, _degree5_loz()),
-        ]
-    if suite_id == "b":
-        lc = (DerOp("bullet", DerOp("bullet", v(1), v(2)), v(3))
-              - DerOp("bullet", DerOp("bullet", v(2), v(1)), v(3)))
-        return [
-            SuiteCase("bullet-left-comm", True, 3, lc),
-            SuiteCase("bullet-tortken-di-1", True, 4, _tortken_di_1()),
-            SuiteCase("bullet-tortken-di-2", True, 4, _tortken_di_2()),
-        ]
-    if suite_id == "c":
-        anti = DerOp("diamond", v(1), v(2)) + DerOp("diamond", v(2), v(1))
-        return [
-            SuiteCase("diamond-anticomm", True, 2, anti),
-            SuiteCase("diamond-jacobi", True, 3, _jacobi("diamond")),
-            SuiteCase("diamond-std6", True, 6, standard_identity("diamond", 6)),
-            SuiteCase("diamond-std5", False, 5, standard_identity("diamond", 5)),
-        ]
-    if suite_id == "d":
-        sym = Assoc("prec", v(1), v(2), v(3)) - Assoc("prec", v(2), v(1), v(3))
-        return [SuiteCase("prec-pre-lie", True, 3, sym)]
-    if suite_id == "e":
-        return [SuiteCase("delta-leibniz", True, 3, _delta_leibniz(),
-                          ctx=CTX_DELTA)]
-    if suite_id == "f":
-        return [SuiteCase("delta-transposed", True, 3, _delta_transposed(),
-                          ctx=CTX_DELTA)]
-    if suite_id == "g":
-        return [SuiteCase("formal-W-leibniz", True,
-                          runner=lambda: _w_formal_case("leibniz"))]
-    if suite_id == "h":
-        return [SuiteCase("formal-W-pre-lie", True,
-                          runner=lambda: _w_formal_case("prelie"))]
-    raise AlgebraError(f"unknown suite: {suite_id!r}")
+    build = _SUITES.get(suite_id)
+    if build is None:
+        raise AlgebraError(f"unknown suite: {suite_id!r}")
+    return build()
 
 
 def run_suite(suite_id: str) -> list[SuiteResult]:

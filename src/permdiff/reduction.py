@@ -35,6 +35,7 @@ from .algebra import (
     annihilator_test,
     apply_substitution,
     is_multilinear,
+    multiset_normal_form,
     rename_vars,
 )
 
@@ -203,34 +204,6 @@ class ReductionResult:
     trace: list[TraceStep] = field(default_factory=list)
 
 
-def multiset_normal_form(p: DiffPermPoly) -> DiffPermPoly:
-    """Representative of p modulo the right annihilator: every monomial is
-    replaced by the fully sorted monomial on the same factor multiset."""
-    acc: dict[Monomial, Scalar] = {}
-    for m, c in p.terms.items():
-        fs = sorted(m.factors)
-        _merge(acc, Monomial(tuple(fs[:-1]), fs[-1]), c)
-    return DiffPermPoly(p.ctx, acc, _owned=True)
-
-
-def _top_order(p: DiffPermPoly, var: int) -> int:
-    return max(sum(s.dord) for m in p.terms for s in m.factors if s.var == var)
-
-
-def _pick_variable(cls: DiffPermPoly) -> tuple[int, int]:
-    """Distinguished variable for one pass: maximal top derivative order in
-    the annihilator-reduced polynomial, ties broken by the larger index.
-    Computing on the reduced form guarantees the extracted top coefficient
-    survives right multiplication."""
-    best: tuple[int, int] | None = None
-    for var in cls.variables():
-        n = _top_order(cls, var)
-        if best is None or (n, var) > best:
-            best = (n, var)
-    assert best is not None
-    return best[1], best[0]
-
-
 def _strip_factors(poly: DiffPermPoly, strip: list[Symbol], last_var: int
                    ) -> tuple[DiffPermPoly | None, Scalar | None]:
     """Remove one occurrence of each symbol of ``strip`` plus the final
@@ -286,13 +259,14 @@ def reduce_identity(f: DiffPermPoly) -> ReductionResult:
     passes = 0
 
     while True:
+        # The pass variable has the top derivative order in the class modulo
+        # the right annihilator, ties broken by the larger index; measured on
+        # that class, the extracted top coefficient survives the right
+        # multiplication.
         cls = multiset_normal_form(current)
-        assert not cls.is_zero()
-        max_order = max(s.order for m in cls.terms for s in m.factors)
-        single = len(cls.terms) == 1
-        if single and max_order <= 1 and (passes >= 1 or max_order == 0):
+        n, k = max((s.order, s.var) for m in cls.terms for s in m.factors)
+        if len(cls.terms) == 1 and n <= 1 and (passes >= 1 or n == 0):
             break
-        k, n = _pick_variable(cls)
         label = f"pass{passes + 1}"
         y, z = fresh + 1, fresh + 2
         ts = [fresh + 2 + i for i in range(1, n + 1)]

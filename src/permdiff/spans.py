@@ -196,21 +196,21 @@ def modular_rank(rows: Iterable[dict[int, Rational]],
     return len(pivots)
 
 
-def dimension_formula(n: int, variant: str) -> int:
-    """Multilinear dimension of the generated subalgebra in degree n."""
-    if variant == "star":
-        return comb(2 * n - 3, n - 1)
-    if variant == "prime":
-        return n * comb(2 * n - 3, n - 1)
-    raise AlgebraError(f"unknown variant: {variant!r}")
+# The derived product that generates each variant's subalgebra.
+_VARIANT_TAGS = {"star": "loz", "prime": "bullet"}
 
 
 def _variant_tag(variant: str) -> str:
-    if variant == "star":
-        return "loz"
-    if variant == "prime":
-        return "bullet"
-    raise AlgebraError(f"unknown variant: {variant!r}")
+    tag = _VARIANT_TAGS.get(variant)
+    if tag is None:
+        raise AlgebraError(f"unknown variant: {variant!r}")
+    return tag
+
+
+def dimension_formula(n: int, variant: str) -> int:
+    """Multilinear dimension of the generated subalgebra in degree n."""
+    factor = 1 if _variant_tag(variant) == "loz" else n
+    return factor * comb(2 * n - 3, n - 1)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -241,8 +241,7 @@ def generate_S(n: int, variant: str) -> list[DiffPermPoly]:
     derivatives (variant ``prime``) of the weight -2 multilinear monomials."""
     if n < 2:
         raise AlgebraError("generate_S needs degree n >= 2")
-    if variant not in ("star", "prime"):
-        raise AlgebraError(f"unknown variant: {variant!r}")
+    _variant_tag(variant)  # refuses an unknown variant
     out: list[DiffPermPoly] = []
     seen: set[tuple] = set()
     for m in weight_minus2_monomials(n):

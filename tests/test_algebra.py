@@ -346,6 +346,31 @@ class TestAnnihilator:
     def test_zero(self):
         assert annihilator_test(DiffPermPoly.zero())
 
+    @staticmethod
+    def _by_fresh_generator(p):
+        """The earlier definition: p times one fresh generator is zero."""
+        if p.is_zero():
+            return True
+        fresh = DiffPermPoly.generator(p.max_var() + 1, 0, p.ctx)
+        return (p * fresh).is_zero()
+
+    @given(st.lists(st.tuples(st.lists(symbols_st(), min_size=1, max_size=4),
+                              st.fractions(-3, 3, max_denominator=4),
+                              st.booleans(), st.randoms()),
+                    max_size=4))
+    @settings(max_examples=150)
+    def test_matches_product_with_fresh_generator(self, rows):
+        # each row is c * m, optionally minus c times the same factors in
+        # another order, which cancels modulo the right annihilator
+        pairs = []
+        for syms, c, cancel, rnd in rows:
+            pairs.append((normalize(syms), c))
+            if cancel:
+                rnd.shuffle(syms)
+                pairs.append((normalize(syms), -c))
+        p = DiffPermPoly.from_terms(pairs, CTX_Q)
+        assert annihilator_test(p) == self._by_fresh_generator(p)
+
 
 class TestSubstitution:
     def test_endomorphism_on_derived_occurrence(self):

@@ -29,6 +29,9 @@ from permdiff.exprs import (
 from permdiff.witt import MAX_TABLE_BOUND
 
 DEEP = "d(" * 3000 + "x1" + ")" * 3000
+BIG = "1" + "0" * 4000
+UNPRINTABLE = (f"error: a coefficient has more than "
+               f"{sys.get_int_max_str_digits()} digits and cannot be printed")
 
 
 def run_cli(capsys, *argv):
@@ -219,19 +222,31 @@ class TestDispatch:
         doc = json.loads(out)
         assert doc["expression"] == "bracket(x1, x2) - assoc(x1, x2, x3)"
 
-    @pytest.mark.parametrize("expr,message", [
-        ("x\u00b2", "column 2: unexpected character '\u00b2'"),
-        ("\u00b2", "column 1: unexpected character '\u00b2'"),
-        ("\u0663 * x1", "column 1: unexpected character '\u0663'"),
-        ("x\u0663", "column 2: unexpected character '\u0663'"),
-        ("x" + "7" * 5000, "column 1: number of 5000 digits is too long"),
-        ("7" * 5000 + " * x1", "column 1: number of 5000 digits is too long"),
+    @pytest.mark.parametrize("argv,message", [
+        (("expand", "x\u00b2"),
+         "syntax error at line 1, column 2: unexpected character '\u00b2'"),
+        (("expand", "\u00b2"),
+         "syntax error at line 1, column 1: unexpected character '\u00b2'"),
+        (("expand", "\u0663 * x1"),
+         "syntax error at line 1, column 1: unexpected character '\u0663'"),
+        (("expand", "x\u0663"),
+         "syntax error at line 1, column 2: unexpected character '\u0663'"),
+        (("expand", "x" + "7" * 5000),
+         "syntax error at line 1, column 1: number of 5000 digits is too long"),
+        (("expand", "7" * 5000 + " * x1"),
+         "syntax error at line 1, column 1: number of 5000 digits is too long"),
+        # every number is short enough to read, but their product is too
+        # long to print
+        (("expand", f"{BIG} * {BIG} * x1"), UNPRINTABLE),
+        (("reduce", f"{BIG} * {BIG} * x1 * x2"), UNPRINTABLE),
     ], ids=["superscript-after-x", "superscript", "arabic-indic-digit",
-            "arabic-indic-index", "long-index", "long-coefficient"])
-    def test_hostile_expression_exit_two(self, capsys, expr, message):
-        code, out, err = run_cli(capsys, "expand", expr, "--quiet")
+            "arabic-indic-index", "long-index", "long-coefficient",
+            "unprintable-coefficient-expand",
+            "unprintable-coefficient-reduce"])
+    def test_hostile_expression_exit_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--quiet")
         assert code == 2 and out == ""
-        assert err == f"syntax error at line 1, {message}\n"
+        assert err == f"{message}\n"
 
     def test_check_file_not_utf8_exit_two(self, tmp_path, capsys):
         path = tmp_path / "utf16.txt"

@@ -382,6 +382,30 @@ class TestIdentitySoundness:
 
 
 class TestFormalVectorFields:
+    def test_make_merges_slots_and_drops_zeros(self):
+        ctx = Context(3, False)
+        a = DiffPermPoly.generator(1, (0, 0, 0), ctx)
+        b = DiffPermPoly.generator(2, (0, 0, 0), ctx)
+        X = FormalVectorField.make(
+            [(a, 2), (b, 2), (a, 1), (-a, 1), (DiffPermPoly.zero(ctx), 3)],
+            ctx)
+        assert X.terms == {2: a + b}
+        assert FormalVectorField.make([(a, 1), (-a, 1)], ctx).is_zero()
+
+    def test_make_and_sum_refuse_another_context(self):
+        ctx, other = Context(3, False), Context(2, False)
+        a = DiffPermPoly.generator(1, (0, 0), other)
+        msg = "^vector field coefficient context mismatch$"
+        with pytest.raises(AlgebraError, match=msg):
+            FormalVectorField.make([(a, 1)], ctx)
+        X = FormalVectorField.make([(a, 1)], other)
+        Y = FormalVectorField.make(
+            [(DiffPermPoly.generator(1, (0, 0, 0), ctx), 1)], ctx)
+        with pytest.raises(AlgebraError, match=msg):
+            X + Y
+        with pytest.raises(AlgebraError, match="derivation index out of range"):
+            FormalVectorField.make([(a, 3)], other)
+
     def test_leibniz_bracket_formula(self):
         ctx = Context(3, False)
         a = DiffPermPoly.generator(1, (0, 0, 0), ctx)
@@ -435,6 +459,15 @@ class TestSuites:
         for sid in SUITE_IDS:
             for r in run_suite(sid):
                 assert r.ok, f"{sid}:{r.name}"
+
+    def test_arity_defaults_to_largest_variable(self):
+        for sid in SUITE_IDS:
+            for case in suite_cases(sid):
+                if case.expr is None:
+                    continue
+                top = max(used_vars(case.expr))
+                assert (check_identity(case.expr, ctx=case.ctx)
+                        == check_identity(case.expr, top, case.ctx)), case.name
 
     def test_std5_reports_false_with_witness(self):
         results = {r.name: r for r in run_suite("c")}

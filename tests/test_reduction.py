@@ -364,6 +364,40 @@ class TestReduce:
             assert coeff != 0
             assert all(s.order == 1 for s in mono.factors)
 
+    @staticmethod
+    def _scan_per_variable(cls):
+        """The earlier pass-variable choice, one scan per variable: (top
+        derivative order, variable), the larger index winning ties."""
+        best = None
+        for var in cls.variables():
+            n = max(sum(s.dord) for m in cls.terms for s in m.factors
+                    if s.var == var)
+            if best is None or (n, var) > best:
+                best = (n, var)
+        return best
+
+    @given(multilinear_st(nvars=3, max_order=2))
+    @settings(max_examples=40)
+    def test_passes_follow_per_variable_scan(self, f):
+        if f.is_zero() or annihilator_test(f):
+            return
+        steps = {s.name: s for s in reduce_identity(f).trace}
+        current, passes = f, 0
+        while current is not None:
+            cls = multiset_normal_form(current)
+            n, k = self._scan_per_variable(cls)
+            if len(cls.terms) == 1 and n <= 1 and (passes >= 1 or n == 0):
+                break
+            label = f"pass{passes + 1}:"
+            assert steps[label + "h0"].rule["var"] == k
+            # h0*u, then one h_step per order above one
+            assert sum(name.startswith(label + "h") and name.endswith("*u")
+                       for name in steps) == n
+            passes += 1
+            step = steps.get(label + "coefficient")
+            current = step.poly if step is not None else None
+        assert f"pass{passes + 1}:h0" not in steps
+
     @given(multilinear_st(nvars=2, max_order=2))
     @settings(max_examples=40)
     def test_trace_replays_for_random_inputs(self, f):

@@ -654,7 +654,12 @@ def apply_substitution(p: DiffPermPoly,
     """Endomorphism sending each variable to its image polynomial.
 
     A derived occurrence x_k^{(s)} goes to the s-fold derivative of the
-    image of x_k; factors are multiplied back in their original order.
+    image of x_k, and each monomial goes to the product of its factors'
+    images.  By the perm law a product q1 ... qk is the sorted multiset of
+    every factor but the final factor of its last term, so each output term
+    is sorted once: the unsubstituted left factors are a fixed prefix, the
+    substituted ones expand into the terms of their images, and the final
+    factor's image supplies the final factor.
     """
     ctx = p.ctx
     if ctx.delta:
@@ -663,30 +668,37 @@ def apply_substitution(p: DiffPermPoly,
     for v, q in images.items():
         if q.ctx != ctx:
             raise AlgebraError("substitution image context mismatch")
-    cache: dict[Symbol, DiffPermPoly] = {}
+    cache: dict[Symbol, list[tuple[Monomial, Scalar]]] = {}
 
-    def image_of(sym: Symbol) -> DiffPermPoly:
+    def image_of(sym: Symbol) -> list[tuple[Monomial, Scalar]]:
         got = cache.get(sym)
         if got is None:
-            base = images.get(sym.var)
-            if base is None:
-                got = DiffPermPoly(ctx, {Monomial((), sym): 1}, _owned=True)
-            else:
-                got = base
-                for ax, times in enumerate(sym.dord):
-                    for _ in range(times):
-                        got = got.derive(ax + 1)
-            cache[sym] = got
+            q = images[sym.var]
+            for ax, times in enumerate(sym.dord):
+                for _ in range(times):
+                    q = q.derive(ax + 1)
+            got = cache[sym] = list(q.terms.items())
         return got
 
     acc: dict[Monomial, Scalar] = {}
     for m, c in p.terms.items():
-        prod = None
-        for sym in m.left + (m.last,):
-            q = image_of(sym)
-            prod = q if prod is None else prod * q
-        for mm, cc in prod.terms.items():
-            _merge(acc, mm, c * cc)
+        fixed = []
+        heads = [((), c)]  # factors from substituted left factors, coefficient
+        for sym in m.left:
+            if sym.var in images:
+                heads = [(fs + mm.left + (mm.last,), hc * cc)
+                         for fs, hc in heads for mm, cc in image_of(sym)]
+            else:
+                fixed.append(sym)
+        last = m.last
+        finals = (image_of(last) if last.var in images
+                  else ((Monomial((), last), 1),))
+        fixed = tuple(fixed)
+        for fs, hc in heads:
+            head = fixed + fs
+            for mm, cc in finals:
+                _merge(acc, Monomial(tuple(sorted(head + mm.left)), mm.last),
+                       hc * cc)
     return DiffPermPoly(ctx, acc, _owned=True)
 
 

@@ -24,7 +24,6 @@ and tabs separate tokens, and any other character is a syntax error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import re
@@ -316,13 +315,75 @@ def _term_json(m, c) -> dict:
     return {"monomial": format_monomial(m), "coeff": format_scalar(c)}
 
 
+_QUOTE = json.encoder.encode_basestring  # JSON string literal, non-ASCII kept
+# the JSON text of a scalar, by exact type
+_SCALARS = {str: _QUOTE, int: int.__repr__, type(None): lambda _: "null",
+            bool: lambda b: "true" if b else "false"}
+_BATCH = 4096  # pieces per write: one write per piece is slow on an
+               # unbuffered stdout (python -u)
+
+
+def write_json(obj, write) -> None:
+    """Pass ``json.dumps(obj, indent=2, ensure_ascii=False)`` to ``write``
+    in batches of pieces, as it is encoded.
+
+    Scalars are of the exact types ``str``, ``int``, ``bool`` and ``None``,
+    containers lists, tuples and dicts with ``str`` keys; anything else
+    raises ``TypeError``.  The standard encoder runs in pure Python when it
+    indents; this writer makes one call per container, not per value.
+    """
+    out: list[str] = []
+    put = out.append
+    scalar = _SCALARS.get
+
+    def value(o, pad: str) -> None:
+        if isinstance(o, dict):
+            if not o:
+                return put("{}")
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for k, item in o.items():
+                head = sep + _QUOTE(k) + ": "  # TypeError unless k is a str
+                text = scalar(type(item))
+                if text is None:
+                    put(head)
+                    value(item, inner)
+                else:
+                    put(head + text(item))
+                sep = ",\n" + inner
+            put("\n" + pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                return put("[]")
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for item in o:
+                text = scalar(type(item))
+                if text is None:
+                    put(sep)
+                    value(item, inner)
+                else:
+                    put(sep + text(item))
+                sep = ",\n" + inner
+            put("\n" + pad + "]")
+        else:
+            text = scalar(type(o))
+            if text is None:
+                raise TypeError(f"Object of type {type(o).__name__} "
+                                "is not JSON serializable")
+            return put(text(o))
+        if len(out) >= _BATCH:
+            write("".join(out))
+            out.clear()
+
+    value(obj, "")
+    if out:
+        write("".join(out))
+
+
 def _emit(obj, quiet: bool, summary: list[str], fmt: str = "json") -> None:
     if fmt == "json":
-        # written as it is encoded, in batches of chunks: one write per
-        # chunk is slow on an unbuffered stdout (python -u)
-        chunks = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(obj)
-        while batch := "".join(itertools.islice(chunks, 4096)):
-            sys.stdout.write(batch)
+        write_json(obj, sys.stdout.write)
         sys.stdout.write("\n")
     else:
         for line in summary:
@@ -426,21 +487,22 @@ def _cmd_table(args) -> int:
 def _cmd_reduce(args) -> int:
     poly = eval_on_generators(parse_expr(args.expr, product=args.product))
     result = reduce_identity(poly)
-    doc = {"input": format_poly(poly), "outcome": result.outcome}
+    # each trace polynomial is formatted once; the first step is the input
+    texts = [format_poly(s.poly) for s in result.trace]
+    doc = {"input": texts[0], "outcome": result.outcome}
+    summary = [f"outcome: {result.outcome}"]
     if result.certificate is not None:
         (mono, coeff), = result.certificate.terms.items()
         doc["m"] = result.m
         doc["coefficient"] = format_scalar(coeff)
         doc["certificate"] = format_poly(result.certificate)
+        summary.append(f"certificate: {doc['certificate']} = 0")
     doc["trace"] = [{"step": i, "name": s.name,
                      "rule": {k: (list(v) if isinstance(v, (tuple, list))
                                   else v) for k, v in s.rule.items()},
-                     "poly": format_poly(s.poly)}
-                    for i, s in enumerate(result.trace)]
-    summary = [f"outcome: {result.outcome}"]
-    if result.certificate is not None:
-        summary.append(f"certificate: {format_poly(result.certificate)} = 0")
-    summary += [f"  {s.name}: {format_poly(s.poly)}" for s in result.trace]
+                     "poly": text}
+                    for i, (s, text) in enumerate(zip(result.trace, texts))]
+    summary += [f"  {s.name}: {text}" for s, text in zip(result.trace, texts)]
     _emit(doc, args.quiet, summary, args.format)
     return 0
 

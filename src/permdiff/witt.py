@@ -175,13 +175,16 @@ class BracketRule:
     targets: tuple             # ((coeff_fn, exp_fn, alpha, i), ...)
 
     def expected(self, n_dim: int, m: int, n: int, p: int, q: int) -> WittElement:
-        out = WittElement.zero(n_dim)
+        acc: dict[WBasis, Rational] = {}
         for coeff_fn, exp_fn, alpha, i in self.targets:
             c = coeff_fn(m, n, p, q)
             if c:
-                out = out + WittElement.basis(n_dim, exp_fn(m, n, p, q),
-                                              alpha, i).scale(c)
-        return out
+                e = tuple(exp_fn(m, n, p, q))
+                if (len(e) != n_dim or min(e) < 0
+                        or not 1 <= alpha <= n_dim or not 1 <= i <= n_dim):
+                    raise AlgebraError("bad Witt basis data")
+                _merge(acc, WBasis(e, alpha, i), c)
+        return WittElement(n_dim, acc, _owned=True)
 
 
 W1_RULES = (

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import (
     enumerate_monomials,
@@ -372,6 +372,28 @@ class TestAnnihilator:
         assert annihilator_test(p) == self._by_fresh_generator(p)
 
 
+@st.composite
+def multilinear_st(draw, k=3):
+    """Signed sums of monomials on x1..xk, each once, derived up to twice,
+    in random factor orders."""
+    rows = draw(st.lists(st.tuples(st.permutations(range(1, k + 1)),
+                                   st.lists(st.integers(0, 2),
+                                            min_size=k, max_size=k),
+                                   st.integers(-2, 2)), max_size=4))
+    return DiffPermPoly.from_terms(
+        [(normalize([s(v, o) for v, o in zip(vs, os)]), c)
+         for vs, os, c in rows], CTX_Q)
+
+
+# images of a subset of x1..x3, in x4..x6: multi-term, derived and zero
+# images all occur
+images_st = st.dictionaries(
+    st.integers(1, 3),
+    polys_st(max_var=3, max_order=1, max_degree=2, max_terms=3).map(
+        lambda q: rename_vars(q, {1: 4, 2: 5, 3: 6})),
+    max_size=3)
+
+
 class TestSubstitution:
     def test_endomorphism_on_derived_occurrence(self):
         p = x(1, 1) * x(2)
@@ -393,6 +415,38 @@ class TestSubstitution:
         img = {1: x(4) * x(5), 2: x(6, 1), 3: x(7)}
         assert apply_substitution(p.derive(), img) == \
             apply_substitution(p, img).derive()
+
+    @staticmethod
+    def _by_iterated_products(p, images):
+        """The definition: each monomial goes to the product, in factor
+        order, of its factors' images, a derived occurrence x_k^{(s)} to the
+        s-fold derivative of the image of x_k."""
+        out = DiffPermPoly.zero(p.ctx)
+        for m, c in p.terms.items():
+            prod = None
+            for sym in m.factors:
+                q = images.get(sym.var)
+                if q is None:
+                    q = DiffPermPoly.monomial([sym], 1, p.ctx)
+                else:
+                    for _ in range(sym.order):
+                        q = q.derive()
+                prod = q if prod is None else prod * q
+            out = out + prod.scale(c)
+        return out
+
+    @given(st.one_of(polys_st(max_degree=4, max_terms=4), multilinear_st()),
+           images_st)
+    @example(x(1, 2) * x(2), {1: x(4) * x(5) + x(6).scale(2)})  # derived
+    @example(x(2) * x(1, 1), {1: x(4) * x(5) - x(6, 1)})  # final factor
+    @example(x(1) * x(2) * x(3), {2: DiffPermPoly.zero()})  # zero image
+    @example(x(1) * x(2), {})  # no image at all
+    @example(x(1) * x(3) - x(2) * x(3), {1: x(4), 2: x(4)})  # cancels
+    @example(x(1) * x(2) * x(3), {1: x(4) - x(5), 2: x(4) + x(5)})
+    @settings(max_examples=300)
+    def test_matches_iterated_products(self, p, images):
+        assert apply_substitution(p, images) == \
+            self._by_iterated_products(p, images)
 
 
 class TestScalars:

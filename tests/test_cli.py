@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import subprocess
@@ -412,3 +413,54 @@ class TestDeterminism:
         r2 = subprocess.run(cmd, capture_output=True, check=True)
         assert r1.stdout == r2.stdout
         assert r1.stdout.startswith(b"{")
+
+
+# JSON leaves: non-ASCII and control-character strings, ints past 2**64,
+# bools and None; containers may be empty
+_json_leaves = st.one_of(
+    st.text(), st.sampled_from(["é∂☃", "\x00\x1f\x7f ", '"\\/', ""]),
+    st.integers(), st.integers(2**64, 2**80).flatmap(
+        lambda n: st.sampled_from([n, -n])),
+    st.booleans(), st.none())
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=4)),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    @staticmethod
+    def written(obj):
+        pieces = []
+        cli.write_json(obj, pieces.append)
+        return "".join(pieces)
+
+    @given(_json_values)
+    @settings(max_examples=300)
+    def test_matches_json_dumps(self, obj):
+        assert self.written(obj) == json.dumps(obj, indent=2,
+                                               ensure_ascii=False)
+
+    @pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, [1, Fraction(3)],
+                                     {"coeff": 1.0}, {1: "int key"}])
+    def test_other_values_are_type_errors(self, obj):
+        with pytest.raises(TypeError):
+            self.written(obj)
+
+    def test_table_is_written_in_few_batches(self, monkeypatch):
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["table", "--n", "2", "--kind", "lie", "--bound", "4",
+                     "--quiet"]) == 0
+        assert len(out.getvalue()) > 5_000_000
+        assert out.writes <= 200

@@ -300,6 +300,17 @@ class TestVerifyTables:
         assert chk.mismatches[0] == {"at": at, "computed": "0",
                                      "expected": expected}
 
+    @pytest.mark.parametrize("exps, alpha", [
+        (lambda m, n, p, q: (m + p + 1,), 1),  # one exponent for n = 2
+        (lambda m, n, p, q: (m - p - 1, n + q), 1),  # a negative exponent
+        (lambda m, n, p, q: (m + p + 1, n + q), 3),  # no third direction
+    ])
+    def test_rule_with_bad_basis_data_is_an_error(self, exps, alpha):
+        rule = witt.BracketRule("lie", "bad", (1, 1), (1, 1),
+                                ((lambda *mnpq: 1, exps, alpha, 1),))
+        with pytest.raises(AlgebraError, match="bad Witt basis data"):
+            rule.expected(2, 0, 0, 0, 0)
+
     def test_skew_block_consistency(self):
         # the derived block is exactly minus the mirrored mixed block
         for m, n, p, q in itertools.product(range(3), repeat=4):

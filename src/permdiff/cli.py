@@ -58,7 +58,7 @@ from .exprs import (
     SUITE_IDS,
 )
 from .reduction import reduce_identity
-from .spans import verify_dimension
+from .spans import MAX_DIM_DEGREE, verify_dimension
 from .witt import structure_table, verify_tables
 
 OPNAMES = DERIVED_PRODUCT_TAGS
@@ -436,17 +436,17 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_range(spec: str) -> list[int]:
+def _parse_range(spec: str) -> range:
+    lo, sep, hi = spec.partition("..")
     try:
-        if ".." in spec:
-            lo, hi = spec.split("..", 1)
-            out = list(range(int(lo), int(hi) + 1))
-        else:
-            out = [int(spec)]
+        out = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise AlgebraError(f"bad degree range {spec!r}; use N or LO..HI")
     if not out:
         raise AlgebraError(f"empty degree range {spec!r}")
+    if out.start < 2 or out[-1] > MAX_DIM_DEGREE:
+        raise AlgebraError(f"degree range {spec!r} is outside "
+                           f"2..{MAX_DIM_DEGREE}")
     return out
 
 
@@ -459,6 +459,7 @@ def _cmd_dim(args) -> int:
         ok = ok and report.ok
     summary = [f"{'ok' if r['ok'] else 'FAIL'}  n={r['n']} variant={r['variant']}"
                f" dim={r['rank_closure']} formula={r['formula']}"
+               + (f" failed: {r['failed']}" if "failed" in r else "")
                for r in records]
     _emit(records, args.quiet, summary, args.format)
     return 0 if ok else 1
@@ -540,7 +541,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", parents=[common], help="verify multilinear dimensions of the "
                                    "generated subalgebras")
     p.add_argument("--variant", choices=("star", "prime"), required=True)
-    p.add_argument("--n", required=True, help="degree or range, e.g. 4 or 2..6")
+    p.add_argument("--n", required=True,
+                   help=f"degree or range within 2..{MAX_DIM_DEGREE}, "
+                        "e.g. 4 or 2..6")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("table", parents=[common], help="emit Witt-type bracket tables")

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from permdiff import cli
+from permdiff import cli, spans
 from permdiff.algebra import DERIVED_PRODUCT_TAGS, DiffPermPoly
 from permdiff.cli import ParseError, main, parse_expr, pretty
 from permdiff.exprs import (
@@ -27,6 +27,7 @@ from permdiff.exprs import (
     standard_identity,
     suite_cases,
 )
+from permdiff.spans import MAX_DIM_DEGREE
 from permdiff.witt import MAX_TABLE_BOUND
 
 DEEP = "d(" * 3000 + "x1" + ")" * 3000
@@ -383,6 +384,32 @@ class TestDispatch:
         code, out, err = run_cli(capsys, "dim", "--variant", "star",
                                  "--n", "5..2", "--quiet")
         assert code == 2
+
+    @pytest.mark.parametrize("degrees", ["2..1000000000000",
+                                         str(MAX_DIM_DEGREE + 1), "0..3"])
+    def test_dim_degree_outside_the_cap_usage_error(self, capsys, degrees):
+        # refused before any degree is proved, and the range is never built
+        code, out, err = run_cli(capsys, "dim", "--variant", "star",
+                                 "--n", degrees)
+        assert code == 2 and out == ""
+        assert err == (f"error: degree range {degrees!r} is outside "
+                       f"2..{MAX_DIM_DEGREE}\n")
+
+    def test_dim_failed_proof_exit_one(self, capsys, monkeypatch):
+        # an element dropped from the degree-3 family fails check 2 there
+        full = spans.generate_S
+        monkeypatch.setattr(spans, "generate_S", lambda k, v: (
+            full(k, v)[1:] if k == 3 else full(k, v)))
+        code, out, err = run_cli(capsys, "dim", "--variant", "star",
+                                 "--n", "2..3")
+        assert code == 1
+        assert json.loads(out)[1] == {
+            "n": 3, "variant": "star", "formula": 3, "rank_closure": None,
+            "rank_S": None, "ok": False, "failed": "degree 3: check 2"}
+        assert err.splitlines() == [
+            "ok  n=2 variant=star dim=1 formula=1",
+            "FAIL  n=3 variant=star dim=None formula=3 "
+            "failed: degree 3: check 2"]
 
     def test_threads_env_validation(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMDIFF_THREADS", "not-a-number")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from unittest.mock import patch
@@ -21,7 +22,6 @@ from permdiff.algebra import (
     x,
 )
 from permdiff.spans import (
-    DimensionReport,
     SpanBasis,
     _relabel,
     dimension_formula,
@@ -377,15 +377,15 @@ class TestBaseCaseRewrites:
 class TestVerifyDimension:
     def test_degree3_star(self):
         r = verify_dimension(3, "star")
-        assert r.ok and r.rank_closure == 3
+        assert r.ok and r.dim == 3
 
     def test_degree4_prime(self):
         r = verify_dimension(4, "prime")
-        assert r.ok and r.rank_closure == 40
+        assert r.ok and r.dim == 40
 
     def test_degree2_star(self):
         r = verify_dimension(2, "star")
-        assert r.ok and r.rank_closure == 1
+        assert r.ok and r.dim == 1
 
     def test_formula_values(self):
         assert [dimension_formula(n, "star") for n in range(2, 7)] == \
@@ -400,17 +400,19 @@ class TestVerifyDimension:
 
 
 class TestVerifyDimensionWitnesses:
-    """A broken comparison family is reported with witnesses from both
-    sides."""
+    """A broken comparison family fails the proof at a named check; the
+    exact path finds witnesses on the side it breaks."""
 
     def test_dropped_family_element(self, monkeypatch):
         full = generate_S
         monkeypatch.setattr(spans, "generate_S",
                             lambda n, variant: full(n, variant)[1:])
         r = spans.verify_dimension(4, "star")
-        assert not r.ok
-        assert r.rank_S == r.size_S == 9 and r.rank_closure == 10
-        assert r.missing_from_S and not r.missing_from_closure
+        assert not r.ok and r.dim is None
+        assert r.failed == "degree 2: check 2"
+        exact = exact_report(4, "star")
+        assert exact.rank_S == exact.size_S == 9 and exact.rank_closure == 10
+        assert exact.missing_from_S and not exact.missing_from_closure
 
     def test_family_element_outside_closure(self, monkeypatch):
         full = generate_S
@@ -418,25 +420,41 @@ class TestVerifyDimensionWitnesses:
         monkeypatch.setattr(spans, "generate_S",
                             lambda n, variant: full(n, variant) + [stray])
         r = spans.verify_dimension(3, "prime")
-        assert not r.ok
-        assert r.missing_from_closure == ["x1 x2 x3"]
-        assert not r.missing_from_S
+        assert not r.ok and r.failed == "degree 2: check 2"
+        exact = exact_report(3, "prime")
+        assert exact.missing_from_closure == ["x1 x2 x3"]
+        assert not exact.missing_from_S
+
+
+@dataclass
+class ExactReport:
+    formula: int
+    rank_closure: int
+    rank_S: int
+    size_S: int
+    missing_from_closure: list
+    missing_from_S: list
+
+    @property
+    def ok(self):
+        return (self.rank_closure == self.rank_S == self.size_S == self.formula
+                and not self.missing_from_closure and not self.missing_from_S)
 
 
 def exact_report(n, variant):
-    """The report of the exact path alone: the saturated closure, the
-    eliminated family and both containment sweeps; the oracle for the
-    coordinate proof."""
-    closure_basis = spans._closure_basis(spans._variant_tag(variant), n)
+    """The exact path: the saturated closure, the eliminated family and
+    both containment sweeps; the oracle for the coordinate proof."""
+    closure = generate_closure(spans._variant_tag(variant), n)
+    closure_basis = SpanBasis.from_elements(closure)
     family = spans.generate_S(n, variant)
     family_basis = SpanBasis.from_elements(family)
-    return DimensionReport(
-        n=n, variant=variant, formula=dimension_formula(n, variant),
+    return ExactReport(
+        formula=dimension_formula(n, variant),
         rank_closure=closure_basis.rank, rank_S=family_basis.rank,
         size_S=len(family),
         missing_from_closure=[format_poly(p) for p in family
                               if not closure_basis.contains(p)],
-        missing_from_S=[format_poly(p) for p in closure_basis.elements
+        missing_from_S=[format_poly(p) for p in closure
                         if not family_basis.contains(p)])
 
 
@@ -444,36 +462,58 @@ def coordinate_proof(n, variant):
     return spans._coordinate_proof(spans._variant_tag(variant), variant, n)
 
 
+def assert_fails(n, variant, failed):
+    """The proof and the report both name ``failed``, and no dimension is
+    claimed."""
+    assert coordinate_proof(n, variant) == failed
+    r = verify_dimension(n, variant)
+    assert (r.ok, r.dim, r.failed) == (False, None, failed)
+    assert r.record()["failed"] == failed
+
+
 class TestCoordinateProof:
-    """The coordinate proof gives the report of the exact path, and falls
-    back to that path whenever one of its steps fails."""
+    """The coordinate proof gives the dimension of the exact path, and
+    names the check that fails whenever one of its steps fails."""
 
     @pytest.mark.parametrize("variant,n", [("star", n) for n in range(2, 7)]
                              + [("prime", n) for n in range(2, 6)])
     def test_matches_exact_path(self, variant, n):
         assert coordinate_proof(n, variant) == generate_S(n, variant)
-        assert verify_dimension(n, variant) == exact_report(n, variant)
+        r, exact = verify_dimension(n, variant), exact_report(n, variant)
+        assert r.ok and exact.ok
+        assert r.dim == exact.rank_closure == exact.rank_S
 
     @pytest.mark.parametrize("variant,n", [("star", 4), ("prime", 3)])
     def test_modular_shortfall_falls_back(self, monkeypatch, variant, n):
-        # modulo 2 the half-integer rewrites of degree 3 are lost
+        # modulo 2 the half-integer rewrites of degree 3 are lost, so the
+        # proof falls short of the dimension the exact path finds
         monkeypatch.setattr(spans, "MODULUS", 2)
-        assert coordinate_proof(n, variant) is None
-        r = verify_dimension(n, variant)
-        assert r.ok and r == exact_report(n, variant)
+        assert_fails(n, variant, "degree 3: rank")
+        assert exact_report(n, variant).ok
 
-    @pytest.mark.parametrize("broken", [lambda f: f + f[:1], lambda f: f[1:]],
-                             ids=["repeated", "dropped"])
-    @pytest.mark.parametrize("variant,n", [("star", 2), ("star", 4),
-                                           ("prime", 2), ("prime", 3)])
+    @pytest.mark.parametrize("variant,n,broken", [
+        (variant, n, broken)
+        for variant, n in [("star", 2), ("star", 4), ("prime", 2),
+                           ("prime", 3)]
+        for broken in ("repeated", "dropped")]
+        + [("star", 4, "copied"), ("prime", 2, "copied"),
+           ("prime", 3, "copied")])
     def test_broken_family_falls_back(self, monkeypatch, variant, n, broken):
-        # broken in degree n only: the lower degrees are proved as usual
+        # broken in degree n only: the lower degrees are proved as usual; a
+        # repeated or dropped element changes the size (check 2), a copy of
+        # another in place of an element repeats a lead (check 3)
+        how, check = {"repeated": (lambda f: f + f[:1], 2),
+                      "dropped": (lambda f: f[1:], 2),
+                      "copied": (lambda f: f[:-1] + f[:1], 3)}[broken]
         full = generate_S
         monkeypatch.setattr(spans, "generate_S", lambda k, v: (
-            broken(full(k, v)) if k == n else full(k, v)))
-        assert coordinate_proof(n, variant) is None
-        r = verify_dimension(n, variant)
-        assert not r.ok and r == exact_report(n, variant)
+            how(full(k, v)) if k == n else full(k, v)))
+        assert_fails(n, variant, f"degree {n}: check {check}")
+        exact = exact_report(n, variant)
+        assert not exact.ok and exact.rank_closure == exact.formula
+        assert exact.size_S == len(spans.generate_S(n, variant))
+        assert bool(exact.missing_from_S) == (broken != "repeated")
+        assert not exact.missing_from_closure
 
     @pytest.mark.parametrize("variant,n", [("star", 7), ("prime", 6)])
     def test_closes_beyond_the_exact_path(self, variant, n):
@@ -499,10 +539,10 @@ class TestCoordinateProof:
         monkeypatch.setattr(spans, "generate_S", lambda k, v: [
             StarNegated(p.ctx, p.terms, _owned=True) if k == level else p
             for p in full(k, v)])
-        assert coordinate_proof(level, "star") is not None
-        assert coordinate_proof(n, "star") is None
-        r = verify_dimension(n, "star")
-        assert r.ok and r == exact_report(n, "star")
+        assert coordinate_proof(level, "star") == \
+            spans.generate_S(level, "star")
+        assert_fails(n, "star", f"degree {level + 1}: check 5")
+        assert exact_report(n, "star").ok
 
     @pytest.mark.parametrize("added", ["stray", "partner"])
     @pytest.mark.parametrize("variant,n", [("star", 3), ("star", 5),
@@ -530,10 +570,10 @@ class TestCoordinateProof:
 
         monkeypatch.setattr(spans, "generate_S", broken)
         assert spans._leads(spans.generate_S(n, variant)) is not None
-        assert coordinate_proof(n, variant) is None
-        r = verify_dimension(n, variant)
-        assert r.ok == (added == "partner")
-        assert r == exact_report(n, variant)
+        assert_fails(n, variant, f"degree {n}: check 4")
+        exact = exact_report(n, variant)
+        assert exact.ok == (added == "partner")
+        assert bool(exact.missing_from_closure) == (added == "stray")
 
     @pytest.mark.parametrize("scale", [Fraction(1, 3), 3])
     @pytest.mark.parametrize("variant,n", [("star", 5), ("prime", 4)])
@@ -543,5 +583,5 @@ class TestCoordinateProof:
         monkeypatch.setattr(spans, "generate_S", lambda k, v: [
             full(k, v)[0].scale(scale)] + full(k, v)[1:])
         assert coordinate_proof(n, variant) == spans.generate_S(n, variant)
-        r = verify_dimension(n, variant)
-        assert r.ok and r == exact_report(n, variant)
+        r, exact = verify_dimension(n, variant), exact_report(n, variant)
+        assert r.ok and exact.ok and r.dim == exact.rank_closure

@@ -29,7 +29,7 @@ import os
 import re
 import string
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .algebra import (
@@ -417,7 +417,10 @@ def _cmd_check(args) -> int:
             if not text or text.startswith("#"):
                 continue
             expr = parse_expr(text, product=args.product, line=lineno)
-            results.append((f"line{lineno}", True, check_identity(expr)))
+            try:
+                results.append((f"line{lineno}", True, check_identity(expr)))
+            except AlgebraError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
     cases = []
     for name, expected, verdict in results:
         entry = {"name": name, "expected": expected,
@@ -472,12 +475,8 @@ def _cmd_table(args) -> int:
     code = 0
     if args.verify:
         ver = verify_tables(args.bound if args.bound >= 3 else 3)
-        doc["verification"] = {
-            "ok": ver.ok,
-            "rules": [{"table": r.table, "block": r.block, "left": r.left,
-                       "right": r.right, "checked": r.checked,
-                       "mismatches": r.mismatches} for r in ver.rules],
-        }
+        doc["verification"] = {"ok": ver.ok,
+                               "rules": [asdict(r) for r in ver.rules]}
         summary.append(f"verification: {ver.total_checks} instantiations, "
                        f"{'all match' if ver.ok else 'MISMATCHES FOUND'}")
         code = 0 if ver.ok else 1

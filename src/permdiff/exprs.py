@@ -38,7 +38,6 @@ from .algebra import (
     Monomial,
     Scalar,
     _coerce_scalar,
-    _merge,
     derived_product,
 )
 
@@ -276,12 +275,11 @@ def eval_expr(e: Expr, subst: Mapping[int, DiffPermPoly],
             terms.append((1, Mul(lhs, rhs) if tag is None
                           else DerOp(tag, lhs, rhs)))
         acc: dict[Monomial, Scalar] = {}
+        get = acc.get
         for c, t in terms:
             for m, x in rec(t).terms.items():
-                if c != 1:
-                    x = c * x
-                _merge(acc, m, x)
-        return DiffPermPoly(ctx, acc, _owned=True)
+                acc[m] = get(m, 0) + (x if c == 1 else c * x)
+        return DiffPermPoly(ctx, acc)
 
     def rec(node: Expr) -> DiffPermPoly:
         got = cache.get(node)
@@ -429,16 +427,15 @@ def check_identity(e: Expr, nvars: int | None = None,
         nvars = top
     elif top > nvars:
         raise AlgebraError(f"expression uses x{top} beyond arity {nvars}")
-    poly = eval_on_generators(e, ctx, vs)
-    for m in poly.terms:
+    # in sorted order, so an error names the least offending monomial
+    terms = eval_on_generators(e, ctx, vs).sorted_terms()
+    for m, _ in terms:
         seen = tuple(sorted(s.var for s in m.factors))
-        if len(seen) != nvars or seen != tuple(range(1, nvars + 1)):
+        if seen != tuple(range(1, nvars + 1)):
             raise NonMultilinearError(
                 f"expansion is not multilinear in x1..x{nvars}: "
                 f"monomial variables {seen}")
-    if poly.is_zero():
-        return Verdict(True, None)
-    return Verdict(False, poly.sorted_terms()[0])
+    return Verdict(not terms, terms[0] if terms else None)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +460,8 @@ class FormalVectorField(LinearCombination):
                 raise AlgebraError(cls._MISMATCH)
             if not 1 <= idx <= ctx.arity:
                 raise AlgebraError("derivation index out of range")
-            _merge(acc, idx, coeff)
-        return cls(ctx, acc, _owned=True)
+            acc[idx] = acc[idx] + coeff if idx in acc else coeff
+        return cls(ctx, acc)
 
 
 def vf_leibniz_bracket(X: FormalVectorField,

@@ -31,7 +31,6 @@ from .algebra import (
     Monomial,
     Scalar,
     Symbol,
-    _merge,
     annihilator_test,
     apply_substitution,
     is_multilinear,
@@ -95,11 +94,10 @@ def decompose(f: DiffPermPoly, k: int) -> Decomposition:
             rest = Monomial(m.left[:i] + m.left[i + 1:], m.last)
             side = pacc
         n = max(n, s)
-        _merge(side.setdefault(s, {}), rest, c)
-    g = tuple(DiffPermPoly(ctx, gacc.get(s, {}), _owned=True)
-              for s in range(n + 1))
-    p = tuple(DiffPermPoly(ctx, pacc.get(s, {}), _owned=True)
-              for s in range(n + 1))
+        acc = side.setdefault(s, {})
+        acc[rest] = acc.get(rest, 0) + c
+    g = tuple(DiffPermPoly(ctx, gacc.get(s, {})) for s in range(n + 1))
+    p = tuple(DiffPermPoly(ctx, pacc.get(s, {})) for s in range(n + 1))
     return Decomposition(k, n, g, p)
 
 
@@ -226,12 +224,14 @@ def _strip_factors(poly: DiffPermPoly, strip: list[Symbol], last_var: int
             scalar_part = c if scalar_part is None else scalar_part + c
             continue
         fs.sort()
-        _merge(acc, Monomial(tuple(fs[:-1]), fs[-1]), c)
+        key = Monomial(tuple(fs[:-1]), fs[-1])
+        acc[key] = acc.get(key, 0) + c
+    rest = DiffPermPoly(ctx, acc)
     if scalar_part is not None:
-        if acc or not scalar_part:
+        if rest or not scalar_part:
             return None, None
         return None, scalar_part
-    return DiffPermPoly(ctx, acc, _owned=True), None
+    return rest, None
 
 
 def reduce_identity(f: DiffPermPoly) -> ReductionResult:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator
 
 from .algebra import (
@@ -32,13 +32,21 @@ from .algebra import (
     Monomial,
     Rational,
     Symbol,
-    _merge,
     derived_product,
     format_poly,  # not used here; the tracer test reads spans.format_poly
     monomial_key,
 )
 
 _NORMALIZE_EVERY = 8  # gcd-normalize a working row after this many eliminations
+
+
+def _common_denominator(values: Iterable[Rational]) -> int:
+    """The least positive integer that makes every value an integer."""
+    denom = 1
+    for v in values:
+        if isinstance(v, Fraction):
+            denom = lcm(denom, v.denominator)
+    return denom
 
 
 def _row_gcd_normalize(row: dict[int, int]) -> dict[int, int]:
@@ -87,10 +95,7 @@ class SpanBasis:
         if p.ctx.delta:
             raise AlgebraError("span computations require rational "
                                "coefficients")
-        denom = 1
-        for c in p.terms.values():
-            if isinstance(c, Fraction):
-                denom = denom * c.denominator // gcd(denom, c.denominator)
+        denom = _common_denominator(p.terms.values())
         cols = self._cols
         row = {}
         for m, c in p.terms.items():
@@ -166,10 +171,7 @@ def modular_rank(rows: Iterable[dict[int, Rational]],
     for row in rows:
         if len(pivots) == stop:
             break
-        denom = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                denom = denom * v.denominator // gcd(denom, v.denominator)
+        denom = _common_denominator(row.values())
         r = {}
         for c, v in row.items():
             v = int(v * denom) % p
@@ -375,11 +377,12 @@ def _leads(family: list[DiffPermPoly]) -> list[Monomial] | None:
     return leads if len(set(leads)) == len(leads) else None
 
 
-def _coordinate_proof(tag: str, variant: str, n: int) -> list[DiffPermPoly] | str:
+def _coordinate_proof(variant: str, n: int) -> list[DiffPermPoly] | str:
     """The family ``generate_S(n, variant)`` when the factorisation proof
     (see ``verify_dimension``) shows it is a basis of the closure component
     on x1..xn, else the failure: "degree k: check c" for the first check c
     that fails, or "degree k: rank" when the rank falls short."""
+    tag = _variant_tag(variant)
     star = variant == "star"
     image = DiffPermPoly.star if star else DiffPermPoly.derive
     column = (lambda m: tuple(sorted(m.factors))) if star else (lambda m: m)
@@ -414,8 +417,9 @@ def _coordinate_proof(tag: str, variant: str, n: int) -> list[DiffPermPoly] | st
                 col = cols.get(column(m))
                 if col is None:
                     return failed + "1"
-                _merge(row, col, c)
-            rows.append(row)
+                row[col] = row.get(col, 0) + c
+            # a star column sums a factor multiset's terms, which may cancel
+            rows.append({col: c for col, c in row.items() if c})
         # Sparse rows first keep the pivots sparse.
         rows.sort(key=len)
         if modular_rank(rows, stop=len(family)) < len(family):
@@ -455,7 +459,7 @@ def verify_dimension(n: int, variant: str) -> DimensionReport:
     """
     if n < 2:
         raise AlgebraError("verify_dimension needs n >= 2")
-    proof = _coordinate_proof(_variant_tag(variant), variant, n)
+    proof = _coordinate_proof(variant, n)
     formula = dimension_formula(n, variant)
     if isinstance(proof, str):
         return DimensionReport(n, variant, formula, dim=None, failed=proof)

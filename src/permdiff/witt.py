@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .algebra import AlgebraError, LinearCombination, _merge
+from .algebra import AlgebraError, LinearCombination
 
 Rational = Union[int, Fraction]
 
@@ -65,24 +65,19 @@ def perm_product(a: PermTensorElem, b: PermTensorElem) -> PermTensorElem:
     acc: dict[TBasis, Rational] = {}
     for (e, alpha), c1 in a.terms.items():
         for (f, beta), c2 in b.terms.items():
-            g = list(e)
-            for i, fi in enumerate(f):
-                g[i] += fi
+            g = [x + y for x, y in zip(e, f)]
             g[alpha - 1] += 1
-            _merge(acc, TBasis(tuple(g), beta), c1 * c2)
-    return PermTensorElem(a.n, acc, _owned=True)
+            key = TBasis(tuple(g), beta)
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return PermTensorElem(a.n, acc)
 
 
 def euler_derivation(i: int, a: PermTensorElem) -> PermTensorElem:
     """D_i scales x^e (x) x_alpha by e_i, plus one more when alpha = i."""
     if not 1 <= i <= a.n:
         raise AlgebraError("derivation index out of range")
-    acc: dict[TBasis, Rational] = {}
-    for (e, alpha), c in a.terms.items():
-        lam = e[i - 1] + (1 if alpha == i else 0)
-        if lam:
-            _merge(acc, TBasis(e, alpha), lam * c)
-    return PermTensorElem(a.n, acc, _owned=True)
+    return PermTensorElem(a.n, {k: (k.e[i - 1] + (1 if k.alpha == i else 0)) * c
+                                for k, c in a.terms.items()})
 
 
 class WittElement(LinearCombination):
@@ -113,12 +108,11 @@ def witt_prec(v: WittElement, w: WittElement) -> WittElement:
             lam = f[i - 1] + (1 if beta == i else 0)
             if not lam:
                 continue
-            g = list(e)
-            for t, ft in enumerate(f):
-                g[t] += ft
+            g = [x + y for x, y in zip(e, f)]
             g[alpha - 1] += 1
-            _merge(acc, WBasis(tuple(g), beta, j), lam * c1 * c2)
-    return WittElement(v.n, acc, _owned=True)
+            key = WBasis(tuple(g), beta, j)
+            acc[key] = acc.get(key, 0) + lam * c1 * c2
+    return WittElement(v.n, acc)
 
 
 def lie_bracket(v: WittElement, w: WittElement) -> WittElement:
@@ -133,18 +127,18 @@ def leibniz_bracket(v: WittElement, w: WittElement) -> WittElement:
     acc: dict[WBasis, Rational] = {}
     for (e, alpha, i), c1 in v.terms.items():
         for (f, beta, j), c2 in w.terms.items():
-            g = list(e)
-            for t, ft in enumerate(f):
-                g[t] += ft
+            g = [x + y for x, y in zip(e, f)]
             g[alpha - 1] += 1
             key = tuple(g)
             lam1 = e[j - 1] + (1 if alpha == j else 0)
             if lam1:
-                _merge(acc, WBasis(key, beta, i), lam1 * c1 * c2)
+                k1 = WBasis(key, beta, i)
+                acc[k1] = acc.get(k1, 0) + lam1 * c1 * c2
             lam2 = f[i - 1] + (1 if beta == i else 0)
             if lam2:
-                _merge(acc, WBasis(key, beta, j), -lam2 * c1 * c2)
-    return WittElement(v.n, acc, _owned=True)
+                k2 = WBasis(key, beta, j)
+                acc[k2] = acc.get(k2, 0) - lam2 * c1 * c2
+    return WittElement(v.n, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +177,9 @@ class BracketRule:
                 if (len(e) != n_dim or min(e) < 0
                         or not 1 <= alpha <= n_dim or not 1 <= i <= n_dim):
                     raise AlgebraError("bad Witt basis data")
-                _merge(acc, WBasis(e, alpha, i), c)
-        return WittElement(n_dim, acc, _owned=True)
+                key = WBasis(e, alpha, i)
+                acc[key] = acc.get(key, 0) + c
+        return WittElement(n_dim, acc)
 
 
 W1_RULES = (
@@ -303,10 +298,16 @@ def _slot_name(n: int, idx: int) -> str:
     return ("x", "y")[idx - 1] if n == 2 else str(idx)
 
 
-def _exponent_box(n: int, bound: int):
-    """Exponent pairs (e1, e2) with entries in 0..bound, lexicographically."""
-    for exps in itertools.product(range(bound + 1), repeat=2 * n):
-        yield exps[:n], exps[n:]
+def _instances(n: int, left: tuple[int, int], right: tuple[int, int],
+               bound: int):
+    """(e1, e2, u, v) for every basis pair u, v on the slot patterns ``left``
+    and ``right`` (each an (alpha, i)) with exponents e1, e2 in 0..bound, in
+    lexicographic order; each operand is built once."""
+    box = list(itertools.product(range(bound + 1), repeat=n))
+    rights = [(e2, WittElement.basis(n, e2, *right)) for e2 in box]
+    for e1 in box:
+        u = WittElement.basis(n, e1, *left)
+        yield from ((e1, e2, u, v) for e2, v in rights)
 
 
 #: the largest exponent bound ``structure_table`` accepts: the rank-two Lie
@@ -337,9 +338,8 @@ def structure_table(n: int, kind: str, bound: int) -> dict:
     patterns = sorted((block_rank[r.block], r.left, r.right) for r in rules)
     entries = []
     for _, (a1, i1), (a2, i2) in patterns:
-        for e1, e2 in _exponent_box(n, bound):
-            out = bracket(WittElement.basis(n, e1, a1, i1),
-                          WittElement.basis(n, e2, a2, i2))
+        for e1, e2, u, v in _instances(n, (a1, i1), (a2, i2), bound):
+            out = bracket(u, v)
             entries.append({
                 "left": {"e": list(e1), "alpha": _slot_name(n, a1),
                          "i": _slot_name(n, i1)},
@@ -406,9 +406,8 @@ def verify_tables(bound: int = 3) -> TableVerification:
                 rule.table, rule.block,
                 f"E[{left_exps};{_slot_name(n, al)},{_slot_name(n, il)}]",
                 f"E[{right_exps};{_slot_name(n, be)},{_slot_name(n, jr)}]")
-            for e1, e2 in _exponent_box(n, bound):
-                got = bracket(WittElement.basis(n, e1, al, il),
-                              WittElement.basis(n, e2, be, jr))
+            for e1, e2, u, v in _instances(n, rule.left, rule.right, bound):
+                got = bracket(u, v)
                 # a rule reads (m, n, p, q); rank one has no n and no q
                 want = rule.expected(n, *(e1 + (0,))[:2], *(e2 + (0,))[:2])
                 chk.checked += 1

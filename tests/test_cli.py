@@ -291,7 +291,7 @@ class TestDispatch:
         (("expand", "x3000000"), 0, '"text": "x3000000"'),
         (("reduce", "x3000000*x1"), 0, '"certificate": "x1\' x3000000\'"'),
         (("check", "--file", "{big}"), 2,
-         "error: expansion is not multilinear in x1..x3000000: "
+         "error: line 1: expansion is not multilinear in x1..x3000000: "
          "monomial variables (1, 3000000)\n"),
     ], ids=["expand", "reduce", "check-file"])
     def test_huge_variable_index_is_fast(self, tmp_path, argv, code, want):
@@ -352,6 +352,16 @@ class TestDispatch:
                                  "--quiet")
         assert code == 2
         assert "line 3" in err
+
+    def test_check_file_names_the_line_that_fails_to_evaluate(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "square.txt"
+        path.write_text("loz(x1, x2) - loz(x2, x1)\nx1 * x1\n")
+        code, out, err = run_cli(capsys, "check", "--file", str(path),
+                                 "--quiet")
+        assert code == 2 and out == ""
+        assert err == ("error: line 2: expansion is not multilinear in "
+                       "x1..x1: monomial variables (1, 1)\n")
 
     def test_summary_goes_to_stderr_unless_quiet(self, capsys):
         code, out, err = run_cli(capsys, "check", "--suite", "d")

@@ -459,7 +459,7 @@ def exact_report(n, variant):
 
 
 def coordinate_proof(n, variant):
-    return spans._coordinate_proof(spans._variant_tag(variant), variant, n)
+    return spans._coordinate_proof(variant, n)
 
 
 def assert_fails(n, variant, failed):

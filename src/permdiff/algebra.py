@@ -540,9 +540,16 @@ def format_scalar(c: Scalar) -> str:
 def format_poly(p: DiffPermPoly) -> str:
     if p.is_zero():
         return "0"
+    names: dict[Symbol, str] = {}  # each distinct symbol is formatted once
     parts = []
     for m, c in p.sorted_terms():
-        mono = format_monomial(m)
+        words = []
+        for s in m.factors:
+            w = names.get(s)
+            if w is None:
+                w = names[s] = format_symbol(s)
+            words.append(w)
+        mono = " ".join(words)
         if isinstance(c, DeltaPoly):
             if len([x for x in c.coeffs if x]) > 1:
                 parts.append((+1, f"({format_scalar(c)}) {mono}"))
@@ -678,10 +685,12 @@ def apply_substitution(p: DiffPermPoly,
 
 def rename_vars(p: DiffPermPoly, mapping: Mapping[int, int]) -> DiffPermPoly:
     """Substitution of generators for generators (derivative orders kept)."""
+    image = {s: Symbol(mapping[s.var], s.dord) if s.var in mapping else s
+             for s in {s for m in p.terms for s in m.factors}}
     acc: dict[Monomial, Scalar] = {}
     for m, c in p.terms.items():
-        syms = [Symbol(mapping.get(s.var, s.var), s.dord) for s in m.factors]
-        key = Monomial(tuple(sorted(syms[:-1])), syms[-1])
+        key = Monomial(tuple(sorted([image[s] for s in m.left])),
+                       image[m.last])
         acc[key] = acc.get(key, 0) + c
     return DiffPermPoly(p.ctx, acc)
 

@@ -31,6 +31,7 @@ import string
 import sys
 from dataclasses import asdict, fields
 from fractions import Fraction
+from types import GeneratorType
 
 from .algebra import (
     AlgebraError,
@@ -59,7 +60,7 @@ from .exprs import (
 )
 from .reduction import reduce_identity
 from .spans import MAX_DIM_DEGREE, verify_dimension
-from .witt import structure_table, verify_tables
+from .witt import structure_table, table_patterns, verify_tables
 
 OPNAMES = DERIVED_PRODUCT_TAGS
 
@@ -329,8 +330,11 @@ def write_json(obj, write) -> None:
 
     Scalars are of the exact types ``str``, ``int``, ``bool`` and ``None``,
     containers lists, tuples and dicts with ``str`` keys; anything else
-    raises ``TypeError``.  The standard encoder runs in pure Python when it
-    indents; this writer makes one call per container, not per value.
+    raises ``TypeError``.  A generator is written as the list it yields,
+    read in a single pass as it is written, so a long one (the entries of
+    ``structure_table``) need never be held whole.  The standard encoder
+    runs in pure Python when it indents; this writer makes one call per
+    container, not per value.
     """
     out: list[str] = []
     put = out.append
@@ -352,11 +356,9 @@ def write_json(obj, write) -> None:
                     put(head + text(item))
                 sep = ",\n" + inner
             put("\n" + pad + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                return put("[]")
+        elif isinstance(o, (list, tuple, GeneratorType)):
             inner = pad + "  "
-            sep = "[\n" + inner
+            sep = first = "[\n" + inner
             for item in o:
                 text = scalar(type(item))
                 if text is None:
@@ -365,7 +367,7 @@ def write_json(obj, write) -> None:
                 else:
                     put(sep + text(item))
                 sep = ",\n" + inner
-            put("\n" + pad + "]")
+            put("[]" if sep is first else "\n" + pad + "]")
         else:
             text = scalar(type(o))
             if text is None:
@@ -470,8 +472,10 @@ def _cmd_dim(args) -> int:
 
 def _cmd_table(args) -> int:
     doc = structure_table(args.n, args.kind, args.bound)
+    count = (len(table_patterns(args.n, args.kind))
+             * (args.bound + 1) ** (2 * args.n))
     summary = [f"table n={args.n} kind={args.kind} bound={args.bound}: "
-               f"{len(doc['entries'])} entries"]
+               f"{count} entries"]
     code = 0
     if args.verify:
         ver = verify_tables(args.bound if args.bound >= 3 else 3)

@@ -116,8 +116,25 @@ def witt_prec(v: WittElement, w: WittElement) -> WittElement:
 
 
 def lie_bracket(v: WittElement, w: WittElement) -> WittElement:
-    """[v, w] = v prec w - w prec v; antisymmetric by construction."""
-    return witt_prec(v, w) - witt_prec(w, v)
+    """[v, w] = v prec w - w prec v, both halves summed in one pass over the
+    term pairs; antisymmetric by construction."""
+    v._check(w)
+    acc: dict[WBasis, Rational] = {}
+    for (e, alpha, i), c1 in v.terms.items():
+        for (f, beta, j), c2 in w.terms.items():
+            lam1 = f[i - 1] + (1 if beta == i else 0)
+            if lam1:
+                g = [x + y for x, y in zip(e, f)]
+                g[alpha - 1] += 1
+                k1 = WBasis(tuple(g), beta, j)
+                acc[k1] = acc.get(k1, 0) + lam1 * c1 * c2
+            lam2 = e[j - 1] + (1 if alpha == j else 0)
+            if lam2:
+                g = [x + y for x, y in zip(e, f)]
+                g[beta - 1] += 1
+                k2 = WBasis(tuple(g), alpha, i)
+                acc[k2] = acc.get(k2, 0) - lam2 * c1 * c2
+    return WittElement(v.n, acc)
 
 
 def leibniz_bracket(v: WittElement, w: WittElement) -> WittElement:
@@ -315,43 +332,61 @@ def _instances(n: int, left: tuple[int, int], right: tuple[int, int],
 MAX_TABLE_BOUND = 12
 
 
+def table_patterns(n: int, kind: str) -> list[tuple]:
+    """(block rank, left, right) slot patterns of a table, in table order:
+    blocks in the order the rules first list them, patterns sorted within."""
+    if n not in (1, 2):
+        raise AlgebraError("structure tables cover n = 1 and n = 2 only")
+    if kind not in ("lie", "leibniz"):
+        raise AlgebraError(f"unknown table kind: {kind!r}")
+    # the one rank-one pattern serves both brackets
+    rules = W1_RULES if n == 1 else (
+        W2_LIE_RULES if kind == "lie" else W2_LEIBNIZ_RULES)
+    block_rank: dict[str, int] = {}
+    for rule in rules:
+        block_rank.setdefault(rule.block, len(block_rank))
+    return sorted((block_rank[r.block], r.left, r.right) for r in rules)
+
+
 def structure_table(n: int, kind: str, bound: int) -> dict:
     """Explicit bracket values for all basis pairs with exponents up to
     ``bound``, for stable diffs ordered by block (in rule order), then
     (left, right) slot pattern, then exponents.
     Entries carry the computed results; for n = 1 and n = 2 they coincide
-    with the embedded coefficient rules (see ``verify_tables``)."""
-    if n not in (1, 2):
-        raise AlgebraError("structure tables cover n = 1 and n = 2 only")
-    if kind not in ("lie", "leibniz"):
-        raise AlgebraError(f"unknown table kind: {kind!r}")
+    with the embedded coefficient rules (see ``verify_tables``).
+
+    The arguments are checked here, but ``"entries"`` is a single-pass
+    generator that computes each entry as it is read, so a writer holds
+    one entry at a time; there are ``len(table_patterns(n, kind)) *
+    (bound + 1) ** (2 * n)`` of them.
+    """
+    patterns = table_patterns(n, kind)
     if not 0 <= bound <= MAX_TABLE_BOUND:
         raise AlgebraError(f"bound must be in 0..{MAX_TABLE_BOUND}")
     bracket = lie_bracket if kind == "lie" else leibniz_bracket
-    # the one rank-one pattern serves both brackets
-    rules = W1_RULES if n == 1 else (
-        W2_LIE_RULES if kind == "lie" else W2_LEIBNIZ_RULES)
-    # blocks in the order the rules first list them, patterns sorted within
-    block_rank: dict[str, int] = {}
-    for rule in rules:
-        block_rank.setdefault(rule.block, len(block_rank))
-    patterns = sorted((block_rank[r.block], r.left, r.right) for r in rules)
-    entries = []
-    for _, (a1, i1), (a2, i2) in patterns:
-        for e1, e2, u, v in _instances(n, (a1, i1), (a2, i2), bound):
-            out = bracket(u, v)
-            entries.append({
-                "left": {"e": list(e1), "alpha": _slot_name(n, a1),
-                         "i": _slot_name(n, i1)},
-                "right": {"e": list(e2), "alpha": _slot_name(n, a2),
-                          "i": _slot_name(n, i2)},
-                "result": [{"coeff": str(c),
-                            "basis": {"e": list(b.e),
-                                      "alpha": _slot_name(n, b.alpha),
-                                      "i": _slot_name(n, b.i)}}
-                           for b, c in sorted(out.terms.items())],
-            })
-    return {"n": n, "kind": kind, "bound": bound, "entries": entries}
+    return {"n": n, "kind": kind, "bound": bound,
+            "entries": _table_entries(n, bracket, patterns, bound)}
+
+
+def _table_entries(n: int, bracket, patterns, bound: int):
+    """The entries of ``structure_table``, made one at a time.  A basis
+    element is one shared dict wherever it occurs, so entries are
+    read-only."""
+    docs: dict[WBasis, dict] = {}
+
+    def doc(b: WBasis) -> dict:
+        d = docs.get(b)
+        if d is None:
+            d = docs[b] = {"e": list(b.e), "alpha": _slot_name(n, b.alpha),
+                           "i": _slot_name(n, b.i)}
+        return d
+
+    for _, left, right in patterns:
+        for e1, e2, u, v in _instances(n, left, right, bound):
+            yield {"left": doc(WBasis(e1, *left)),
+                   "right": doc(WBasis(e2, *right)),
+                   "result": [{"coeff": str(c), "basis": doc(b)}
+                              for b, c in sorted(bracket(u, v).terms.items())]}
 
 
 @dataclass

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -481,6 +483,16 @@ class TestJsonWriter:
         assert self.written(obj) == json.dumps(obj, indent=2,
                                                ensure_ascii=False)
 
+    @given(_json_values)
+    @settings(max_examples=300)
+    def test_generators_are_written_as_lists(self, obj):
+        assert self.written(_generators(obj)) == json.dumps(
+            obj, indent=2, ensure_ascii=False)
+
+    def test_empty_generator(self):
+        assert self.written(x for x in ()) == "[]"
+        assert self.written({"a": (x for x in ())}) == '{\n  "a": []\n}'
+
     @pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, [1, Fraction(3)],
                                      {"coeff": 1.0}, {1: "int key"}])
     def test_other_values_are_type_errors(self, obj):
@@ -501,3 +513,82 @@ class TestJsonWriter:
                      "--quiet"]) == 0
         assert len(out.getvalue()) > 5_000_000
         assert out.writes <= 200
+
+    def test_table_is_written_while_its_entries_are_made(self, monkeypatch):
+        finished = []  # set once the entry generator is exhausted
+        seen = []  # whether it was, at each write to stdout
+        table = cli.structure_table
+
+        def watched(*args):
+            doc = table(*args)
+            entries = doc["entries"]
+
+            def watched_entries():
+                yield from entries
+                finished.append(True)
+            doc["entries"] = watched_entries()
+            return doc
+
+        class WatchedStdout(io.StringIO):
+            def write(self, text):
+                seen.append(bool(finished))
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "structure_table", watched)
+        monkeypatch.setattr(sys, "stdout", WatchedStdout())
+        assert main(["table", "--n", "2", "--kind", "lie", "--bound", "4",
+                     "--quiet"]) == 0
+        assert finished
+        assert seen[0] is False and seen.count(False) > 1
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak from /proc/self/status")
+    def test_table_peak_memory_stays_near_one_entry(self):
+        # about 79 MB when the whole table was built before writing it.  The
+        # child reads its own VmHWM: ru_maxrss would count the peak of this
+        # test process too, which a forked child inherits across exec.
+        code = ("from permdiff.cli import main\n"
+                "assert main(['table', '--n', '2', '--kind', 'lie',"
+                " '--bound', '6', '--quiet']) == 0\n"
+                "import sys\n"
+                "print([line.split()[1] for line in open('/proc/self/status')"
+                " if line.startswith('VmHWM:')][0], file=sys.stderr)\n")
+        r = subprocess.run([sys.executable, "-c", code], check=True,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        assert int(r.stderr) < 40 * 1024  # kB
+
+
+def _generators(obj):
+    """``obj`` with every list and tuple in it replaced by a generator."""
+    if isinstance(obj, dict):
+        return {k: _generators(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return (_generators(v) for v in obj)
+    return obj
+
+
+# sha256 of stdout, recorded when tables were still built whole before
+# writing, for the table runs that the benchmark's digests do not cover
+TABLE_DIGESTS = [
+    (("--n", "1", "--kind", "lie", "--bound", "2", "--verify"),
+     "837f9a29401b7ca8241831206d718573b71ce07fe3cc7f4280f50d306c6f5d54"),
+    (("--n", "1", "--kind", "leibniz", "--bound", "2", "--verify"),
+     "9e7c4ce1c49d7fd55d5939ebc582023c24c07e4d96c1e6240326e67bdd958e55"),
+    # the table at bound 1, its verification at bound 3
+    (("--n", "2", "--kind", "leibniz", "--bound", "1", "--verify"),
+     "ecf6fb007573e47ce6b5c5e8fe68c371b2e96e4314695dae1510d8e9023339bd"),
+    (("--n", "2", "--kind", "lie", "--bound", "2", "--format", "text"),
+     "097cb4e862bd83b1086c4009c56f39db2270e68ad94d91492f6cda2e2e683f5b"),
+    (("--n", "2", "--kind", "lie", "--bound", "2", "--verify",
+      "--format", "text"),
+     "100963c2358694e48dc7724d1e05c2f73a467ebdaf52e61e05f09ae9bcaa21d1"),
+    (("--n", "1", "--kind", "leibniz", "--bound", "0", "--format", "text"),
+     "1295f2bdd0de6a0a04d0034c79142019460d4492c428039c443ad36a47b2ca70"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", TABLE_DIGESTS)
+def test_table_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "table", *argv, "--quiet")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

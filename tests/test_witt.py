@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import types
 
 import pytest
 
@@ -217,9 +218,9 @@ class TestRankThree:
 
 class TestStructureTable:
     def test_rank_one_table_matches_rule(self):
-        doc = structure_table(1, "lie", 3)
-        assert len(doc["entries"]) == 16
-        for entry in doc["entries"]:
+        entries = list(structure_table(1, "lie", 3)["entries"])
+        assert len(entries) == 16
+        for entry in entries:
             m = entry["left"]["e"][0]
             p = entry["right"]["e"][0]
             if m == p:
@@ -230,12 +231,12 @@ class TestStructureTable:
                 assert res["basis"]["e"] == [m + p + 1]
 
     def test_rank_two_lie_covers_all_16_combinations(self):
-        doc = structure_table(2, "lie", 1)
+        entries = list(structure_table(2, "lie", 1)["entries"])
         combos = {(e["left"]["alpha"], e["left"]["i"],
                    e["right"]["alpha"], e["right"]["i"])
-                  for e in doc["entries"]}
+                  for e in entries}
         assert len(combos) == 16
-        assert len(doc["entries"]) == 16 * 16
+        assert len(entries) == 16 * 16
 
     def test_rank_two_leibniz_covers_all_16_combinations(self):
         doc = structure_table(2, "leibniz", 1)
@@ -244,12 +245,21 @@ class TestStructureTable:
                   for e in doc["entries"]}
         assert len(combos) == 16
 
+    @pytest.mark.parametrize("n, kind, bound", [
+        (1, "lie", 2), (1, "leibniz", 0), (2, "lie", 0), (2, "leibniz", 1)])
+    def test_entries_are_one_pass_of_the_stated_count(self, n, kind, bound):
+        entries = structure_table(n, kind, bound)["entries"]
+        assert isinstance(entries, types.GeneratorType)
+        assert sum(1 for _ in entries) == (len(witt.table_patterns(n, kind))
+                                           * (bound + 1) ** (2 * n))
+        assert list(entries) == []
+
     def test_unsupported_n(self):
         with pytest.raises(AlgebraError):
             structure_table(3, "lie", 1)
 
     def test_bound_outside_the_box(self):
-        assert structure_table(1, "lie", witt.MAX_TABLE_BOUND)["entries"]
+        assert list(structure_table(1, "lie", witt.MAX_TABLE_BOUND)["entries"])
         for bound in (-1, witt.MAX_TABLE_BOUND + 1, 10 ** 20):
             with pytest.raises(AlgebraError):
                 structure_table(1, "lie", bound)
@@ -395,6 +405,7 @@ class TestTableOrder:
     ])
     def test_entry_order(self, n, kind, blocks):
         table = structure_table(n, kind, 1)
+        table["entries"] = list(table["entries"])
         per_block = 2 ** (2 * n)
         assert _patterns(table) == [b for b in blocks for _ in range(per_block)]
         exps = [tuple(e["left"]["e"] + e["right"]["e"])

@@ -3,7 +3,8 @@ emit tables and reduction traces.
 
 Machine-readable JSON goes to stdout; a human summary goes to stderr unless
 --quiet is given.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parse error.  All output is deterministic byte-for-byte given the same flags.
+parse error, 3 internal error.  All output is deterministic byte-for-byte
+given the same flags.
 
 Expression grammar::
 
@@ -38,6 +39,7 @@ from .algebra import (
     DELTA,
     DeltaPoly,
     DERIVED_PRODUCT_TAGS,
+    FrozenDoc,
     format_monomial,
     format_poly,
     format_scalar,
@@ -332,9 +334,11 @@ def write_json(obj, write) -> None:
     containers lists, tuples and dicts with ``str`` keys; anything else
     raises ``TypeError``.  A generator is written as the list it yields,
     read in a single pass as it is written, so a long one (the entries of
-    ``structure_table``) need never be held whole.  The standard encoder
-    runs in pure Python when it indents; this writer makes one call per
-    container, not per value.
+    ``structure_table``) need never be held whole.  A ``FrozenDoc`` (a
+    basis element of a table, met thousands of times) is encoded once for
+    each indent it is written at; its text is kept in the doc and written
+    whole from then on.  The standard encoder runs in pure Python when it
+    indents; this writer makes one call per container, not per value.
     """
     out: list[str] = []
     put = out.append
@@ -342,6 +346,11 @@ def write_json(obj, write) -> None:
 
     def value(o, pad: str) -> None:
         if isinstance(o, dict):
+            if type(o) is FrozenDoc:
+                text = o.encoded.get(pad)
+                if text is None:
+                    text = o.encoded[pad] = _frozen_text(o, pad)
+                return put(text)
             if not o:
                 return put("{}")
             inner = pad + "  "
@@ -381,6 +390,15 @@ def write_json(obj, write) -> None:
     value(obj, "")
     if out:
         write("".join(out))
+
+
+def _frozen_text(doc: FrozenDoc, pad: str) -> str:
+    """The text of ``doc`` written at indent ``pad``.  Every newline in the
+    text is structure (strings escape theirs), so each is followed by
+    ``pad`` more blanks than at the top level."""
+    pieces: list[str] = []
+    write_json(dict(doc), pieces.append)
+    return "".join(pieces).replace("\n", "\n" + pad)
 
 
 def _emit(obj, quiet: bool, summary: list[str], fmt: str = "json") -> None:
@@ -604,6 +622,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         sys.stderr.write("error: input nested too deeply\n")
         return 2
+    except Exception as exc:  # a fault of permdiff, never exit 1's verdict
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .algebra import AlgebraError, LinearCombination
+from .algebra import AlgebraError, FrozenDoc, LinearCombination
 
 Rational = Union[int, Fraction]
 
@@ -185,7 +185,9 @@ class BracketRule:
     right: tuple[int, int]     # (beta, j) of the right basis element
     targets: tuple             # ((coeff_fn, exp_fn, alpha, i), ...)
 
-    def expected(self, n_dim: int, m: int, n: int, p: int, q: int) -> WittElement:
+    def expected_terms(self, n_dim: int, m: int, n: int, p: int,
+                       q: int) -> dict[WBasis, Rational]:
+        """The nonzero coefficients of ``expected``, by basis element."""
         acc: dict[WBasis, Rational] = {}
         for coeff_fn, exp_fn, alpha, i in self.targets:
             c = coeff_fn(m, n, p, q)
@@ -196,7 +198,11 @@ class BracketRule:
                     raise AlgebraError("bad Witt basis data")
                 key = WBasis(e, alpha, i)
                 acc[key] = acc.get(key, 0) + c
-        return WittElement(n_dim, acc)
+        return {k: c for k, c in acc.items() if c}
+
+    def expected(self, n_dim: int, m: int, n: int, p: int, q: int) -> WittElement:
+        """The bracket the rule gives for exponents (m, n, p, q)."""
+        return WittElement(n_dim, self.expected_terms(n_dim, m, n, p, q))
 
 
 W1_RULES = (
@@ -315,16 +321,15 @@ def _slot_name(n: int, idx: int) -> str:
     return ("x", "y")[idx - 1] if n == 2 else str(idx)
 
 
-def _instances(n: int, left: tuple[int, int], right: tuple[int, int],
-               bound: int):
-    """(e1, e2, u, v) for every basis pair u, v on the slot patterns ``left``
-    and ``right`` (each an (alpha, i)) with exponents e1, e2 in 0..bound, in
-    lexicographic order; each operand is built once."""
+def _rows(n: int, left: tuple[int, int], right: tuple[int, int], bound: int):
+    """(e1, u, rights) for every basis element u on the slot pattern
+    ``left`` (an (alpha, i)) with exponents e1 in 0..bound, in lexicographic
+    order; ``rights`` is the one list of (e2, v) for the basis elements v on
+    ``right``, in the same order.  Each operand is built once."""
     box = list(itertools.product(range(bound + 1), repeat=n))
     rights = [(e2, WittElement.basis(n, e2, *right)) for e2 in box]
     for e1 in box:
-        u = WittElement.basis(n, e1, *left)
-        yield from ((e1, e2, u, v) for e2, v in rights)
+        yield e1, WittElement.basis(n, e1, *left), rights
 
 
 #: the largest exponent bound ``structure_table`` accepts: the rank-two Lie
@@ -358,7 +363,9 @@ def structure_table(n: int, kind: str, bound: int) -> dict:
     The arguments are checked here, but ``"entries"`` is a single-pass
     generator that computes each entry as it is read, so a writer holds
     one entry at a time; there are ``len(table_patterns(n, kind)) *
-    (bound + 1) ** (2 * n)`` of them.
+    (bound + 1) ** (2 * n)`` of them.  Each basis element is one interned,
+    read-only ``FrozenDoc`` wherever it occurs, which ``cli.write_json``
+    encodes once.
     """
     patterns = table_patterns(n, kind)
     if not 0 <= bound <= MAX_TABLE_BOUND:
@@ -370,23 +377,24 @@ def structure_table(n: int, kind: str, bound: int) -> dict:
 
 def _table_entries(n: int, bracket, patterns, bound: int):
     """The entries of ``structure_table``, made one at a time.  A basis
-    element is one shared dict wherever it occurs, so entries are
-    read-only."""
-    docs: dict[WBasis, dict] = {}
+    element is one interned ``FrozenDoc`` wherever it occurs (its exponent
+    list is shared too), so entries are read-only."""
+    docs: dict[WBasis, FrozenDoc] = {}
 
-    def doc(b: WBasis) -> dict:
+    def doc(b: WBasis) -> FrozenDoc:
         d = docs.get(b)
         if d is None:
-            d = docs[b] = {"e": list(b.e), "alpha": _slot_name(n, b.alpha),
-                           "i": _slot_name(n, b.i)}
+            d = docs[b] = FrozenDoc(e=list(b.e), alpha=_slot_name(n, b.alpha),
+                                    i=_slot_name(n, b.i))
         return d
 
     for _, left, right in patterns:
-        for e1, e2, u, v in _instances(n, left, right, bound):
-            yield {"left": doc(WBasis(e1, *left)),
-                   "right": doc(WBasis(e2, *right)),
-                   "result": [{"coeff": str(c), "basis": doc(b)}
-                              for b, c in sorted(bracket(u, v).terms.items())]}
+        for e1, u, rights in _rows(n, left, right, bound):
+            left_doc = doc(WBasis(e1, *left))
+            for e2, v in rights:
+                yield {"left": left_doc, "right": doc(WBasis(e2, *right)),
+                       "result": [{"coeff": str(c), "basis": doc(b)} for b, c
+                                  in sorted(bracket(u, v).terms.items())]}
 
 
 @dataclass
@@ -417,11 +425,11 @@ class TableVerification:
         return sum(r.checked for r in self.rules)
 
 
-def _format_witt(v: WittElement, n: int) -> str:
-    if v.is_zero():
+def _format_witt(terms: dict[WBasis, Rational], n: int) -> str:
+    if not terms:
         return "0"
     parts = []
-    for b, c in sorted(v.terms.items()):
+    for b, c in sorted(terms.items()):
         name = (f"E[{','.join(map(str, b.e))};"
                 f"{_slot_name(n, b.alpha)},{_slot_name(n, b.i)}]")
         parts.append(f"{c}*{name}")
@@ -430,10 +438,12 @@ def _format_witt(v: WittElement, n: int) -> str:
 
 def verify_tables(bound: int = 3) -> TableVerification:
     """Exhaustively instantiate every embedded coefficient rule over the
-    exponent box 0..bound and compare with the computed brackets."""
+    exponent box 0..bound and compare with the computed brackets, term dict
+    against term dict."""
     out = []
     for n, rules in ((1, W1_RULES), (2, W2_LIE_RULES + W2_LEIBNIZ_RULES)):
         left_exps, right_exps = ("m", "p") if n == 1 else ("m,n", "p,q")
+        fill = (0,) * (2 - n)  # a rule reads (m, n, p, q); rank one has no n, q
         for rule in rules:
             bracket = lie_bracket if rule.table == "lie" else leibniz_bracket
             (al, il), (be, jr) = rule.left, rule.right
@@ -441,15 +451,17 @@ def verify_tables(bound: int = 3) -> TableVerification:
                 rule.table, rule.block,
                 f"E[{left_exps};{_slot_name(n, al)},{_slot_name(n, il)}]",
                 f"E[{right_exps};{_slot_name(n, be)},{_slot_name(n, jr)}]")
-            for e1, e2, u, v in _instances(n, rule.left, rule.right, bound):
-                got = bracket(u, v)
-                # a rule reads (m, n, p, q); rank one has no n and no q
-                want = rule.expected(n, *(e1 + (0,))[:2], *(e2 + (0,))[:2])
-                chk.checked += 1
-                if got != want:
-                    chk.mismatches.append({
-                        "at": [*e1, *e2],
-                        "computed": _format_witt(got, n),
-                        "expected": _format_witt(want, n)})
+            expected_terms = rule.expected_terms
+            for e1, u, rights in _rows(n, rule.left, rule.right, bound):
+                mn = e1 + fill
+                for e2, v in rights:
+                    got = bracket(u, v).terms
+                    want = expected_terms(n, *mn, *e2, *fill)
+                    if got != want:
+                        chk.mismatches.append({
+                            "at": [*e1, *e2],
+                            "computed": _format_witt(got, n),
+                            "expected": _format_witt(want, n)})
+                chk.checked += len(rights)
             out.append(chk)
     return TableVerification(bound, out)

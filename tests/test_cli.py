@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from permdiff import cli, spans
-from permdiff.algebra import DERIVED_PRODUCT_TAGS, DiffPermPoly
+from permdiff.algebra import DERIVED_PRODUCT_TAGS, DiffPermPoly, FrozenDoc
 from permdiff.cli import ParseError, main, parse_expr, pretty
 from permdiff.exprs import (
     Assoc,
@@ -423,6 +423,18 @@ class TestDispatch:
             "FAIL  n=3 variant=star dim=None formula=3 "
             "failed: degree 3: check 2"]
 
+    def test_unexpected_exception_exit_three(self, capsys, monkeypatch):
+        # a fault of the program is neither a usage error nor a verdict
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_table", broken)
+        code, out, err = run_cli(capsys, "table", "--n", "1", "--kind",
+                                 "lie", "--quiet")
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+        assert "Traceback" not in err
+
     def test_threads_env_validation(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMDIFF_THREADS", "not-a-number")
         code, out, err = run_cli(capsys, "check", "--suite", "d", "--quiet")
@@ -470,6 +482,23 @@ _json_values = st.recursive(
     max_leaves=30)
 
 
+@st.composite
+def _sharing_frozen_docs(draw):
+    """(doc, obj): a ``FrozenDoc`` (maybe holding another) and a document
+    that holds that one doc object at several depths."""
+    fields = st.dictionaries(st.text(max_size=6), _json_values, max_size=4)
+    doc = FrozenDoc(draw(fields))
+    if draw(st.booleans()):
+        doc = FrozenDoc(draw(fields), inner=doc)
+    tree = draw(st.recursive(
+        st.one_of(_json_leaves, st.just(doc)),
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.dictionaries(st.text(max_size=6), inner,
+                                                max_size=4)),
+        max_leaves=20))
+    return doc, [doc, {"in": [doc, tree]}, tree, doc]
+
+
 class TestJsonWriter:
     @staticmethod
     def written(obj):
@@ -488,6 +517,28 @@ class TestJsonWriter:
     def test_generators_are_written_as_lists(self, obj):
         assert self.written(_generators(obj)) == json.dumps(
             obj, indent=2, ensure_ascii=False)
+
+    @given(_sharing_frozen_docs())
+    @settings(max_examples=300)
+    def test_frozen_docs_match_json_dumps_at_every_depth(self, doc_obj):
+        doc, obj = doc_obj
+        want = json.dumps(obj, indent=2, ensure_ascii=False)
+        for _ in range(3):  # the later writes reuse the texts kept in doc
+            assert self.written(obj) == want
+        assert self.written(doc) == json.dumps(doc, indent=2,
+                                               ensure_ascii=False)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.__setitem__("e", [1]), lambda d: d.__delitem__("e"),
+        lambda d: d.__ior__({"e": [1]}), lambda d: d.clear(),
+        lambda d: d.pop("e"), lambda d: d.popitem(),
+        lambda d: d.setdefault("z", 1), lambda d: d.update(z=1),
+        lambda d: d.__init__(z=1)])
+    def test_frozen_doc_mutators_are_type_errors(self, mutate):
+        doc = FrozenDoc(e=[0, 1], alpha="x", i="y")
+        with pytest.raises(TypeError):
+            mutate(doc)
+        assert doc == {"e": [0, 1], "alpha": "x", "i": "y"}
 
     def test_empty_generator(self):
         assert self.written(x for x in ()) == "[]"

@@ -5,7 +5,7 @@ import types
 import pytest
 
 from permdiff import witt
-from permdiff.algebra import AlgebraError
+from permdiff.algebra import AlgebraError, FrozenDoc
 from permdiff.witt import (
     PermTensorElem,
     WittElement,
@@ -254,6 +254,16 @@ class TestStructureTable:
                                            * (bound + 1) ** (2 * n))
         assert list(entries) == []
 
+    def test_one_read_only_doc_per_basis_element(self):
+        docs = {}
+        for entry in structure_table(2, "lie", 2)["entries"]:
+            for d in [entry["left"], entry["right"],
+                      *(r["basis"] for r in entry["result"])]:
+                assert type(d) is FrozenDoc
+                key = (tuple(d["e"]), d["alpha"], d["i"])
+                assert docs.setdefault(key, d) is d
+        assert len(docs) > 2 * 9 * 4  # results reach past the box
+
     def test_unsupported_n(self):
         with pytest.raises(AlgebraError):
             structure_table(3, "lie", 1)
@@ -321,6 +331,62 @@ class TestVerifyTables:
         with pytest.raises(AlgebraError, match="bad Witt basis data"):
             rule.expected(2, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("exps, alpha", [
+        (lambda m, n, p, q: (m + p + 1,), 1),
+        (lambda m, n, p, q: (m - p - 1, n + q), 1),
+        (lambda m, n, p, q: (m + p + 1, n + q), 3),
+    ])
+    def test_expected_terms_refuses_bad_basis_data(self, exps, alpha):
+        rule = witt.BracketRule("lie", "bad", (1, 1), (1, 1),
+                                ((lambda *mnpq: 1, exps, alpha, 1),))
+        with pytest.raises(AlgebraError, match="bad Witt basis data"):
+            rule.expected_terms(2, 0, 0, 0, 0)
+
+    def test_expected_terms_match_expected(self):
+        for n, rule in _all_rules():
+            for m, n_, p, q in itertools.product(range(3), repeat=4):
+                if n == 1 and n_ + q:
+                    continue  # rank one has no n and no q
+                terms = rule.expected_terms(n, m, n_, p, q)
+                assert all(terms.values())
+                assert WittElement(n, dict(terms)) == rule.expected(
+                    n, m, n_, p, q)
+        # two targets that cancel leave no term
+        cancel = witt.BracketRule("lie", "cancel", (1, 1), (1, 1), (
+            (lambda *mnpq: 1, witt._exp_x, 1, 1),
+            (lambda *mnpq: -1, witt._exp_x, 1, 1)))
+        assert cancel.expected_terms(2, 0, 0, 0, 0) == {}
+        assert cancel.expected(2, 0, 0, 0, 0).is_zero()
+
+    @pytest.mark.parametrize("attr", [None, "W1_RULES", "W2_LIE_RULES",
+                                      "W2_LEIBNIZ_RULES"])
+    def test_verify_tables_matches_a_loop_over_witt_elements(
+            self, monkeypatch, attr):
+        # with attr, its first rule is off by one everywhere, as above
+        if attr is not None:
+            rules = getattr(witt, attr)
+            coeff, exps, alpha, i = rules[0].targets[0]
+            off_by_one = dataclasses.replace(rules[0], targets=(
+                (lambda *mnpq: coeff(*mnpq) + 1, exps, alpha, i),))
+            monkeypatch.setattr(witt, attr, (off_by_one,) + rules[1:])
+        slow = []
+        for n, rule in _all_rules():
+            bracket = lie_bracket if rule.table == "lie" else leibniz_bracket
+            box = list(itertools.product(range(3), repeat=n))
+            mismatches = []
+            for e1, e2 in itertools.product(box, box):
+                got = bracket(E(n, e1, *rule.left), E(n, e2, *rule.right))
+                want = rule.expected(n, *(e1 + (0,))[:2], *(e2 + (0,))[:2])
+                if got != want:
+                    mismatches.append({
+                        "at": [*e1, *e2],
+                        "computed": witt._format_witt(got.terms, n),
+                        "expected": witt._format_witt(want.terms, n)})
+            slow.append((len(box) ** 2, mismatches))
+        ver = verify_tables(2)
+        assert [(r.checked, r.mismatches) for r in ver.rules] == slow
+        assert ver.ok is (attr is None)
+
     def test_skew_block_consistency(self):
         # the derived block is exactly minus the mirrored mixed block
         for m, n, p, q in itertools.product(range(3), repeat=4):
@@ -329,6 +395,12 @@ class TestVerifyTables:
                 lhs = lie_bracket(E(2, (m, n), al, il), E(2, (p, q), be, jr))
                 rhs = lie_bracket(E(2, (p, q), be, jr), E(2, (m, n), al, il))
                 assert lhs == rhs.scale(-1)
+
+
+def _all_rules():
+    """(n, rule) for every embedded rule, read from the module as it is."""
+    return [(1, r) for r in witt.W1_RULES] + [
+        (2, r) for r in witt.W2_LIE_RULES + witt.W2_LEIBNIZ_RULES]
 
 
 def _patterns(table):

@@ -51,7 +51,6 @@ from .exprs import (
     Var,
     Verdict,
     check_identity,
-    desugar,
     eval_delta,
     eval_expr,
     eval_on_generators,

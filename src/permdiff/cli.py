@@ -613,6 +613,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early: say nothing, point stdout at the
+        # null device so the interpreter's last flush cannot fail again, and
+        # exit as a process killed by SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         sys.stderr.write(f"{exc}\n")
         return 2

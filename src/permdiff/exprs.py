@@ -20,7 +20,7 @@ perm algebra with a δ-derivation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping, Union
@@ -138,74 +138,29 @@ def _associator(prod: Callable, a, b, c):
     return prod(prod(a, b), c) - prod(a, prod(b, c))
 
 
-def _rebuild(e: Expr, post: Callable[[Expr], Expr]) -> Expr:
-    """Rebuild ``e`` bottom-up: every node is remade from its rebuilt operands
-    and passed to ``post``, whose result takes its place.  The memo is keyed
-    by the frozen node itself, so equal subtrees are visited once however
-    they are shared."""
-    memo: dict[Expr, Expr] = {}
-
-    def rec(node: Expr) -> Expr:
-        if not isinstance(node, Expr):
-            raise AlgebraError(f"not an expression node: {node!r}")
-        got = memo.get(node)
-        if got is None:
-            parts = []
-            for f in fields(node):
-                val = getattr(node, f.name)
-                if isinstance(val, Expr):
-                    val = rec(val)
-                elif isinstance(val, tuple):
-                    val = tuple(map(rec, val))
-                parts.append(val)
-            got = memo[node] = post(type(node)(*parts))
-        return got
-
-    return rec(e)
-
-
-def desugar(e: Expr) -> Expr:
-    """Expand derived products, associators and brackets into the primitive
-    nodes Var / Mul / Der / Scale / Sum / Star."""
-    def expand(node: Expr) -> Expr:
-        if isinstance(node, Assoc):
-            return desugar(_associator(lambda x, y: DerOp(node.tag, x, y),
-                                       node.a, node.b, node.c))
-        if not isinstance(node, DerOp):
-            return node
-        summands = DERIVED_PRODUCTS.get(node.tag)
-        if summands is None:
-            raise AlgebraError(f"unknown derived product tag: {node.tag!r}")
-        terms = []
-        for sign, swap, left_derived in summands:
-            u, v = (node.rhs, node.lhs) if swap else (node.lhs, node.rhs)
-            t = Mul(Der(u), v) if left_derived else Mul(u, Der(v))
-            terms.append(t if sign > 0 else Scale(-1, t))
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-    return _rebuild(e, expand)
-
-
-def substitute_delta(e: Expr, value) -> Expr:
-    """Replace delta-polynomial scalar coefficients by their value at a
-    concrete rational delta."""
-    def subs(node: Expr) -> Expr:
-        if isinstance(node, Scale) and isinstance(node.coeff, DeltaPoly):
-            return Scale(node.coeff.subs(value), node.body)
-        return node
-
-    return _rebuild(e, subs)
-
-
 def used_vars(e: Expr) -> set[int]:
+    """Indices of the variables ``e`` uses.  Each node object is visited
+    once, however often the tree shares it."""
     out: set[int] = set()
-
-    def note(node: Expr) -> Expr:
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if isinstance(node, Var):
             out.add(node.index)
-        return node
-
-    _rebuild(e, note)
+        elif isinstance(node, (Mul, DerOp)):
+            stack += (node.lhs, node.rhs)
+        elif isinstance(node, (Der, Star, Scale)):
+            stack.append(node.body)
+        elif isinstance(node, Sum):
+            stack.extend(node.terms)
+        elif isinstance(node, Assoc):
+            stack += (node.a, node.b, node.c)
+        else:
+            raise AlgebraError(f"not an expression node: {node!r}")
     return out
 
 
@@ -320,17 +275,18 @@ def eval_delta(e: Expr, subst: Mapping[int, DiffPermPoly],
 
     Derivation nodes are pushed through the syntactic product structure of
     the tree; k stacked derivations crossing one product node contribute
-    δ^k and a binomial spread.  At a leaf, D just raises the derivative
-    order of the generator.  Substituting anything other than a scalar
-    multiple of a single generator under a derivation is rejected: the rule
-    does not act on flattened monomials.
+    δ^k and a binomial spread.  A derived product is spread by its summands
+    in ``DERIVED_PRODUCTS``, each a product with one side derived once more,
+    and an associator by its two derived products.  At a leaf, D just raises
+    the derivative order of the generator.  Substituting anything other than
+    a scalar multiple of a single generator under a derivation is rejected:
+    the rule does not act on flattened monomials.
     """
     if not ctx.delta:
         raise AlgebraError("eval_delta requires a δ context")
     if ctx.arity != 1:
         raise AlgebraError("δ evaluation is single-derivation")
     _check_subst(subst, ctx)
-    tree = desugar(e)
     cache: dict[tuple[Expr, int], DiffPermPoly] = {}
     delta_pows = [DeltaPoly.const(1), DELTA]
 
@@ -338,6 +294,17 @@ def eval_delta(e: Expr, subst: Mapping[int, DiffPermPoly],
         while len(delta_pows) <= k:
             delta_pows.append(delta_pows[-1] * DELTA)
         return delta_pows[k]
+
+    def spread(lhs: Expr, i: int, rhs: Expr, j: int, k: int) -> DiffPermPoly:
+        """k derivations crossing the product D^i(lhs) D^j(rhs):
+        δ^k Σ_r C(k, r) D^(i+r)(lhs) D^(j+k-r)(rhs)."""
+        if k == 0:
+            return rec(lhs, i) * rec(rhs, j)
+        val = DiffPermPoly.zero(ctx)
+        for r in range(k + 1):
+            term = rec(lhs, i + r) * rec(rhs, j + k - r)
+            val = val + term.scale(comb(k, r))
+        return val.scale(dpow(k))
 
     def rec(node: Expr, k: int) -> DiffPermPoly:
         key = (node, k)
@@ -363,14 +330,19 @@ def eval_delta(e: Expr, subst: Mapping[int, DiffPermPoly],
                 raise AlgebraError("δ evaluation is single-derivation")
             val = rec(node.body, k + 1)
         elif isinstance(node, Mul):
-            if k == 0:
-                val = rec(node.lhs, 0) * rec(node.rhs, 0)
-            else:
-                val = DiffPermPoly.zero(ctx)
-                for i in range(k + 1):
-                    term = rec(node.lhs, i) * rec(node.rhs, k - i)
-                    val = val + term.scale(comb(k, i))
-                val = val.scale(dpow(k))
+            val = spread(node.lhs, 0, node.rhs, 0, k)
+        elif isinstance(node, DerOp):
+            summands = DERIVED_PRODUCTS.get(node.tag)
+            if summands is None:
+                raise AlgebraError(f"unknown derived product tag: {node.tag!r}")
+            val = DiffPermPoly.zero(ctx)
+            for sign, swap, left_derived in summands:
+                u, w = (node.rhs, node.lhs) if swap else (node.lhs, node.rhs)
+                t = spread(u, int(left_derived), w, int(not left_derived), k)
+                val = val + t if sign > 0 else val - t
+        elif isinstance(node, Assoc):
+            val = rec(_associator(lambda a, b: DerOp(node.tag, a, b),
+                                  node.a, node.b, node.c), k)
         elif isinstance(node, Scale):
             val = rec(node.body, k).scale(_coerce_scalar(node.coeff, ctx))
         elif isinstance(node, Sum):
@@ -380,11 +352,11 @@ def eval_delta(e: Expr, subst: Mapping[int, DiffPermPoly],
         elif isinstance(node, Star):
             raise AlgebraError("star is not defined in a δ context")
         else:
-            raise AlgebraError(f"not a primitive node: {node!r}")
+            raise AlgebraError(f"not an expression node: {node!r}")
         cache[key] = val
         return val
 
-    return rec(tree, 0)
+    return rec(e, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -128,36 +128,10 @@ def h0(f: DiffPermPoly, k: int, y: int | None = None,
     return rename_vars(f, {k: y}) * gz - rename_vars(f, {k: z}) * gy
 
 
-def _detect_roles(h: DiffPermPoly) -> tuple[int, int, int]:
-    """Recover (y, z, u) from a polynomial in the pipeline normal shape."""
-    if h.is_zero():
-        raise AlgebraError("h_step: zero polynomial has no shape")
-    lasts = {m.last for m in h.terms}
-    if len(lasts) != 1:
-        raise AlgebraError("h_step: expected a common final factor u, found "
-                           f"{len(lasts)} distinct final factors")
-    usym = next(iter(lasts))
-    if any(usym.dord):
-        raise AlgebraError("h_step: the common final factor must be underived")
-    u = usym.var
-    candidates = sorted({s.var for m in h.terms for s in m.left
-                         if s.order >= 1})
-    pairs = []
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            a, b = candidates[i], candidates[j]
-            if rename_vars(h, {a: b, b: a}) == -h:
-                pairs.append((a, b))
-    if not pairs:
-        raise AlgebraError("h_step: no variable pair (y, z) with "
-                           "h(z, y) = -h(y, z) found")
-    y, z = max(pairs, key=lambda ab: (ab[1], ab[0]))
-    return y, z, u
-
-
 def h_step(h: DiffPermPoly, t: int,
-           roles: tuple[int, int, int] | None = None) -> DiffPermPoly:
-    """One derivative-order-lowering step with a fresh variable t:
+           roles: tuple[int, int, int]) -> DiffPermPoly:
+    """One derivative-order-lowering step with a fresh variable t, for
+    roles = (y, z, u):
 
         h(y t, z) u - h(y, z) t u - h(z t, y) u + h(z, y) t u
 
@@ -165,8 +139,6 @@ def h_step(h: DiffPermPoly, t: int,
     A = h[y -> y t] - h[u -> t u].  The top index drops by one and the new
     leading coefficient is the old one times (top index) * t'.
     """
-    if roles is None:
-        roles = _detect_roles(h)
     y, z, u = roles
     A = _final_step(h, t, y, u)
     return A - rename_vars(A, {y: z, z: y})

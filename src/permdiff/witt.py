@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
-from .algebra import AlgebraError, FrozenDoc, LinearCombination
-
-Rational = Union[int, Fraction]
+from .algebra import AlgebraError, FrozenDoc, LinearCombination, Rational
 
 
 class TBasis(NamedTuple):

@@ -307,6 +307,19 @@ class TestDispatch:
         assert r.returncode == code
         assert want in (r.stdout if code == 0 else r.stderr)
 
+    def test_closed_stdout_exits_141_silently(self):
+        # a reader that stops early (``| head -c 10``) breaks the pipe
+        # while the table is still being written
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "permdiff", "table", "--n", "2", "--kind",
+             "lie", "--bound", "6", "--quiet"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b'{\n  "n": 2'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""
+
     def test_table_bound_above_the_cap_usage_error(self, capsys):
         for bound in ("100000000000000000000", str(MAX_TABLE_BOUND + 1)):
             code, out, err = run_cli(capsys, "table", "--n", "1", "--kind",

@@ -14,6 +14,7 @@ from permdiff.algebra import (
     Context,
     DELTA,
     DERIVED_PRODUCT_TAGS,
+    DeltaPoly,
     DiffPermPoly,
     apply_substitution,
     derived_product,
@@ -37,12 +38,10 @@ from permdiff.exprs import (
     SUITE_IDS,
     Var,
     check_identity,
-    desugar,
     eval_delta,
     eval_expr,
     run_suite,
     standard_identity,
-    substitute_delta,
     suite_cases,
     used_vars,
     v,
@@ -84,29 +83,32 @@ class TestEval:
     def test_star_node(self):
         assert eval_expr(Star(Mul(v(1), v(2))), gens(2)) == (x(1) * x(2)).star()
 
-    def test_desugar_preserves_value(self):
-        e = Assoc("diamond", v(1), DerOp("bullet", v(2), v(3)), v(4))
-        assert eval_expr(desugar(e), gens(4)) == eval_expr(e, gens(4))
-
-    def test_desugar_spells_each_product(self):
-        a, b = v(1), v(2)
-        want = {
-            "prec": Mul(a, Der(b)),
-            "succ": Mul(Der(a), b),
-            "loz": Sum((Mul(a, Der(b)), Mul(b, Der(a)))),
-            "bullet": Sum((Mul(Der(a), b), Mul(a, Der(b)))),
-            "diamond": Sum((Mul(a, Der(b)), Scale(-1, Mul(b, Der(a))))),
-            "circ": Sum((Mul(Der(a), b), Scale(-1, Mul(a, Der(b))))),
+    def test_eval_delta_spreads_each_product_by_its_summands(self):
+        spelled = {
+            "prec": lambda a, b: Mul(a, Der(b)),
+            "succ": lambda a, b: Mul(Der(a), b),
+            "loz": lambda a, b: Sum((Mul(a, Der(b)), Mul(b, Der(a)))),
+            "bullet": lambda a, b: Sum((Mul(Der(a), b), Mul(a, Der(b)))),
+            "diamond": lambda a, b: Sum((Mul(a, Der(b)),
+                                         Scale(-1, Mul(b, Der(a))))),
+            "circ": lambda a, b: Sum((Mul(Der(a), b),
+                                      Scale(-1, Mul(a, Der(b))))),
         }
-        assert tuple(want) == DERIVED_PRODUCT_TAGS
-        for tag, tree in want.items():
-            assert desugar(DerOp(tag, a, b)) == tree
-            assoc = desugar(Assoc(tag, a, b, v(3)))
-            assert assoc == Sum((desugar(DerOp(tag, DerOp(tag, a, b), v(3))),
-                                 Scale(-1, desugar(DerOp(tag, a, DerOp(
-                                     tag, b, v(3)))))))
+        assert tuple(spelled) == DERIVED_PRODUCT_TAGS
+        a, b, c = v(1), v(2), v(3)
+        sub = gens(3, CTX_DELTA)
+        for tag, spell in spelled.items():
+            pairs = [(DerOp(tag, a, b), spell(a, b)),
+                     (Bracket(tag, b, a), spell(b, a)),
+                     (Assoc(tag, a, b, c),
+                      spell(spell(a, b), c) - spell(a, spell(b, c)))]
+            for node, tree in pairs:
+                for k in range(3):
+                    assert eval_delta(node, sub) == eval_delta(tree, sub), \
+                        (tag, node, k)
+                    node, tree = Der(node), Der(tree)
         with pytest.raises(AlgebraError, match="unknown derived product"):
-            desugar(DerOp("wedge", a, b))
+            eval_delta(DerOp("wedge", a, b), sub)
 
 
 def _tree_strategy(max_depth=3, nvars=3):
@@ -157,15 +159,19 @@ def reference_eval(e, subst):
     return rec(e)
 
 
-def _clone(e):
-    """A structurally equal copy of ``e`` that shares no node with it."""
+def _clone(e, delta=None):
+    """A structurally equal copy of ``e`` that shares no node with it; with
+    ``delta`` given, its δ-polynomial scale factors are evaluated there."""
+    if (delta is not None and isinstance(e, Scale)
+            and isinstance(e.coeff, DeltaPoly)):
+        return Scale(e.coeff.subs(delta), _clone(e.body, delta))
     parts = []
     for f in dataclasses.fields(e):
         val = getattr(e, f.name)
         if isinstance(val, Expr):
-            val = _clone(val)
+            val = _clone(val, delta)
         elif isinstance(val, tuple):
-            val = tuple(_clone(t) for t in val)
+            val = tuple(_clone(t, delta) for t in val)
         parts.append(val)
     return type(e)(*parts)
 
@@ -295,7 +301,7 @@ class TestEvalDelta:
         for sid in ("a", "b", "c", "d", "e", "f"):
             for case in suite_cases(sid):
                 nvars = case.nvars
-                plain = eval_expr(substitute_delta(case.expr, 1), gens(nvars))
+                plain = eval_expr(_clone(case.expr, 1), gens(nvars))
                 dval = eval_delta(case.expr, gens(nvars, CTX_DELTA))
                 assert specialize_delta(dval, 1) == plain, case.name
 

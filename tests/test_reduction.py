@@ -1,4 +1,6 @@
+from functools import reduce
 from math import factorial
+from operator import mul
 
 import hypothesis.strategies as st
 import pytest
@@ -42,6 +44,30 @@ def multilinear_st(nvars=3, max_order=2):
         st.integers(0, nvars - 1),
         st.integers(-3, 3).filter(bool))
     return st.lists(row, min_size=1, max_size=4).map(build)
+
+
+@st.composite
+def replay_inputs(draw):
+    """Multilinear inputs in 2-4 variables with derivative orders 0..2 and
+    small coefficients: a random combination, the difference of two
+    orderings of one factor multiset (a right annihilator), or the sum of
+    both."""
+    nvars = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("random", "difference", "sum")))
+    f = DiffPermPoly.zero()
+    if kind != "difference":
+        f = draw(multilinear_st(nvars, 2))
+    if kind != "random":
+        orders = draw(st.tuples(*[st.integers(0, 2)] * nvars))
+        first = draw(st.permutations(
+            [x(i + 1, order) for i, order in enumerate(orders)]))
+        # the second ordering ends in another factor, so the two differ
+        second = list(first)
+        j = draw(st.integers(0, nvars - 2))
+        second[j], second[-1] = second[-1], second[j]
+        f = f + (reduce(mul, first) - reduce(mul, second)).scale(
+            draw(st.integers(-3, 3).filter(bool)))
+    return f
 
 
 class TestDecompose:
@@ -151,11 +177,6 @@ class TestHStep:
         got = h_step(h, t, roles=(y, z, u))
         assert got == self._oracle(coeffs, 3, y, z, t, u)
 
-    def test_role_detection_agrees_with_explicit_roles(self):
-        y, z, t, u = 3, 4, 5, 6
-        h = x(1) * (x(y, 2) * x(z) - x(z, 2) * x(y)) * x(u)
-        assert h_step(h, t) == h_step(h, t, roles=(y, z, u))
-
     def test_closed_form_after_all_steps(self):
         # n-1 steps turn the top coefficient into n! c_n t_1'..t_{n-1}'
         for n in (2, 3):
@@ -181,16 +202,6 @@ class TestHStep:
             alt = (alt * (x(y, 1) * x(z) - x(y) * x(z, 1))
                    * x(u)).scale(factorial(n))
             assert H == alt
-
-    def test_shape_error_no_common_last(self):
-        bad = x(1) * x(2, 1) + x(2, 1) * x(1)
-        with pytest.raises(AlgebraError, match="final factor"):
-            h_step(bad, 9)
-
-    def test_shape_error_no_antisymmetric_pair(self):
-        bad = x(1, 1) * x(2) * x(3)
-        with pytest.raises(AlgebraError, match="h_step"):
-            h_step(bad, 9)
 
 
 def replay_trace(result, original):
@@ -398,12 +409,14 @@ class TestReduce:
             current = step.poly if step is not None else None
         assert f"pass{passes + 1}:h0" not in steps
 
-    @given(multilinear_st(nvars=2, max_order=2))
-    @settings(max_examples=40)
+    @given(replay_inputs())
+    @settings(max_examples=50, deadline=None)
     def test_trace_replays_for_random_inputs(self, f):
-        if f.is_zero() or annihilator_test(f):
+        if f.is_zero():
             return
         r = reduce_identity(f)
+        assert r.outcome == (OUTCOME_RIGHT_ANNIHILATOR if annihilator_test(f)
+                             else OUTCOME_DERIVATIVE_ONLY)
         assert replay_trace(r, f) == len(r.trace)
 
 

@@ -54,6 +54,35 @@ def gens(n, ctx=CTX_Q):
     return {i: DiffPermPoly.generator(i, 0, ctx) for i in range(1, n + 1)}
 
 
+# Each derived product spelled by hand as its summands of ``Mul``/``Der``.
+SPELLED = {
+    "prec": lambda a, b: Mul(a, Der(b)),
+    "succ": lambda a, b: Mul(Der(a), b),
+    "loz": lambda a, b: Sum((Mul(a, Der(b)), Mul(b, Der(a)))),
+    "bullet": lambda a, b: Sum((Mul(Der(a), b), Mul(a, Der(b)))),
+    "diamond": lambda a, b: Sum((Mul(a, Der(b)), Scale(-1, Mul(b, Der(a))))),
+    "circ": lambda a, b: Sum((Mul(Der(a), b), Scale(-1, Mul(a, Der(b))))),
+}
+
+
+def desugar(e):
+    """``e`` with every derived product and associator spelled out by
+    ``SPELLED``: an oracle tree of ``Mul``/``Der``/``Sum``/``Scale`` only."""
+    if isinstance(e, DerOp):
+        return SPELLED[e.tag](desugar(e.lhs), desugar(e.rhs))
+    if isinstance(e, Assoc):
+        a, b, c = desugar(e.a), desugar(e.b), desugar(e.c)
+        spell = SPELLED[e.tag]
+        return spell(spell(a, b), c) - spell(a, spell(b, c))
+    if isinstance(e, Var):
+        return e
+    if isinstance(e, Sum):
+        return Sum(tuple(desugar(t) for t in e.terms))
+    if isinstance(e, (Der, Star, Scale)):
+        return dataclasses.replace(e, body=desugar(e.body))
+    return Mul(desugar(e.lhs), desugar(e.rhs))
+
+
 class TestEval:
     def test_mul_der(self):
         e = Mul(Var(1), Der(Var(2)))
@@ -83,26 +112,25 @@ class TestEval:
     def test_star_node(self):
         assert eval_expr(Star(Mul(v(1), v(2))), gens(2)) == (x(1) * x(2)).star()
 
-    def test_eval_delta_spreads_each_product_by_its_summands(self):
-        spelled = {
-            "prec": lambda a, b: Mul(a, Der(b)),
-            "succ": lambda a, b: Mul(Der(a), b),
-            "loz": lambda a, b: Sum((Mul(a, Der(b)), Mul(b, Der(a)))),
-            "bullet": lambda a, b: Sum((Mul(Der(a), b), Mul(a, Der(b)))),
-            "diamond": lambda a, b: Sum((Mul(a, Der(b)),
-                                         Scale(-1, Mul(b, Der(a))))),
-            "circ": lambda a, b: Sum((Mul(Der(a), b),
-                                      Scale(-1, Mul(a, Der(b))))),
-        }
-        assert tuple(spelled) == DERIVED_PRODUCT_TAGS
+    def test_desugar_preserves_value(self):
+        e = Assoc("diamond", v(1), DerOp("bullet", v(2), v(3)), v(4))
+        assert eval_expr(desugar(e), gens(4)) == eval_expr(e, gens(4))
+        sub = gens(4, CTX_DELTA)
+        for k in range(3):
+            assert eval_delta(desugar(e), sub) == eval_delta(e, sub), k
+            e = Der(e)
+
+    def test_desugar_spells_each_product(self):
+        assert tuple(SPELLED) == DERIVED_PRODUCT_TAGS
         a, b, c = v(1), v(2), v(3)
         sub = gens(3, CTX_DELTA)
-        for tag, spell in spelled.items():
+        for tag, spell in SPELLED.items():
             pairs = [(DerOp(tag, a, b), spell(a, b)),
                      (Bracket(tag, b, a), spell(b, a)),
                      (Assoc(tag, a, b, c),
                       spell(spell(a, b), c) - spell(a, spell(b, c)))]
             for node, tree in pairs:
+                assert desugar(node) == tree, (tag, node)
                 for k in range(3):
                     assert eval_delta(node, sub) == eval_delta(tree, sub), \
                         (tag, node, k)

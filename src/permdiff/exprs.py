@@ -9,12 +9,19 @@ endomorphism of the free algebra commuting with all the operations, so the
 generator substitution is the universal one (this is itself a tested
 property, not an act of faith).
 
-Two evaluation modes exist: the ordinary one, where the derivation acts on
-normal forms, and a δ-parametric one, where a derivation node is pushed
-through the syntactic product structure with the rule
-D(uv) = δ(D(u)v + uD(v)) and bottoms out at generator leaves.  In the
-second mode a zero normal form over Q[δ] certifies the identity in every
-perm algebra with a δ-derivation.
+One memoised traversal evaluates a tree in both contexts.  It computes
+D^k of a node's value, with the six derived products read as signed
+products from ``DERIVED_PRODUCTS``, an associator as its two derived
+products, and a sum by bilinearity: its products that share the operation
+and a structurally equal left operand are evaluated as one product whose
+right operand is the weighted sum of theirs, so a sum of right-nested
+products is evaluated along its prefix tree.  The memo is keyed by the
+frozen node itself, so equal subtrees are evaluated once however they were
+built.  In the ordinary context D^k derives the memoised D^(k-1) normal
+form.  In a δ context D^k is pushed through the syntactic product structure
+with the rule D(uv) = δ(D(u)v + uD(v)), which is the Leibniz rule at δ = 1,
+and bottoms out at generator leaves; there a zero normal form over Q[δ]
+certifies the identity in every perm algebra with a δ-derivation.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from .algebra import (
     Monomial,
     Scalar,
     _coerce_scalar,
-    derived_product,
 )
 
 
@@ -132,12 +138,6 @@ def v(i: int) -> Var:
     return Var(i)
 
 
-def _associator(prod: Callable, a, b, c):
-    """(a, b, c) = prod(prod(a, b), c) - prod(a, prod(b, c)), for trees and
-    for polynomials alike."""
-    return prod(prod(a, b), c) - prod(a, prod(b, c))
-
-
 def used_vars(e: Expr) -> set[int]:
     """Indices of the variables ``e`` uses.  Each node object is visited
     once, however often the tree shares it."""
@@ -192,27 +192,34 @@ def _linear_terms(node: Expr, ctx: Context) -> list[tuple[Scalar, Expr]]:
     return out
 
 
-def eval_expr(e: Expr, subst: Mapping[int, DiffPermPoly],
-              ctx: Context = CTX_Q) -> DiffPermPoly:
-    """Structural evaluation with the ordinary derivation.
-
-    Every variable must be bound; derived products and star require a
-    single-derivation rational context.
-
-    A linear combination is expanded by bilinearity: its products that share
-    the operation and a structurally equal left operand are evaluated as one
-    product whose right operand is the weighted sum of theirs.  That sum is
-    grouped again in turn, so a sum of right-nested products is evaluated
-    along its prefix tree instead of summand by summand.  The memo is keyed
-    by the frozen node itself, so equal subtrees are evaluated once however
-    they were built.
-    """
-    if ctx.delta:
-        raise AlgebraError("δ context: use eval_delta")
+def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
+              ctx: Context) -> DiffPermPoly:
+    """D^0 of ``e`` through ``rec(node, k)``, which is D^k of the node's
+    value, memoised on the frozen node and k.  In the ordinary context D^k
+    for k > 0 derives the memoised D^(k-1) normal form; in a δ context it is
+    pushed down to the generators by the δ-rule."""
     _check_subst(subst, ctx)
-    cache: dict[Expr, DiffPermPoly] = {}
+    cache: dict[Expr, dict[int, DiffPermPoly]] = {}
+    delta_pows = [DeltaPoly.const(1), DELTA]
 
-    def combine(node: Expr) -> DiffPermPoly:
+    def spread(lhs: Expr, i: int, rhs: Expr, j: int, k: int) -> DiffPermPoly:
+        """k δ-derivations crossing the product D^i(lhs) D^j(rhs):
+        δ^k Σ_r C(k, r) D^(i+r)(lhs) D^(j+k-r)(rhs)."""
+        if k == 0:
+            return rec(lhs, i) * rec(rhs, j)
+        val = DiffPermPoly.zero(ctx)
+        for r in range(k + 1):
+            term = rec(lhs, i + r) * rec(rhs, j + k - r)
+            val = val + term.scale(comb(k, r))
+        while len(delta_pows) <= k:
+            delta_pows.append(delta_pows[-1] * DELTA)
+        return val.scale(delta_pows[k])
+
+    def combine(node: Expr, k: int) -> DiffPermPoly:
+        """D^k of a linear combination, by bilinearity: its products that
+        share the operation and a structurally equal left operand are
+        evaluated as one product whose right operand is the weighted sum of
+        theirs."""
         terms: list[tuple[Scalar, Expr]] = []
         groups: dict[tuple, list[tuple[Scalar, Expr]]] = {}
         for c, t in _linear_terms(node, ctx):
@@ -232,86 +239,20 @@ def eval_expr(e: Expr, subst: Mapping[int, DiffPermPoly],
         acc: dict[Monomial, Scalar] = {}
         get = acc.get
         for c, t in terms:
-            for m, x in rec(t).terms.items():
+            for m, x in rec(t, k).terms.items():
                 acc[m] = get(m, 0) + (x if c == 1 else c * x)
         return DiffPermPoly(ctx, acc)
 
-    def rec(node: Expr) -> DiffPermPoly:
-        got = cache.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Var):
-            if node.index not in subst:
-                raise AlgebraError(f"unbound variable x{node.index}")
-            val = subst[node.index]
-        elif isinstance(node, Mul):
-            val = rec(node.lhs) * rec(node.rhs)
-        elif isinstance(node, Der):
-            val = rec(node.body).derive(node.axis)
-        elif isinstance(node, DerOp):
-            if ctx.arity != 1:
-                raise AlgebraError("derived products require a single derivation")
-            val = derived_product(node.tag, rec(node.lhs), rec(node.rhs))
-        elif isinstance(node, Assoc):
-            if ctx.arity != 1:
-                raise AlgebraError("derived products require a single derivation")
-            val = _associator(lambda x, y: derived_product(node.tag, x, y),
-                              rec(node.a), rec(node.b), rec(node.c))
-        elif isinstance(node, Star):
-            val = rec(node.body).star()
-        elif isinstance(node, (Scale, Sum)):
-            val = combine(node)
-        else:
-            raise AlgebraError(f"not an expression node: {node!r}")
-        cache[node] = val
-        return val
-
-    return rec(e)
-
-
-def eval_delta(e: Expr, subst: Mapping[int, DiffPermPoly],
-               ctx: Context = CTX_DELTA) -> DiffPermPoly:
-    """Evaluation with the δ-scaled Leibniz rule D(uv) = δ(D(u)v + uD(v)).
-
-    Derivation nodes are pushed through the syntactic product structure of
-    the tree; k stacked derivations crossing one product node contribute
-    δ^k and a binomial spread.  A derived product is spread by its summands
-    in ``DERIVED_PRODUCTS``, each a product with one side derived once more,
-    and an associator by its two derived products.  At a leaf, D just raises
-    the derivative order of the generator.  Substituting anything other than
-    a scalar multiple of a single generator under a derivation is rejected:
-    the rule does not act on flattened monomials.
-    """
-    if not ctx.delta:
-        raise AlgebraError("eval_delta requires a δ context")
-    if ctx.arity != 1:
-        raise AlgebraError("δ evaluation is single-derivation")
-    _check_subst(subst, ctx)
-    cache: dict[tuple[Expr, int], DiffPermPoly] = {}
-    delta_pows = [DeltaPoly.const(1), DELTA]
-
-    def dpow(k: int) -> DeltaPoly:
-        while len(delta_pows) <= k:
-            delta_pows.append(delta_pows[-1] * DELTA)
-        return delta_pows[k]
-
-    def spread(lhs: Expr, i: int, rhs: Expr, j: int, k: int) -> DiffPermPoly:
-        """k derivations crossing the product D^i(lhs) D^j(rhs):
-        δ^k Σ_r C(k, r) D^(i+r)(lhs) D^(j+k-r)(rhs)."""
-        if k == 0:
-            return rec(lhs, i) * rec(rhs, j)
-        val = DiffPermPoly.zero(ctx)
-        for r in range(k + 1):
-            term = rec(lhs, i + r) * rec(rhs, j + k - r)
-            val = val + term.scale(comb(k, r))
-        return val.scale(dpow(k))
-
     def rec(node: Expr, k: int) -> DiffPermPoly:
-        key = (node, k)
-        got = cache.get(key)
+        memo = cache.setdefault(node, {})
+        got = memo.get(k)
         if got is not None:
             return got
-        if isinstance(node, Var):
+        if isinstance(node, Der) and node.axis == 1:
+            val = rec(node.body, k + 1)
+        elif k and not ctx.delta:
+            val = rec(node, k - 1).derive()
+        elif isinstance(node, Var):
             if node.index not in subst:
                 raise AlgebraError(f"unbound variable x{node.index}")
             val = subst[node.index]
@@ -326,37 +267,70 @@ def eval_delta(e: Expr, subst: Mapping[int, DiffPermPoly],
                 val = DiffPermPoly(ctx, {Monomial((), m.last.derived(0, k)): c},
                                    _owned=True)
         elif isinstance(node, Der):
-            if node.axis != 1:
+            if ctx.delta:
                 raise AlgebraError("δ evaluation is single-derivation")
-            val = rec(node.body, k + 1)
+            val = rec(node.body, 0).derive(node.axis)
         elif isinstance(node, Mul):
             val = spread(node.lhs, 0, node.rhs, 0, k)
         elif isinstance(node, DerOp):
+            if ctx.arity != 1:
+                raise AlgebraError("derived products require a single derivation")
             summands = DERIVED_PRODUCTS.get(node.tag)
             if summands is None:
                 raise AlgebraError(f"unknown derived product tag: {node.tag!r}")
-            val = DiffPermPoly.zero(ctx)
+            val = None
             for sign, swap, left_derived in summands:
                 u, w = (node.rhs, node.lhs) if swap else (node.lhs, node.rhs)
                 t = spread(u, int(left_derived), w, int(not left_derived), k)
-                val = val + t if sign > 0 else val - t
+                if sign < 0:
+                    t = -t
+                val = t if val is None else val + t
         elif isinstance(node, Assoc):
-            val = rec(_associator(lambda a, b: DerOp(node.tag, a, b),
-                                  node.a, node.b, node.c), k)
-        elif isinstance(node, Scale):
-            val = rec(node.body, k).scale(_coerce_scalar(node.coeff, ctx))
-        elif isinstance(node, Sum):
-            val = DiffPermPoly.zero(ctx)
-            for t in node.terms:
-                val = val + rec(t, k)
+            tag, a, b, c = node.tag, node.a, node.b, node.c
+            val = rec(DerOp(tag, DerOp(tag, a, b), c)
+                      - DerOp(tag, a, DerOp(tag, b, c)), k)
         elif isinstance(node, Star):
-            raise AlgebraError("star is not defined in a δ context")
+            if ctx.delta:
+                raise AlgebraError("star is not defined in a δ context")
+            val = rec(node.body, 0).star()
+        elif isinstance(node, (Scale, Sum)):
+            val = combine(node, k)
         else:
             raise AlgebraError(f"not an expression node: {node!r}")
-        cache[key] = val
+        memo[k] = val
         return val
 
     return rec(e, 0)
+
+
+def eval_expr(e: Expr, subst: Mapping[int, DiffPermPoly],
+              ctx: Context = CTX_Q) -> DiffPermPoly:
+    """Structural evaluation with the ordinary derivation.
+
+    Every variable must be bound; derived products and star require a
+    single-derivation rational context.  A sum is expanded by bilinearity
+    along the prefix tree of its products, and equal subtrees are evaluated
+    once however they were built (see the module docstring).
+    """
+    if ctx.delta:
+        raise AlgebraError("δ context: use eval_delta")
+    return _evaluate(e, subst, ctx)
+
+
+def eval_delta(e: Expr, subst: Mapping[int, DiffPermPoly],
+               ctx: Context = CTX_DELTA) -> DiffPermPoly:
+    """Evaluation with the δ-scaled Leibniz rule D(uv) = δ(D(u)v + uD(v)).
+
+    Derivations are pushed through the syntactic product structure of the
+    tree down to the generators (see the module docstring).  Substituting
+    anything other than a scalar multiple of a single generator under a
+    derivation is rejected: the rule does not act on flattened monomials.
+    """
+    if not ctx.delta:
+        raise AlgebraError("eval_delta requires a δ context")
+    if ctx.arity != 1:
+        raise AlgebraError("δ evaluation is single-derivation")
+    return _evaluate(e, subst, ctx)
 
 
 # ---------------------------------------------------------------------------

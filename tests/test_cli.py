@@ -274,6 +274,22 @@ class TestDispatch:
         assert out == ""
         assert err == "error: input nested too deeply\n"
 
+    @pytest.mark.parametrize("wrap", [
+        lambda t: f"succ(x1, {t})",
+        lambda t: f"x1 * ({t})",
+        lambda t: f"x1 + ({t})",
+        lambda t: f"d({t})",
+    ], ids=["succ", "mul", "sum", "d"])
+    def test_deep_input_that_parses_expands(self, capsys, wrap):
+        # the parser refuses these chains at about 250 levels; evaluating
+        # one it accepts must not run out of stack instead
+        text = "x2"
+        for _ in range(200):
+            text = wrap(text)
+        code, out, err = run_cli(capsys, "expand", text, "--quiet")
+        assert code == 0 and err == ""
+        assert json.loads(out)["terms"]
+
     @pytest.mark.parametrize("text", [
         DEEP,
         f"{DEEP} + {DEEP.replace('x1', 'x2')}",

@@ -240,6 +240,22 @@ class TestGroupedEvaluation:
     def test_matches_ungrouped_reference(self, tree):
         assert eval_expr(tree, gens(3)) == reference_eval(tree, gens(3))
 
+    @given(_linear_strategy())
+    @settings(max_examples=80)
+    def test_delta_grouping_matches_summands(self, tree):
+        # the δ context groups sums as well; each result must equal the sum
+        # of the top-level summands' values, exactly over Q[δ], and
+        # specialise at δ = 1 to the ungrouped ordinary reference
+        sub = gens(3, CTX_DELTA)
+        for wrap in (lambda t: t, Der):
+            got = eval_delta(wrap(tree), sub)
+            want = DiffPermPoly.zero(CTX_DELTA)
+            for t in tree.terms:
+                want = want + eval_delta(wrap(t), sub)
+            assert got == want
+            assert specialize_delta(got, 1) == reference_eval(wrap(tree),
+                                                              gens(3))
+
     def test_unshared_equal_summands_cancel(self):
         t = DerOp("diamond", DerOp("loz", v(1), v(2)), Mul(v(3), Der(v(1))))
         assert eval_expr(Sum((t, Scale(-1, _clone(t)))), gens(3)).is_zero()
@@ -251,24 +267,30 @@ class TestGroupedEvaluation:
     def test_parsed_std7_derives_as_often_as_the_library_tree(self,
                                                              monkeypatch):
         # the memo is structural, so the unshared equal suffixes of a parsed
-        # tree are expanded once, as the library tree's shared ones are
+        # tree are expanded once, as the library tree's shared ones are; and
+        # each subtree's derivative is memoised too, so far fewer normal
+        # forms are derived than products are expanded
         image = {1: 4, 2: 7, 3: 1, 4: 6, 5: 2, 6: 5, 7: 3}
         text = re.sub(r"x(\d+)", lambda m: f"x{image[int(m.group(1))]}",
                       pretty(standard_identity("diamond", 7)))
-        derive = DiffPermPoly.derive
         calls = []
+        for name in ("derive", "__mul__"):
+            method = getattr(DiffPermPoly, name)
 
-        def counted(self, *args):
-            calls.append(None)
-            return derive(self, *args)
+            def counted(self, *args, method=method, name=name):
+                calls.append(name)
+                return method(self, *args)
 
-        monkeypatch.setattr(DiffPermPoly, "derive", counted)
+            monkeypatch.setattr(DiffPermPoly, name, counted)
         counts = []
         for tree in (parse_expr(text), standard_identity("diamond", 7)):
             calls.clear()
             assert check_identity(tree, 7).is_identity
-            counts.append(len(calls))
+            counts.append((calls.count("derive"), calls.count("__mul__")))
         assert counts[0] == counts[1]
+        derives, products = counts[0]
+        assert derives <= 119
+        assert products == 624
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_parsed_and_library_standard_identities_agree(self, n):

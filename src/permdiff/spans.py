@@ -18,7 +18,7 @@ x1..xk, so only those are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -34,6 +34,7 @@ from .algebra import (
     Symbol,
     derived_product,
     format_poly,  # not used here; the tracer test reads spans.format_poly
+    is_multilinear,
     monomial_key,
 )
 
@@ -168,9 +169,8 @@ def modular_rank(rows: Iterable[dict[int, Rational]],
     """
     p = MODULUS
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        if len(pivots) == stop:
-            break
+    rows = iter(rows)  # no row is pulled once the rank reaches ``stop``
+    while len(pivots) != stop and (row := next(rows, None)) is not None:
         denom = _common_denominator(row.values())
         r = {}
         for c, v in row.items():
@@ -206,7 +206,8 @@ def _variant_tag(variant: str) -> str:
 
 
 #: the highest degree the ``dim`` command proves; star degree 12 already has
-#: 352716 columns, and star degree 8, with 1716, takes seconds
+#: 352716 columns, while star degree 9, with 6435, takes about 17 s and
+#: builds 41376 of its 127748 product rows
 MAX_DIM_DEGREE = 12
 
 
@@ -302,12 +303,16 @@ class _Components:
                 _relabel(p, subset, self._images) for p in self.canonical[k]]
         return got
 
-    def products(self, tag: str) -> Iterator[tuple[DiffPermPoly, DiffPermPoly]]:
+    def products(self, tag: str, smaller: int | None = None
+                 ) -> Iterator[tuple[DiffPermPoly, DiffPermPoly]]:
         """Every pair (a, b) of elements of the components on two
-        complementary pieces of x1..xk, k = len(canonical): their tagged
+        complementary pieces of x1..xk, k = len(canonical), the smaller
+        piece of size ``smaller`` if given: over all sizes, their tagged
         products span the component on x1..xk."""
         allvars = tuple(range(1, len(self.canonical) + 1))
         for lsize in range(1, len(allvars)):
+            if smaller not in (None, min(lsize, len(allvars) - lsize)):
+                continue
             for left in combinations(allvars, lsize):
                 if tag == "loz" and left[0] != 1:
                     continue  # symmetric product: one order is enough
@@ -345,13 +350,15 @@ def generate_closure(tag: str, n: int) -> list[DiffPermPoly]:
 @dataclass
 class DimensionReport:
     """Outcome of the degree-n dimension proof for one variant: the proved
-    dimension, or the check that failed and no dimension."""
+    dimension, or the check that failed and no dimension.  ``lower`` holds
+    the reports of the degrees below n that the same proof passed through."""
 
     n: int
     variant: str
     formula: int
     dim: int | None
     failed: str | None = None
+    lower: list[DimensionReport] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -377,27 +384,34 @@ def _leads(family: list[DiffPermPoly]) -> list[Monomial] | None:
     return leads if len(set(leads)) == len(leads) else None
 
 
-def _coordinate_proof(variant: str, n: int) -> list[DiffPermPoly] | str:
-    """The family ``generate_S(n, variant)`` when the factorisation proof
-    (see ``verify_dimension``) shows it is a basis of the closure component
-    on x1..xn, else the failure: "degree k: check c" for the first check c
-    that fails, or "degree k: rank" when the rank falls short."""
+def _coordinate_proof(variant: str, n: int
+                      ) -> Iterator[list[DiffPermPoly] | str]:
+    """For k = 2..n in turn, the family ``generate_S(k, variant)`` once the
+    factorisation proof (see ``verify_dimension``) shows it is a basis of
+    the closure component on x1..xk; a failure ends the proof: "degree k:
+    check c" for the first check c that fails, or "degree k: rank" when the
+    rank falls short."""
     tag = _variant_tag(variant)
     star = variant == "star"
     image = DiffPermPoly.star if star else DiffPermPoly.derive
     column = (lambda m: tuple(sorted(m.factors))) if star else (lambda m: m)
     comps = _Components()
-    family: list[DiffPermPoly] = []
-    for k in range(2, n + 1):
+
+    def level(k: int) -> list[DiffPermPoly] | str:
         failed = f"degree {k}: check "
-        # check 5: this level's operands are the last level's family, or x1
+        # checks 1 and 5 on this level's operands: the last level's family,
+        # or x1; their relabellings onto other variables are graded alike
+        if not all(is_multilinear(s, k - 1) and set(s.weights()) <= {-1}
+                   for s in comps.canonical[-1]):
+            return failed + "1"
         if star and any(s.star() != s.derive() for s in comps.canonical[-1]):
             return failed + "5"
-        cols = {}
+        # the column of each weight -2 monomial, keyed by the monomial
+        cols, ids = {}, {}
         for m in weight_minus2_monomials(k):
-            cols.setdefault(column(m), len(cols))
+            cols[m] = ids.setdefault(column(m), len(ids))
         family = generate_S(k, variant)
-        if len(family) != len(cols):
+        if len(family) != len(ids):
             return failed + "2"
         leads = _leads(family)
         if leads is None:
@@ -407,31 +421,49 @@ def _coordinate_proof(variant: str, n: int) -> list[DiffPermPoly] | str:
                 return failed + "4"
             u = Monomial(lead.left, lead.last.derived(0, -1))
             img = image(DiffPermPoly(CTX_Q, {u: 1}, _owned=True))
-            c = Fraction(p.terms[lead], img.terms[lead])
-            if column(u) not in cols or img.scale(c).terms != p.terms:
+            a, b = p.terms[lead], img.terms[lead]  # p = (a / b) img
+            if u not in cols or img.scale(a).terms != p.scale(b).terms:
                 return failed + "4"
-        rows = []
-        for a, b in comps.products(tag):
-            row: dict[int, Rational] = {}
-            for m, c in (a * b).terms.items():
-                col = cols.get(column(m))
-                if col is None:
-                    return failed + "1"
-                row[col] = row.get(col, 0) + c
-            # a star column sums a factor multiset's terms, which may cancel
-            rows.append({col: c for col, c in row.items() if c})
-        # Sparse rows first keep the pivots sparse.
-        rows.sort(key=len)
-        if modular_rank(rows, stop=len(family)) < len(family):
-            return f"degree {k}: rank"
-        comps.canonical.append(family)
-    return family
+        missed = []
+
+        def rows() -> Iterator[dict[int, Rational]]:
+            # in stages by the smaller side's size, each built only when
+            # the rank reads it, sparse rows first to keep the pivots sparse
+            for smaller in range(1, k // 2 + 1):
+                stage = []
+                for a, b in comps.products(tag, smaller):
+                    row: dict[int, Rational] = {}
+                    for m, c in (a * b).terms.items():
+                        col = cols.get(m)
+                        if col is None:
+                            missed.append(m)
+                            return
+                        row[col] = row.get(col, 0) + c
+                    # a star column sums a factor multiset's terms, which
+                    # may cancel
+                    stage.append({col: c for col, c in row.items() if c})
+                stage.sort(key=len)
+                yield from stage
+
+        got = modular_rank(rows(), stop=len(family))
+        if missed:
+            return failed + "1"
+        return family if got == len(family) else f"degree {k}: rank"
+
+    for k in range(2, n + 1):
+        got = level(k)
+        yield got
+        if isinstance(got, str):
+            return
+        comps.canonical.append(got)
 
 
 def verify_dimension(n: int, variant: str) -> DimensionReport:
     """Prove, in degree n, that the explicit family is a basis of the
     closure component on x1..xn, so that its size is the dimension, and
-    compare that with the closed-form dimension.
+    compare that with the closed-form dimension.  The proof passes through
+    every lower degree, so the report also holds, in ``lower``, the reports
+    of degrees 2..n-1: one call proves a whole range of degrees.
 
     The proof is ``_coordinate_proof``.  For k = 2..n, the component on
     x1..xk is spanned by the products of elements a, b of the components on
@@ -441,9 +473,12 @@ def verify_dimension(n: int, variant: str) -> DimensionReport:
     factor multisets, coefficients summed, all that star sees).  The proof
     checks:
 
-    1. every column is a weight -2 monomial on x1..xk (resp. the factor
-       multiset of one), so the component lies in d (resp. star) of their
-       span;
+    1. every operand of level k, the family S_(k-1) or x1, is multilinear
+       in its variables and of weight -1, so every product ab is a sum of
+       weight -2 monomials on x1..xk: of columns (resp. of monomials whose
+       factor multiset is one), and the component lies in d (resp. star)
+       of their span; a row that is built and still misses a column fails
+       this check too;
     2. the family S_k has one element per column;
     3. the leads of S_k are pairwise distinct, so S_k is independent;
     4. each element is a nonzero multiple of d(u) (resp. star(u)) for u a
@@ -454,13 +489,20 @@ def verify_dimension(n: int, variant: str) -> DimensionReport:
 
     Then rank |S_k| of the rows modulo ``MODULUS``, a lower bound of their
     rank over Q, hence by 4 of the component's, proves that the component
-    is span(S_k).  If a check fails or the rank falls short, the report
-    names it in ``failed`` and claims no dimension.
+    is span(S_k).  The rank reads the rows in stages, by the size of the
+    smaller operand's variable set, and a stage is built only when the
+    rank has not yet reached |S_k|.  If a check fails or the rank falls
+    short, the report names it in ``failed`` and claims no dimension, and
+    so does the report of every degree above it.
     """
     if n < 2:
         raise AlgebraError("verify_dimension needs n >= 2")
-    proof = _coordinate_proof(variant, n)
-    formula = dimension_formula(n, variant)
-    if isinstance(proof, str):
-        return DimensionReport(n, variant, formula, dim=None, failed=proof)
-    return DimensionReport(n, variant, formula, dim=len(proof))
+    proof = list(_coordinate_proof(variant, n))
+    proof += proof[-1:] * (n - 1 - len(proof))  # a failure, repeated
+    reports = [DimensionReport(k, variant, dimension_formula(k, variant),
+                               dim=None if isinstance(got, str) else len(got),
+                               failed=got if isinstance(got, str) else None)
+               for k, got in zip(range(2, n + 1), proof)]
+    *lower, top = reports
+    top.lower = lower
+    return top

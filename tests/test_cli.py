@@ -452,6 +452,45 @@ class TestDispatch:
             "FAIL  n=3 variant=star dim=None formula=3 "
             "failed: degree 3: check 2"]
 
+    @pytest.mark.parametrize("variant", ["star", "prime"])
+    def test_dim_range_is_the_per_degree_records(self, capsys, variant):
+        # one proof over the range reports what a proof per degree reports
+        code, out, _ = run_cli(capsys, "dim", "--variant", variant, "--n",
+                               "2..7", "--quiet")
+        assert code == 0
+        single = []
+        for k in range(2, 8):
+            code, one, _ = run_cli(capsys, "dim", "--variant", variant,
+                                   "--n", str(k), "--quiet")
+            assert code == 0
+            single += json.loads(one)
+        assert json.loads(out) == single
+
+    def test_dim_range_after_a_rank_shortfall(self, capsys, monkeypatch):
+        # modulo 2 degree 3 falls short; every degree above it names that
+        monkeypatch.setattr(spans, "MODULUS", 2)
+        code, out, _ = run_cli(capsys, "dim", "--variant", "star", "--n",
+                               "2..5", "--quiet")
+        assert code == 1
+        recs = json.loads(out)
+        assert recs[0]["ok"] and "failed" not in recs[0]
+        assert [(r["n"], r["ok"], r["rank_closure"], r.get("failed"))
+                for r in recs[1:]] == [(k, False, None, "degree 3: rank")
+                                       for k in (3, 4, 5)]
+
+    def test_dim_range_is_one_proof(self, capsys, monkeypatch):
+        calls = []
+        real = cli.verify_dimension
+        monkeypatch.setattr(cli, "verify_dimension",
+                            lambda n, v: calls.append(n) or real(n, v))
+        for degrees, top in (("2..5", 5), ("4", 4), ("3..6", 6)):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "dim", "--variant", "prime",
+                                   "--n", degrees, "--quiet")
+            assert code == 0 and calls == [top]
+            assert [r["n"] for r in json.loads(out)] == list(
+                cli._parse_range(degrees))
+
     def test_unexpected_exception_exit_three(self, capsys, monkeypatch):
         # a fault of the program is neither a usage error nor a verdict
         def broken(args):

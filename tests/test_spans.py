@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from permdiff.algebra import (
     rename_vars,
     x,
 )
+from permdiff.cli import main
 from permdiff.spans import (
     SpanBasis,
     _relabel,
@@ -188,6 +190,14 @@ class TestModularRankAgainstFractionOracle:
     def test_stops_at_the_bound(self, matrix, stop):
         assert modular_rank(as_rows(matrix), stop=stop) == \
             min(stop, fraction_matrix_rank(matrix))
+
+    def test_reads_no_row_past_the_bound(self):
+        # the proof's rows are built as they are read
+        def rows():
+            yield from ({0: 1}, {0: 2}, {1: Fraction(1, 3)})
+            raise AssertionError("a row was read past the bound")
+
+        assert modular_rank(rows(), stop=2) == 2
 
 
 small_polys = polys_st(max_var=2, max_order=1, max_degree=2, max_terms=3)
@@ -459,7 +469,10 @@ def exact_report(n, variant):
 
 
 def coordinate_proof(n, variant):
-    return spans._coordinate_proof(variant, n)
+    """The proof's outcome in degree n: the family, or the failure that
+    ended it."""
+    *_, last = spans._coordinate_proof(variant, n)
+    return last
 
 
 def assert_fails(n, variant, failed):
@@ -585,3 +598,86 @@ class TestCoordinateProof:
         assert coordinate_proof(n, variant) == spans.generate_S(n, variant)
         r, exact = verify_dimension(n, variant), exact_report(n, variant)
         assert r.ok and exact.ok and r.dim == exact.rank_closure
+
+
+def count_products(monkeypatch):
+    """A list whose length counts the ``DiffPermPoly`` products made from
+    now on."""
+    calls, real = [], DiffPermPoly.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(DiffPermPoly, "__mul__", counting)
+    return calls
+
+
+class TestStagedRows:
+    """The proof reads product rows in stages and builds only the stages the
+    rank needs; the grading check (check 1) stands in for the rows it never
+    builds."""
+
+    @pytest.mark.parametrize("variant,n", [("star", 6), ("prime", 5)])
+    def test_every_product_row_lies_in_the_columns(self, variant, n):
+        # the check the grading check replaced, with every row built: each
+        # monomial of each product is a weight -2 monomial on x1..xk; the
+        # stages by the smaller side's size are all the pairs
+        tag = spans._variant_tag(variant)
+        ids = lambda pair: tuple(map(id, pair))
+        comps = spans._Components()
+        for k in range(2, n + 1):
+            cols = set(weight_minus2_monomials(k))
+            pairs = list(comps.products(tag))
+            staged = [pair for smaller in range(1, k // 2 + 1)
+                      for pair in comps.products(tag, smaller)]
+            assert sorted(map(ids, staged)) == sorted(map(ids, pairs))
+            for a, b in pairs:
+                assert set((a * b).terms) <= cols, (k, a, b)
+            comps.canonical.append(generate_S(k, variant))
+
+    @pytest.mark.parametrize("variant", ["star", "prime"])
+    @pytest.mark.parametrize("bad", [
+        x(1, 1),                # multilinear, of weight 0
+        x(1) * x(1, 1),         # of weight -1, x1 twice
+        x(1) + x(1, 2),         # one term of weight -1, one of weight 1
+    ])
+    def test_grading_check_refuses_a_bad_operand(self, monkeypatch, variant,
+                                                 bad):
+        # the operand of degree 2 is x1; a hand-built one in its place is
+        # refused before any product row is built
+        init = spans._Components.__init__
+
+        def with_bad_x1(comps):
+            init(comps)
+            comps.canonical[1] = [bad]
+
+        monkeypatch.setattr(spans._Components, "__init__", with_bad_x1)
+        products = count_products(monkeypatch)
+        assert_fails(3, variant, "degree 2: check 1")
+        assert not products
+
+    @pytest.mark.parametrize("variant", ["star", "prime"])
+    def test_relabelling_that_moves_a_variable_fails_check_1(
+            self, monkeypatch, capsys, variant):
+        # a product row that is built and misses a column is a failed
+        # check, not an internal error
+        real = spans._relabel
+        monkeypatch.setattr(spans, "_relabel", lambda p, subset, images: (
+            rename_vars(real(p, subset, images),
+                        {subset[-1]: subset[-1] + 1})))
+        assert_fails(4, variant, "degree 2: check 1")
+        assert main(["dim", "--variant", variant, "--n", "2..4",
+                     "--quiet"]) == 1
+        recs = json.loads(capsys.readouterr().out)
+        assert [r["failed"] for r in recs] == ["degree 2: check 1"] * 3
+
+    def test_rows_are_built_lazily(self, monkeypatch):
+        # the rank reaches |S_k| before every stage is built
+        comps, pairs = spans._Components(), 0
+        for k in range(2, 8):
+            pairs += sum(1 for _ in comps.products("loz"))
+            comps.canonical.append(generate_S(k, "star"))
+        products = count_products(monkeypatch)
+        assert verify_dimension(7, "star").ok
+        assert 0 < len(products) < pairs

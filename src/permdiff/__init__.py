@@ -84,13 +84,10 @@ from .spans import (
     weight_minus2_monomials,
 )
 from .witt import (
-    PermTensorElem,
     TableVerification,
     WittElement,
-    euler_derivation,
     leibniz_bracket,
     lie_bracket,
-    perm_product,
     structure_table,
     verify_tables,
     witt_prec,

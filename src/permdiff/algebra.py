@@ -614,6 +614,20 @@ DERIVED_PRODUCTS = {
 }
 DERIVED_PRODUCT_TAGS = tuple(DERIVED_PRODUCTS)
 
+# The three brackets of vector fields v = a D_i and w = b D_j, as signed
+# summands.  A summand (sign, v_left, v_derived) is sign times the product
+# of a and b, a first when v_left, in which a is derived by D_j and the
+# result sits in slot i when v_derived, and b by D_i in slot j otherwise:
+#
+#   prec     a D_i(b) D_j
+#   lie      a D_i(b) D_j - b D_j(a) D_i
+#   leibniz  D_j(a) b D_i - a D_i(b) D_j
+BRACKETS = {
+    "prec": ((1, True, False),),
+    "lie": ((1, True, False), (-1, False, True)),
+    "leibniz": ((1, True, True), (-1, True, False)),
+}
+
 
 def derived_product(tag: str, a: DiffPermPoly, b: DiffPermPoly) -> DiffPermPoly:
     """The derived product ``tag`` of a and b (see ``DERIVED_PRODUCTS``)."""

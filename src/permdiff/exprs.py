@@ -36,6 +36,7 @@ from .algebra import (
     CTX_DELTA,
     CTX_Q,
     AlgebraError,
+    BRACKETS,
     Context,
     DeltaPoly,
     DELTA,
@@ -410,21 +411,27 @@ class FormalVectorField(LinearCombination):
         return cls(ctx, acc)
 
 
-def vf_leibniz_bracket(X: FormalVectorField,
-                       Y: FormalVectorField) -> FormalVectorField:
-    """[a D_i, b D_j] = D_j(a) b D_i - a D_i(b) D_j, extended bilinearly."""
+def _vf_bracket(summands, X, Y) -> FormalVectorField:
+    """The bracket of ``summands`` (from ``BRACKETS``), bilinearly."""
     pairs = []
     for i, a in X.terms.items():
         for j, b in Y.terms.items():
-            pairs += [(a.derive(j) * b, i), (-(a * b.derive(i)), j)]
+            for sign, v_left, v_derived in summands:
+                u, t = (a.derive(j), b) if v_derived else (a, b.derive(i))
+                p = u * t if v_left else t * u
+                pairs.append((p if sign > 0 else -p, i if v_derived else j))
     return FormalVectorField.make(pairs, X.ctx)
+
+
+def vf_leibniz_bracket(X: FormalVectorField,
+                       Y: FormalVectorField) -> FormalVectorField:
+    """[a D_i, b D_j] = D_j(a) b D_i - a D_i(b) D_j, extended bilinearly."""
+    return _vf_bracket(BRACKETS["leibniz"], X, Y)
 
 
 def vf_prec(X: FormalVectorField, Y: FormalVectorField) -> FormalVectorField:
     """(a D_i) prec (b D_j) = (a D_i(b)) D_j, extended bilinearly."""
-    return FormalVectorField.make(
-        [(a * b.derive(i), j)
-         for i, a in X.terms.items() for j, b in Y.terms.items()], X.ctx)
+    return _vf_bracket(BRACKETS["prec"], X, Y)
 
 
 # ---------------------------------------------------------------------------

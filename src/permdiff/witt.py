@@ -9,25 +9,22 @@ direct sum of n copies of P_n, one per derivation slot, carries
   * a Lie bracket      [a D_i, b D_j]   = a D_i(b) D_j - b D_j(a) D_i,
   * a Leibniz bracket  [a D_i, b D_j]_o = D_j(a) b D_i - a D_i(b) D_j.
 
-On basis elements everything reduces to integer coefficient rules; the
-embedded rule tables for n = 1 and n = 2 are verified here by exhaustive
-instantiation over a finite exponent box.
+One kernel computes both, and prec, from their signed summands in
+``algebra.BRACKETS``.  On basis elements a bracket is a sum of targets with
+coefficients affine in the exponents: the embedded rules for n = 1 and
+n = 2 hold them as integer data, refused when made unless well formed, and
+``verify_tables`` checks each rule against the kernel on an exponent box.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import NamedTuple
 
-from .algebra import AlgebraError, FrozenDoc, LinearCombination, Rational
-
-
-class TBasis(NamedTuple):
-    """Basis element x^e (x) x_alpha of the tensor perm algebra."""
-
-    e: tuple[int, ...]
-    alpha: int
+from .algebra import (BRACKETS, AlgebraError, FrozenDoc, LinearCombination,
+                      Rational)
 
 
 class WBasis(NamedTuple):
@@ -36,45 +33,6 @@ class WBasis(NamedTuple):
     e: tuple[int, ...]
     alpha: int
     i: int
-
-
-class PermTensorElem(LinearCombination):
-    """Element of the tensor perm algebra P_n: a linear combination of
-    ``TBasis`` elements; immutable by convention."""
-
-    __slots__ = ()
-    n = LinearCombination.space  # the space slot, under its name here
-    _MISMATCH = "tensor algebra dimension mismatch"
-
-    @classmethod
-    def basis(cls, n: int, e: tuple[int, ...], alpha: int) -> "PermTensorElem":
-        if len(e) != n or not 1 <= alpha <= n or any(k < 0 for k in e):
-            raise AlgebraError("bad tensor basis data")
-        return cls(n, {TBasis(tuple(e), alpha): 1}, _owned=True)
-
-    def __repr__(self):
-        return f"<PermTensorElem n={self.n} {self.terms}>"
-
-
-def perm_product(a: PermTensorElem, b: PermTensorElem) -> PermTensorElem:
-    """(x^e (x) x_alpha)(x^f (x) x_beta) = x^{e+f+1_alpha} (x) x_beta."""
-    a._check(b)
-    acc: dict[TBasis, Rational] = {}
-    for (e, alpha), c1 in a.terms.items():
-        for (f, beta), c2 in b.terms.items():
-            g = [x + y for x, y in zip(e, f)]
-            g[alpha - 1] += 1
-            key = TBasis(tuple(g), beta)
-            acc[key] = acc.get(key, 0) + c1 * c2
-    return PermTensorElem(a.n, acc)
-
-
-def euler_derivation(i: int, a: PermTensorElem) -> PermTensorElem:
-    """D_i scales x^e (x) x_alpha by e_i, plus one more when alpha = i."""
-    if not 1 <= i <= a.n:
-        raise AlgebraError("derivation index out of range")
-    return PermTensorElem(a.n, {k: (k.e[i - 1] + (1 if k.alpha == i else 0)) * c
-                                for k, c in a.terms.items()})
 
 
 class WittElement(LinearCombination):
@@ -96,216 +54,186 @@ class WittElement(LinearCombination):
         return f"<WittElement n={self.n} {self.terms}>"
 
 
-def witt_prec(v: WittElement, w: WittElement) -> WittElement:
-    """(a D_i) prec (b D_j) = (a D_i(b)) D_j, extended bilinearly."""
+def _bracket(summands, v: WittElement, w: WittElement) -> WittElement:
+    """The bracket of ``summands`` (from ``BRACKETS``), bilinearly.  D_k
+    scales x^e (x) x_alpha by e_k + [alpha = k], and a product adds the
+    exponents, plus one at its first factor's direction, to its second's."""
     v._check(w)
     acc: dict[WBasis, Rational] = {}
     for (e, alpha, i), c1 in v.terms.items():
         for (f, beta, j), c2 in w.terms.items():
-            lam = f[i - 1] + (1 if beta == i else 0)
-            if not lam:
-                continue
-            g = [x + y for x, y in zip(e, f)]
-            g[alpha - 1] += 1
-            key = WBasis(tuple(g), beta, j)
-            acc[key] = acc.get(key, 0) + lam * c1 * c2
+            c = c1 * c2
+            ef = [x + y for x, y in zip(e, f)]
+            for sign, v_left, v_derived in summands:
+                lam = (e[j - 1] + (alpha == j) if v_derived
+                       else f[i - 1] + (beta == i))
+                if not lam:
+                    continue
+                g = ef[:]
+                g[(alpha if v_left else beta) - 1] += 1
+                key = WBasis(tuple(g), beta if v_left else alpha,
+                             i if v_derived else j)
+                acc[key] = acc.get(key, 0) + sign * lam * c
     return WittElement(v.n, acc)
+
+
+def witt_prec(v: WittElement, w: WittElement) -> WittElement:
+    """(a D_i) prec (b D_j) = (a D_i(b)) D_j, extended bilinearly."""
+    return _bracket(BRACKETS["prec"], v, w)
 
 
 def lie_bracket(v: WittElement, w: WittElement) -> WittElement:
-    """[v, w] = v prec w - w prec v, both halves summed in one pass over the
-    term pairs; antisymmetric by construction."""
-    v._check(w)
-    acc: dict[WBasis, Rational] = {}
-    for (e, alpha, i), c1 in v.terms.items():
-        for (f, beta, j), c2 in w.terms.items():
-            lam1 = f[i - 1] + (1 if beta == i else 0)
-            if lam1:
-                g = [x + y for x, y in zip(e, f)]
-                g[alpha - 1] += 1
-                k1 = WBasis(tuple(g), beta, j)
-                acc[k1] = acc.get(k1, 0) + lam1 * c1 * c2
-            lam2 = e[j - 1] + (1 if alpha == j else 0)
-            if lam2:
-                g = [x + y for x, y in zip(e, f)]
-                g[beta - 1] += 1
-                k2 = WBasis(tuple(g), alpha, i)
-                acc[k2] = acc.get(k2, 0) - lam2 * c1 * c2
-    return WittElement(v.n, acc)
+    """[v, w] = v prec w - w prec v, antisymmetric by construction."""
+    return _bracket(BRACKETS["lie"], v, w)
 
 
 def leibniz_bracket(v: WittElement, w: WittElement) -> WittElement:
-    """[a D_i, b D_j]_o = D_j(a) b D_i - a D_i(b) D_j, extended bilinearly;
-    not antisymmetric in general."""
-    v._check(w)
-    acc: dict[WBasis, Rational] = {}
-    for (e, alpha, i), c1 in v.terms.items():
-        for (f, beta, j), c2 in w.terms.items():
-            g = [x + y for x, y in zip(e, f)]
-            g[alpha - 1] += 1
-            key = tuple(g)
-            lam1 = e[j - 1] + (1 if alpha == j else 0)
-            if lam1:
-                k1 = WBasis(key, beta, i)
-                acc[k1] = acc.get(k1, 0) + lam1 * c1 * c2
-            lam2 = f[i - 1] + (1 if beta == i else 0)
-            if lam2:
-                k2 = WBasis(key, beta, j)
-                acc[k2] = acc.get(k2, 0) - lam2 * c1 * c2
-    return WittElement(v.n, acc)
+    """[a D_i, b D_j]_o = D_j(a) b D_i - a D_i(b) D_j; not antisymmetric."""
+    return _bracket(BRACKETS["leibniz"], v, w)
 
 
 # ---------------------------------------------------------------------------
 # embedded coefficient rules for n = 1 and n = 2
 # ---------------------------------------------------------------------------
 
-# A rule maps the exponent tuple (m, n, p, q) of a basis pair to the exact
-# expected bracket.  x and y stand for the first and second tensor/derivation
-# slots.  Targets: coefficient callable, exponent callable, direction, slot.
+# A rule is the bracket on one slot pattern, for all left exponents e1 and
+# right exponents e2.  A target (form, direction, alpha, i) is c0 + cm.e1 +
+# cp.e2, form = (c0, *cm, *cp), times x^(e1 + e2 + unit(direction)) (x)
+# x_alpha D_i.  For n = 2 a form reads (c0, cm, cn, cp, cq) on exponents
+# (m, n) and (p, q), and x and y stand for the slots 1 and 2.
 
 _X, _Y = 1, 2
 
 
-def _exp_x(m, n, p, q):  # exponents when the left tensor direction is x
-    return (m + p + 1, n + q)
-
-
-def _exp_y(m, n, p, q):  # exponents when the left tensor direction is y
-    return (m + p, n + q + 1)
+def _is_slot(k, n: int) -> bool:
+    return type(k) is int and 1 <= k <= n
 
 
 @dataclass(frozen=True)
 class BracketRule:
+    n: int
     table: str          # "lie" or "leibniz"
     block: str
     left: tuple[int, int]      # (alpha, i) of the left basis element
     right: tuple[int, int]     # (beta, j) of the right basis element
-    targets: tuple             # ((coeff_fn, exp_fn, alpha, i), ...)
+    targets: tuple             # ((form, direction, alpha, i), ...)
 
-    def expected_terms(self, n_dim: int, m: int, n: int, p: int,
-                       q: int) -> dict[WBasis, Rational]:
-        """The nonzero coefficients of ``expected``, by basis element."""
-        acc: dict[WBasis, Rational] = {}
-        for coeff_fn, exp_fn, alpha, i in self.targets:
-            c = coeff_fn(m, n, p, q)
-            if c:
-                e = tuple(exp_fn(m, n, p, q))
-                if (len(e) != n_dim or min(e) < 0
-                        or not 1 <= alpha <= n_dim or not 1 <= i <= n_dim):
-                    raise AlgebraError("bad Witt basis data")
-                key = WBasis(e, alpha, i)
-                acc[key] = acc.get(key, 0) + c
-        return {k: c for k, c in acc.items() if c}
+    def __post_init__(self):
+        """Accept only integer forms on slots 1..n, so each one is affine."""
+        n = self.n
+        if not (type(n) is int and type(self.targets) is tuple
+                and all(_is_slot(k, n) for k in (*self.left, *self.right))
+                and all(type(t) is tuple and len(t) == 4
+                        and type(t[0]) is tuple and len(t[0]) == 1 + 2 * n
+                        and all(type(c) is int for c in t[0])
+                        and all(_is_slot(k, n) for k in t[1:])
+                        for t in self.targets)):
+            raise AlgebraError("bad Witt basis data")
 
-    def expected(self, n_dim: int, m: int, n: int, p: int, q: int) -> WittElement:
-        """The bracket the rule gives for exponents (m, n, p, q)."""
-        return WittElement(n_dim, self.expected_terms(n_dim, m, n, p, q))
+    def row(self, e1: tuple[int, ...]) -> list[tuple]:
+        """The targets at left exponents e1, with the left share of each
+        coefficient added into its constant: (constant, right part of the
+        form, e1 + unit(direction), alpha, i)."""
+        n = self.n
+        return [(f[0] + sum(map(mul, f[1:n + 1], e1)), f[n + 1:],
+                 tuple(x + (k == d) for k, x in enumerate(e1, 1)), alpha, i)
+                for f, d, alpha, i in self.targets]
+
+    def expected_terms(self, e1: tuple[int, ...],
+                       e2: tuple[int, ...]) -> dict[WBasis, Rational]:
+        """The nonzero coefficients of the bracket the rule gives for
+        exponents e1 and e2, by basis element."""
+        return _row_terms(self.row(e1), e2)
 
 
-W1_RULES = (
-    BracketRule("lie", "n=1", (1, 1), (1, 1),
-                (((lambda m, n, p, q: p - m),
-                  (lambda m, n, p, q: (m + p + 1,)), 1, 1),),),
-)
+def _row_terms(row: list[tuple], e2: tuple[int, ...]) -> dict[WBasis, Rational]:
+    """The nonzero coefficients of a ``BracketRule.row`` at right
+    exponents e2, by basis element."""
+    acc: dict[WBasis, Rational] = {}
+    for c0, cp, g, alpha, i in row:
+        c = c0 + sum(map(mul, cp, e2))
+        if c:
+            key = WBasis(tuple(map(add, g, e2)), alpha, i)
+            acc[key] = acc.get(key, 0) + c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _rules(n: int, table: str, *rows) -> tuple[BracketRule, ...]:
+    """One rule per (block, left, right, *targets) row."""
+    return tuple(BracketRule(n, table, block, left, right, tuple(targets))
+                 for block, left, right, *targets in rows)
+
+
+W1_RULES = _rules(1, "lie", ("n=1", (1, 1), (1, 1), ((0, -1, 1), 1, 1, 1)))
 
 # Lie table for n = 2.  The two entries marked "skew-consistent" repair the
 # tensor direction of one target each: as printed alongside the other block
 # entries they would contradict the antisymmetry of the bracket, which also
 # pins the four remaining (alpha y / beta x) derivation combinations below.
-W2_LIE_RULES = (
+W2_LIE_RULES = _rules(
+    2, "lie",
     # block (i): both derivation slots x
-    BracketRule("lie", "i", (_X, _X), (_X, _X),
-                (((lambda m, n, p, q: p - m), _exp_x, _X, _X),)),
-    BracketRule("lie", "i", (_X, _X), (_Y, _X),
-                (((lambda m, n, p, q: p), _exp_x, _Y, _X),
-                 ((lambda m, n, p, q: -(m + 1)), _exp_y, _X, _X))),
-    BracketRule("lie", "i", (_Y, _X), (_X, _X),   # skew-consistent
-                (((lambda m, n, p, q: p + 1), _exp_y, _X, _X),
-                 ((lambda m, n, p, q: -m), _exp_x, _Y, _X))),
-    BracketRule("lie", "i", (_Y, _X), (_Y, _X),
-                (((lambda m, n, p, q: p - m), _exp_y, _Y, _X),)),
+    ("i", (_X, _X), (_X, _X), ((0, -1, 0, 1, 0), _X, _X, _X)),
+    ("i", (_X, _X), (_Y, _X),
+     ((0, 0, 0, 1, 0), _X, _Y, _X), ((-1, -1, 0, 0, 0), _Y, _X, _X)),
+    ("i", (_Y, _X), (_X, _X),   # skew-consistent
+     ((1, 0, 0, 1, 0), _Y, _X, _X), ((0, -1, 0, 0, 0), _X, _Y, _X)),
+    ("i", (_Y, _X), (_Y, _X), ((0, -1, 0, 1, 0), _Y, _Y, _X)),
     # block (ii): both derivation slots y
-    BracketRule("lie", "ii", (_X, _Y), (_X, _Y),
-                (((lambda m, n, p, q: q - n), _exp_x, _X, _Y),)),
-    BracketRule("lie", "ii", (_X, _Y), (_Y, _Y),
-                (((lambda m, n, p, q: q + 1), _exp_x, _Y, _Y),
-                 ((lambda m, n, p, q: -n), _exp_y, _X, _Y))),
-    BracketRule("lie", "ii", (_Y, _Y), (_X, _Y),   # skew-consistent
-                (((lambda m, n, p, q: q), _exp_y, _X, _Y),
-                 ((lambda m, n, p, q: -(n + 1)), _exp_x, _Y, _Y))),
-    BracketRule("lie", "ii", (_Y, _Y), (_Y, _Y),
-                (((lambda m, n, p, q: q - n), _exp_y, _Y, _Y),)),
+    ("ii", (_X, _Y), (_X, _Y), ((0, 0, -1, 0, 1), _X, _X, _Y)),
+    ("ii", (_X, _Y), (_Y, _Y),
+     ((1, 0, 0, 0, 1), _X, _Y, _Y), ((0, 0, -1, 0, 0), _Y, _X, _Y)),
+    ("ii", (_Y, _Y), (_X, _Y),   # skew-consistent
+     ((0, 0, 0, 0, 1), _Y, _X, _Y), ((-1, 0, -1, 0, 0), _X, _Y, _Y)),
+    ("ii", (_Y, _Y), (_Y, _Y), ((0, 0, -1, 0, 1), _Y, _Y, _Y)),
     # block (iii): left slot x, right slot y
-    BracketRule("lie", "iii", (_X, _X), (_X, _Y),
-                (((lambda m, n, p, q: p + 1), _exp_x, _X, _Y),
-                 ((lambda m, n, p, q: -n), _exp_x, _X, _X))),
-    BracketRule("lie", "iii", (_X, _X), (_Y, _Y),
-                (((lambda m, n, p, q: p), _exp_x, _Y, _Y),
-                 ((lambda m, n, p, q: -n), _exp_y, _X, _X))),
-    BracketRule("lie", "iii", (_Y, _X), (_X, _Y),
-                (((lambda m, n, p, q: p + 1), _exp_y, _X, _Y),
-                 ((lambda m, n, p, q: -(n + 1)), _exp_x, _Y, _X))),
-    BracketRule("lie", "iii", (_Y, _X), (_Y, _Y),
-                (((lambda m, n, p, q: p), _exp_y, _Y, _Y),
-                 ((lambda m, n, p, q: -(n + 1)), _exp_y, _Y, _X))),
+    ("iii", (_X, _X), (_X, _Y),
+     ((1, 0, 0, 1, 0), _X, _X, _Y), ((0, 0, -1, 0, 0), _X, _X, _X)),
+    ("iii", (_X, _X), (_Y, _Y),
+     ((0, 0, 0, 1, 0), _X, _Y, _Y), ((0, 0, -1, 0, 0), _Y, _X, _X)),
+    ("iii", (_Y, _X), (_X, _Y),
+     ((1, 0, 0, 1, 0), _Y, _X, _Y), ((-1, 0, -1, 0, 0), _X, _Y, _X)),
+    ("iii", (_Y, _X), (_Y, _Y),
+     ((0, 0, 0, 1, 0), _Y, _Y, _Y), ((-1, 0, -1, 0, 0), _Y, _Y, _X)),
     # block (iii-skew): left slot y, right slot x, forced by antisymmetry
-    BracketRule("lie", "iii-skew", (_X, _Y), (_X, _X),
-                (((lambda m, n, p, q: q), _exp_x, _X, _X),
-                 ((lambda m, n, p, q: -(m + 1)), _exp_x, _X, _Y))),
-    BracketRule("lie", "iii-skew", (_Y, _Y), (_X, _X),
-                (((lambda m, n, p, q: q), _exp_y, _X, _X),
-                 ((lambda m, n, p, q: -m), _exp_x, _Y, _Y))),
-    BracketRule("lie", "iii-skew", (_X, _Y), (_Y, _X),
-                (((lambda m, n, p, q: q + 1), _exp_x, _Y, _X),
-                 ((lambda m, n, p, q: -(m + 1)), _exp_y, _X, _Y))),
-    BracketRule("lie", "iii-skew", (_Y, _Y), (_Y, _X),
-                (((lambda m, n, p, q: q + 1), _exp_y, _Y, _X),
-                 ((lambda m, n, p, q: -m), _exp_y, _Y, _Y))),
+    ("iii-skew", (_X, _Y), (_X, _X),
+     ((0, 0, 0, 0, 1), _X, _X, _X), ((-1, -1, 0, 0, 0), _X, _X, _Y)),
+    ("iii-skew", (_Y, _Y), (_X, _X),
+     ((0, 0, 0, 0, 1), _Y, _X, _X), ((0, -1, 0, 0, 0), _X, _Y, _Y)),
+    ("iii-skew", (_X, _Y), (_Y, _X),
+     ((1, 0, 0, 0, 1), _X, _Y, _X), ((-1, -1, 0, 0, 0), _Y, _X, _Y)),
+    ("iii-skew", (_Y, _Y), (_Y, _X),
+     ((1, 0, 0, 0, 1), _Y, _Y, _X), ((0, -1, 0, 0, 0), _Y, _Y, _Y)),
 )
 
-W2_LEIBNIZ_RULES = (
+W2_LEIBNIZ_RULES = _rules(
+    2, "leibniz",
     # block (a): left tensor direction x
-    BracketRule("leibniz", "a", (_X, _X), (_X, _X),
-                (((lambda m, n, p, q: m - p), _exp_x, _X, _X),)),
-    BracketRule("leibniz", "a", (_X, _X), (_X, _Y),
-                (((lambda m, n, p, q: n), _exp_x, _X, _X),
-                 ((lambda m, n, p, q: -(p + 1)), _exp_x, _X, _Y))),
-    BracketRule("leibniz", "a", (_X, _Y), (_X, _X),
-                (((lambda m, n, p, q: m + 1), _exp_x, _X, _Y),
-                 ((lambda m, n, p, q: -q), _exp_x, _X, _X))),
-    BracketRule("leibniz", "a", (_X, _Y), (_X, _Y),
-                (((lambda m, n, p, q: n - q), _exp_x, _X, _Y),)),
-    BracketRule("leibniz", "a", (_X, _X), (_Y, _X),
-                (((lambda m, n, p, q: m + 1 - p), _exp_x, _Y, _X),)),
-    BracketRule("leibniz", "a", (_X, _X), (_Y, _Y),
-                (((lambda m, n, p, q: n), _exp_x, _Y, _X),
-                 ((lambda m, n, p, q: -p), _exp_x, _Y, _Y))),
-    BracketRule("leibniz", "a", (_X, _Y), (_Y, _X),
-                (((lambda m, n, p, q: m + 1), _exp_x, _Y, _Y),
-                 ((lambda m, n, p, q: -(q + 1)), _exp_x, _Y, _X))),
-    BracketRule("leibniz", "a", (_X, _Y), (_Y, _Y),
-                (((lambda m, n, p, q: n - q - 1), _exp_x, _Y, _Y),)),
+    ("a", (_X, _X), (_X, _X), ((0, 1, 0, -1, 0), _X, _X, _X)),
+    ("a", (_X, _X), (_X, _Y),
+     ((0, 0, 1, 0, 0), _X, _X, _X), ((-1, 0, 0, -1, 0), _X, _X, _Y)),
+    ("a", (_X, _Y), (_X, _X),
+     ((1, 1, 0, 0, 0), _X, _X, _Y), ((0, 0, 0, 0, -1), _X, _X, _X)),
+    ("a", (_X, _Y), (_X, _Y), ((0, 0, 1, 0, -1), _X, _X, _Y)),
+    ("a", (_X, _X), (_Y, _X), ((1, 1, 0, -1, 0), _X, _Y, _X)),
+    ("a", (_X, _X), (_Y, _Y),
+     ((0, 0, 1, 0, 0), _X, _Y, _X), ((0, 0, 0, -1, 0), _X, _Y, _Y)),
+    ("a", (_X, _Y), (_Y, _X),
+     ((1, 1, 0, 0, 0), _X, _Y, _Y), ((-1, 0, 0, 0, -1), _X, _Y, _X)),
+    ("a", (_X, _Y), (_Y, _Y), ((-1, 0, 1, 0, -1), _X, _Y, _Y)),
     # block (b): left tensor direction y
-    BracketRule("leibniz", "b", (_Y, _X), (_X, _X),
-                (((lambda m, n, p, q: m - p - 1), _exp_y, _X, _X),)),
-    BracketRule("leibniz", "b", (_Y, _X), (_X, _Y),
-                (((lambda m, n, p, q: n + 1), _exp_y, _X, _X),
-                 ((lambda m, n, p, q: -(p + 1)), _exp_y, _X, _Y))),
-    BracketRule("leibniz", "b", (_Y, _Y), (_X, _X),
-                (((lambda m, n, p, q: m), _exp_y, _X, _Y),
-                 ((lambda m, n, p, q: -q), _exp_y, _X, _X))),
-    BracketRule("leibniz", "b", (_Y, _Y), (_X, _Y),
-                (((lambda m, n, p, q: n + 1 - q), _exp_y, _X, _Y),)),
-    BracketRule("leibniz", "b", (_Y, _X), (_Y, _X),
-                (((lambda m, n, p, q: m - p), _exp_y, _Y, _X),)),
-    BracketRule("leibniz", "b", (_Y, _X), (_Y, _Y),
-                (((lambda m, n, p, q: n + 1), _exp_y, _Y, _X),
-                 ((lambda m, n, p, q: -p), _exp_y, _Y, _Y))),
-    BracketRule("leibniz", "b", (_Y, _Y), (_Y, _X),
-                (((lambda m, n, p, q: m), _exp_y, _Y, _Y),
-                 ((lambda m, n, p, q: -(q + 1)), _exp_y, _Y, _X))),
-    BracketRule("leibniz", "b", (_Y, _Y), (_Y, _Y),
-                (((lambda m, n, p, q: n - q), _exp_y, _Y, _Y),)),
+    ("b", (_Y, _X), (_X, _X), ((-1, 1, 0, -1, 0), _Y, _X, _X)),
+    ("b", (_Y, _X), (_X, _Y),
+     ((1, 0, 1, 0, 0), _Y, _X, _X), ((-1, 0, 0, -1, 0), _Y, _X, _Y)),
+    ("b", (_Y, _Y), (_X, _X),
+     ((0, 1, 0, 0, 0), _Y, _X, _Y), ((0, 0, 0, 0, -1), _Y, _X, _X)),
+    ("b", (_Y, _Y), (_X, _Y), ((1, 0, 1, 0, -1), _Y, _X, _Y)),
+    ("b", (_Y, _X), (_Y, _X), ((0, 1, 0, -1, 0), _Y, _Y, _X)),
+    ("b", (_Y, _X), (_Y, _Y),
+     ((1, 0, 1, 0, 0), _Y, _Y, _X), ((0, 0, 0, -1, 0), _Y, _Y, _Y)),
+    ("b", (_Y, _Y), (_Y, _X),
+     ((0, 1, 0, 0, 0), _Y, _Y, _Y), ((-1, 0, 0, 0, -1), _Y, _Y, _X)),
+    ("b", (_Y, _Y), (_Y, _Y), ((0, 0, 1, 0, -1), _Y, _Y, _Y)),
 )
 
 
@@ -316,6 +244,10 @@ W2_LEIBNIZ_RULES = (
 
 def _slot_name(n: int, idx: int) -> str:
     return ("x", "y")[idx - 1] if n == 2 else str(idx)
+
+
+def _name(n: int, exps: str, alpha: int, i: int) -> str:
+    return f"E[{exps};{_slot_name(n, alpha)},{_slot_name(n, i)}]"
 
 
 def _rows(n: int, left: tuple[int, int], right: tuple[int, int], bound: int):
@@ -427,9 +359,7 @@ def _format_witt(terms: dict[WBasis, Rational], n: int) -> str:
         return "0"
     parts = []
     for b, c in sorted(terms.items()):
-        name = (f"E[{','.join(map(str, b.e))};"
-                f"{_slot_name(n, b.alpha)},{_slot_name(n, b.i)}]")
-        parts.append(f"{c}*{name}")
+        parts.append(f"{c}*{_name(n, ','.join(map(str, b.e)), b.alpha, b.i)}")
     return " + ".join(parts)
 
 
@@ -437,28 +367,25 @@ def verify_tables(bound: int = 3) -> TableVerification:
     """Exhaustively instantiate every embedded coefficient rule over the
     exponent box 0..bound and compare with the computed brackets, term dict
     against term dict."""
+    if bound < 0:
+        raise AlgebraError("bound must be at least 0")
     out = []
-    for n, rules in ((1, W1_RULES), (2, W2_LIE_RULES + W2_LEIBNIZ_RULES)):
+    for rule in W1_RULES + W2_LIE_RULES + W2_LEIBNIZ_RULES:
+        n = rule.n
         left_exps, right_exps = ("m", "p") if n == 1 else ("m,n", "p,q")
-        fill = (0,) * (2 - n)  # a rule reads (m, n, p, q); rank one has no n, q
-        for rule in rules:
-            bracket = lie_bracket if rule.table == "lie" else leibniz_bracket
-            (al, il), (be, jr) = rule.left, rule.right
-            chk = RuleCheck(
-                rule.table, rule.block,
-                f"E[{left_exps};{_slot_name(n, al)},{_slot_name(n, il)}]",
-                f"E[{right_exps};{_slot_name(n, be)},{_slot_name(n, jr)}]")
-            expected_terms = rule.expected_terms
-            for e1, u, rights in _rows(n, rule.left, rule.right, bound):
-                mn = e1 + fill
-                for e2, v in rights:
-                    got = bracket(u, v).terms
-                    want = expected_terms(n, *mn, *e2, *fill)
-                    if got != want:
-                        chk.mismatches.append({
-                            "at": [*e1, *e2],
-                            "computed": _format_witt(got, n),
-                            "expected": _format_witt(want, n)})
-                chk.checked += len(rights)
-            out.append(chk)
+        bracket = lie_bracket if rule.table == "lie" else leibniz_bracket
+        chk = RuleCheck(rule.table, rule.block, _name(n, left_exps, *rule.left),
+                        _name(n, right_exps, *rule.right))
+        for e1, u, rights in _rows(n, rule.left, rule.right, bound):
+            row = rule.row(e1)
+            for e2, v in rights:
+                got = bracket(u, v).terms
+                want = _row_terms(row, e2)
+                if got != want:
+                    chk.mismatches.append({
+                        "at": [*e1, *e2],
+                        "computed": _format_witt(got, n),
+                        "expected": _format_witt(want, n)})
+            chk.checked += len(rights)
+        out.append(chk)
     return TableVerification(bound, out)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import monomials_st
+from perm_tensor import PermTensorElem, TBasis
 from permdiff.algebra import (
     CTX_DELTA,
     CTX_Q,
@@ -27,8 +28,6 @@ from permdiff.algebra import (
 )
 from permdiff.exprs import FormalVectorField
 from permdiff.witt import (
-    PermTensorElem,
-    TBasis,
     WBasis,
     WittElement,
     leibniz_bracket,

@@ -1,18 +1,17 @@
 import dataclasses
 import itertools
 import types
+from fractions import Fraction
 
 import pytest
 
+from perm_tensor import PermTensorElem, euler_derivation, perm_product
 from permdiff import witt
 from permdiff.algebra import AlgebraError, FrozenDoc
 from permdiff.witt import (
-    PermTensorElem,
     WittElement,
-    euler_derivation,
     leibniz_bracket,
     lie_bracket,
-    perm_product,
     structure_table,
     verify_tables,
     witt_prec,
@@ -309,10 +308,7 @@ class TestVerifyTables:
     def test_mismatch_names_exponents_and_both_sides(self, monkeypatch, attr,
                                                       n, at, expected):
         rules = getattr(witt, attr)
-        coeff, exps, alpha, i = rules[0].targets[0]
-        off_by_one = dataclasses.replace(rules[0], targets=(
-            (lambda *mnpq: coeff(*mnpq) + 1, exps, alpha, i),))
-        monkeypatch.setattr(witt, attr, (off_by_one,) + rules[1:])
+        monkeypatch.setattr(witt, attr, (_off_by_one(rules[0]),) + rules[1:])
         ver = verify_tables(1)
         chk = next(r for r in ver.rules if r.block == rules[0].block)
         assert not ver.ok and chk.checked == 2 ** (2 * n)
@@ -320,43 +316,59 @@ class TestVerifyTables:
         assert chk.mismatches[0] == {"at": at, "computed": "0",
                                      "expected": expected}
 
-    @pytest.mark.parametrize("exps, alpha", [
-        (lambda m, n, p, q: (m + p + 1,), 1),  # one exponent for n = 2
-        (lambda m, n, p, q: (m - p - 1, n + q), 1),  # a negative exponent
-        (lambda m, n, p, q: (m + p + 1, n + q), 3),  # no third direction
-    ])
-    def test_rule_with_bad_basis_data_is_an_error(self, exps, alpha):
-        rule = witt.BracketRule("lie", "bad", (1, 1), (1, 1),
-                                ((lambda *mnpq: 1, exps, alpha, 1),))
-        with pytest.raises(AlgebraError, match="bad Witt basis data"):
-            rule.expected(2, 0, 0, 0, 0)
+    # each case edits a good form or puts it on a tensor slot outside
+    # 1..n; a negative exponent cannot be written
+    BAD_DATA = [
+        (lambda form: form[:3], 1),      # a rank-one form for n = 2
+        (lambda form: form + (1,), 1),   # one entry too many
+        (lambda form: form, 3),          # no third tensor slot
+    ]
 
-    @pytest.mark.parametrize("exps, alpha", [
-        (lambda m, n, p, q: (m + p + 1,), 1),
-        (lambda m, n, p, q: (m - p - 1, n + q), 1),
-        (lambda m, n, p, q: (m + p + 1, n + q), 3),
-    ])
-    def test_expected_terms_refuses_bad_basis_data(self, exps, alpha):
-        rule = witt.BracketRule("lie", "bad", (1, 1), (1, 1),
-                                ((lambda *mnpq: 1, exps, alpha, 1),))
+    @pytest.mark.parametrize("edit, alpha", BAD_DATA)
+    def test_rule_with_bad_basis_data_is_an_error(self, edit, alpha):
         with pytest.raises(AlgebraError, match="bad Witt basis data"):
-            rule.expected_terms(2, 0, 0, 0, 0)
+            witt.BracketRule(2, "lie", "bad", (1, 1), (1, 1),
+                             ((edit((0, -1, 0, 1, 0)), 1, alpha, 1),))
+
+    @pytest.mark.parametrize("edit, alpha", BAD_DATA)
+    def test_expected_terms_refuses_bad_basis_data(self, edit, alpha):
+        # bad data never reaches expected_terms: a rule is checked whenever
+        # it is made, by replace too, and cannot be changed after
+        good = witt.W2_LIE_RULES[0]
+        (form, direction, _, i), = good.targets
+        bad = ((edit(form), direction, alpha, i),)
+        with pytest.raises(AlgebraError, match="bad Witt basis data"):
+            dataclasses.replace(good, targets=bad)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            good.targets = bad
+        assert good.expected_terms((0, 0), (1, 0)) == {
+            witt.WBasis((2, 0), 1, 1): 1}
+
+    @pytest.mark.parametrize("left, right, target", [
+        ((1, 1), (1, 1), ((0, -1, 0, 1, 0), 0, 1, 1)),  # no direction 0
+        ((1, 1), (1, 1), ((0, -1, 0, 1, 0), 3, 1, 1)),  # no third direction
+        ((1, 1), (1, 1), ((0, -1, 0, 1, 0), 1, 1, 3)),  # no third D_i
+        ((1, 3), (1, 1), ((0, -1, 0, 1, 0), 1, 1, 1)),
+        ((1, 1), (0, 1), ((0, -1, 0, 1, 0), 1, 1, 1)),
+        ((1, 1), (1, 2.0), ((0, -1, 0, 1, 0), 1, 1, 1)),
+    ])
+    def test_rule_with_a_slot_outside_1_to_n_is_an_error(self, left, right,
+                                                           target):
+        with pytest.raises(AlgebraError, match="bad Witt basis data"):
+            witt.BracketRule(2, "lie", "bad", left, right, (target,))
 
     def test_expected_terms_match_expected(self):
         for n, rule in _all_rules():
-            for m, n_, p, q in itertools.product(range(3), repeat=4):
-                if n == 1 and n_ + q:
-                    continue  # rank one has no n and no q
-                terms = rule.expected_terms(n, m, n_, p, q)
+            box = list(itertools.product(range(3), repeat=n))
+            for e1, e2 in itertools.product(box, box):
+                terms = rule.expected_terms(e1, e2)
                 assert all(terms.values())
-                assert WittElement(n, dict(terms)) == rule.expected(
-                    n, m, n_, p, q)
+                assert WittElement(n, dict(terms)) == _expected(rule, e1, e2)
         # two targets that cancel leave no term
-        cancel = witt.BracketRule("lie", "cancel", (1, 1), (1, 1), (
-            (lambda *mnpq: 1, witt._exp_x, 1, 1),
-            (lambda *mnpq: -1, witt._exp_x, 1, 1)))
-        assert cancel.expected_terms(2, 0, 0, 0, 0) == {}
-        assert cancel.expected(2, 0, 0, 0, 0).is_zero()
+        cancel = witt.BracketRule(2, "lie", "cancel", (1, 1), (1, 1), (
+            ((1, 0, 0, 0, 0), 1, 1, 1), ((-1, 0, 0, 0, 0), 1, 1, 1)))
+        assert cancel.expected_terms((0, 0), (0, 0)) == {}
+        assert _expected(cancel, (0, 0), (0, 0)).is_zero()
 
     @pytest.mark.parametrize("attr", [None, "W1_RULES", "W2_LIE_RULES",
                                       "W2_LEIBNIZ_RULES"])
@@ -365,10 +377,8 @@ class TestVerifyTables:
         # with attr, its first rule is off by one everywhere, as above
         if attr is not None:
             rules = getattr(witt, attr)
-            coeff, exps, alpha, i = rules[0].targets[0]
-            off_by_one = dataclasses.replace(rules[0], targets=(
-                (lambda *mnpq: coeff(*mnpq) + 1, exps, alpha, i),))
-            monkeypatch.setattr(witt, attr, (off_by_one,) + rules[1:])
+            monkeypatch.setattr(witt, attr,
+                                (_off_by_one(rules[0]),) + rules[1:])
         slow = []
         for n, rule in _all_rules():
             bracket = lie_bracket if rule.table == "lie" else leibniz_bracket
@@ -376,7 +386,7 @@ class TestVerifyTables:
             mismatches = []
             for e1, e2 in itertools.product(box, box):
                 got = bracket(E(n, e1, *rule.left), E(n, e2, *rule.right))
-                want = rule.expected(n, *(e1 + (0,))[:2], *(e2 + (0,))[:2])
+                want = _expected(rule, e1, e2)
                 if got != want:
                     mismatches.append({
                         "at": [*e1, *e2],
@@ -386,6 +396,44 @@ class TestVerifyTables:
         ver = verify_tables(2)
         assert [(r.checked, r.mismatches) for r in ver.rules] == slow
         assert ver.ok is (attr is None)
+
+    @staticmethod
+    def _mutant(m, n, p, q):
+        return p - m + m * (m - 1)
+
+    def test_quadratic_mutant_agrees_on_the_unit_box(self):
+        # p - m + m(m-1) is the (x,x)/(x,x) Lie coefficient p - m on all of
+        # {0,1}^4, so a box-1 check alone cannot catch it; at m = 2 it is off
+        for m, n, p, q in itertools.product(range(2), repeat=4):
+            got = lie_bracket(E(2, (m, n), 1, 1), E(2, (p, q), 1, 1))
+            want = E(2, (m + p + 1, n + q), 1, 1).scale(
+                self._mutant(m, n, p, q))
+            assert got == want
+        got = lie_bracket(E(2, (2, 0), 1, 1), E(2, (0, 0), 1, 1))
+        assert got == E(2, (3, 0), 1, 1).scale(-2)
+        assert self._mutant(2, 0, 0, 0) == 0
+
+    @pytest.mark.parametrize("form", [
+        _mutant.__func__,               # the mutant itself, as a callable
+        (Fraction(0), -1, 0, 1, 0),     # exact, but not an int
+        (0.0, -1, 0, 1, 0),
+        (False, -1, 0, 1, 0),
+        (0, -1, 0, 1, 0, 1),            # room for a quadratic term
+    ])
+    def test_the_data_form_cannot_hold_the_mutant(self, form):
+        with pytest.raises(AlgebraError, match="bad Witt basis data"):
+            witt.BracketRule(2, "lie", "i", (1, 1), (1, 1),
+                             ((form, 1, 1, 1),))
+        with pytest.raises(AlgebraError, match="bad Witt basis data"):
+            witt.BracketRule(2, "lie", "i", (1, 1), (1, 1), (self._mutant,))
+
+    def test_negative_bound_is_an_error(self):
+        # a negative box is empty, and zero checks must not read as a pass
+        for bound in (-1, -5):
+            with pytest.raises(AlgebraError, match="bound"):
+                verify_tables(bound)
+        ver = verify_tables(0)
+        assert ver.ok and ver.total_checks == len(ver.rules) == 33
 
     def test_skew_block_consistency(self):
         # the derived block is exactly minus the mirrored mixed block
@@ -399,8 +447,30 @@ class TestVerifyTables:
 
 def _all_rules():
     """(n, rule) for every embedded rule, read from the module as it is."""
-    return [(1, r) for r in witt.W1_RULES] + [
-        (2, r) for r in witt.W2_LIE_RULES + witt.W2_LEIBNIZ_RULES]
+    return [(r.n, r) for r in
+            witt.W1_RULES + witt.W2_LIE_RULES + witt.W2_LEIBNIZ_RULES]
+
+
+def _expected(rule, e1, e2):
+    """The bracket a rule gives at exponents e1 and e2, summed target by
+    target from the affine forms as written, each a basis element times its
+    coefficient."""
+    n = rule.n
+    out = WittElement.zero(n)
+    for form, direction, alpha, i in rule.targets:
+        c = form[0] + sum(form[1 + k] * e1[k] + form[1 + n + k] * e2[k]
+                          for k in range(n))
+        e = tuple(x + y + (k == direction)
+                  for k, (x, y) in enumerate(zip(e1, e2), 1))
+        out = out + E(n, e, alpha, i).scale(c)
+    return out
+
+
+def _off_by_one(rule):
+    """The rule with one more in the constant of its first coefficient."""
+    (form, direction, alpha, i), *rest = rule.targets
+    return dataclasses.replace(rule, targets=(
+        ((form[0] + 1, *form[1:]), direction, alpha, i), *rest))
 
 
 def _patterns(table):

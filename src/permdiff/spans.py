@@ -246,9 +246,15 @@ def generate_S(n: int, variant: str) -> list[DiffPermPoly]:
     if n < 2:
         raise AlgebraError("generate_S needs degree n >= 2")
     _variant_tag(variant)  # refuses an unknown variant
+    return _comparison_family(weight_minus2_monomials(n), variant)
+
+
+def _comparison_family(monos: list[Monomial],
+                       variant: str) -> list[DiffPermPoly]:
+    """``generate_S`` on the weight -2 monomials ``monos`` of its degree."""
     out: list[DiffPermPoly] = []
     seen: set[tuple] = set()
-    for m in weight_minus2_monomials(n):
+    for m in monos:
         u = DiffPermPoly(CTX_Q, {m: 1})
         if variant == "prime":
             out.append(u.derive())
@@ -408,9 +414,9 @@ def _coordinate_proof(variant: str, n: int
             return failed + "5"
         # the column of each weight -2 monomial, keyed by the monomial
         cols, ids = {}, {}
-        for m in weight_minus2_monomials(k):
+        for m in (monos := weight_minus2_monomials(k)):
             cols[m] = ids.setdefault(column(m), len(ids))
-        family = generate_S(k, variant)
+        family = _comparison_family(monos, variant)
         if len(family) != len(ids):
             return failed + "2"
         leads = _leads(family)

@@ -9,15 +9,16 @@ direct sum of n copies of P_n, one per derivation slot, carries
   * a Lie bracket      [a D_i, b D_j]   = a D_i(b) D_j - b D_j(a) D_i,
   * a Leibniz bracket  [a D_i, b D_j]_o = D_j(a) b D_i - a D_i(b) D_j.
 
-One kernel computes both, and prec, from their signed summands in
-``algebra.BRACKETS``.  On basis elements a bracket is a sum of targets with
-coefficients affine in the exponents: the embedded rules for n = 1 and
-n = 2 hold them as integer data, refused when made unless well formed, and
-``verify_tables`` checks each rule against the kernel on an exponent box.
+One kernel computes both, and prec: on each slot pattern it is a
+``BracketRule`` of targets with coefficients affine in the exponents, made
+from the signed summands in ``algebra.BRACKETS``.  The embedded rules for
+n = 1 and n = 2 hold the same integer data, refused when made unless well
+formed, and ``verify_tables`` compares the two as data.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import add, mul
@@ -46,7 +47,8 @@ class WittElement(LinearCombination):
 
     @classmethod
     def basis(cls, n: int, e: tuple[int, ...], alpha: int, i: int) -> "WittElement":
-        if len(e) != n or not 1 <= alpha <= n or not 1 <= i <= n:
+        if (len(e) != n or not (_is_slot(alpha, n) and _is_slot(i, n))
+                or not all(type(x) is int and x >= 0 for x in e)):
             raise AlgebraError("bad Witt basis data")
         return cls(n, {WBasis(tuple(e), alpha, i): 1}, _owned=True)
 
@@ -54,42 +56,32 @@ class WittElement(LinearCombination):
         return f"<WittElement n={self.n} {self.terms}>"
 
 
-def _bracket(summands, v: WittElement, w: WittElement) -> WittElement:
-    """The bracket of ``summands`` (from ``BRACKETS``), bilinearly.  D_k
-    scales x^e (x) x_alpha by e_k + [alpha = k], and a product adds the
-    exponents, plus one at its first factor's direction, to its second's."""
+def _bracket(kind: str, v: WittElement, w: WittElement) -> WittElement:
+    """The bracket ``kind`` (a key of ``BRACKETS``), bilinearly: each pair
+    of basis terms reads the kernel rule on its slot pattern."""
     v._check(w)
     acc: dict[WBasis, Rational] = {}
     for (e, alpha, i), c1 in v.terms.items():
         for (f, beta, j), c2 in w.terms.items():
-            c = c1 * c2
-            ef = [x + y for x, y in zip(e, f)]
-            for sign, v_left, v_derived in summands:
-                lam = (e[j - 1] + (alpha == j) if v_derived
-                       else f[i - 1] + (beta == i))
-                if not lam:
-                    continue
-                g = ef[:]
-                g[(alpha if v_left else beta) - 1] += 1
-                key = WBasis(tuple(g), beta if v_left else alpha,
-                             i if v_derived else j)
-                acc[key] = acc.get(key, 0) + sign * lam * c
+            rule = _kernel(kind, v.n, (alpha, i), (beta, j))
+            for key, c in rule.expected_terms(e, f).items():
+                acc[key] = acc.get(key, 0) + c * c1 * c2
     return WittElement(v.n, acc)
 
 
 def witt_prec(v: WittElement, w: WittElement) -> WittElement:
     """(a D_i) prec (b D_j) = (a D_i(b)) D_j, extended bilinearly."""
-    return _bracket(BRACKETS["prec"], v, w)
+    return _bracket("prec", v, w)
 
 
 def lie_bracket(v: WittElement, w: WittElement) -> WittElement:
     """[v, w] = v prec w - w prec v, antisymmetric by construction."""
-    return _bracket(BRACKETS["lie"], v, w)
+    return _bracket("lie", v, w)
 
 
 def leibniz_bracket(v: WittElement, w: WittElement) -> WittElement:
     """[a D_i, b D_j]_o = D_j(a) b D_i - a D_i(b) D_j; not antisymmetric."""
-    return _bracket(BRACKETS["leibniz"], v, w)
+    return _bracket("leibniz", v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +104,7 @@ def _is_slot(k, n: int) -> bool:
 @dataclass(frozen=True)
 class BracketRule:
     n: int
-    table: str          # "lie" or "leibniz"
+    table: str          # "lie" or "leibniz" ("prec" only in a kernel rule)
     block: str
     left: tuple[int, int]      # (alpha, i) of the left basis element
     right: tuple[int, int]     # (beta, j) of the right basis element
@@ -136,7 +128,7 @@ class BracketRule:
         form, e1 + unit(direction), alpha, i)."""
         n = self.n
         return [(f[0] + sum(map(mul, f[1:n + 1], e1)), f[n + 1:],
-                 tuple(x + (k == d) for k, x in enumerate(e1, 1)), alpha, i)
+                 (*e1[:d - 1], e1[d - 1] + 1, *e1[d:]), alpha, i)
                 for f, d, alpha, i in self.targets]
 
     def expected_terms(self, e1: tuple[int, ...],
@@ -156,6 +148,36 @@ def _row_terms(row: list[tuple], e2: tuple[int, ...]) -> dict[WBasis, Rational]:
             key = WBasis(tuple(map(add, g, e2)), alpha, i)
             acc[key] = acc.get(key, 0) + c
     return {k: c for k, c in acc.items() if c}
+
+
+@functools.lru_cache(maxsize=1024)
+def _kernel(kind: str, n: int, left: tuple[int, int],
+            right: tuple[int, int]) -> BracketRule:
+    """The bracket ``kind`` on the slot pattern (alpha, i), (beta, j) as a
+    rule, one target per summand of ``BRACKETS[kind]``: D_j scales a by
+    [alpha = j] + e1_j and D_i scales b by [beta = i] + e2_i; the product
+    takes one more x at its first factor's direction and the tensor slot of
+    its second factor."""
+    (alpha, i), (beta, j) = left, right
+    targets = []
+    for sign, v_left, v_derived in BRACKETS[kind]:
+        form = [0] * (1 + 2 * n)
+        form[0] = sign * (alpha == j if v_derived else beta == i)
+        form[j if v_derived else n + i] = sign
+        targets.append((tuple(form), alpha if v_left else beta,
+                        beta if v_left else alpha, i if v_derived else j))
+    return BracketRule(n, kind, "kernel", left, right, tuple(targets))
+
+
+def _forms(rule: BracketRule) -> dict[tuple, tuple]:
+    """The rule's forms summed per target (direction, alpha, i), zero sums
+    dropped.  Distinct targets reach distinct basis elements, so two rules
+    with equal sums give equal brackets at every exponent."""
+    acc: dict[tuple, tuple] = {}
+    for form, *target in rule.targets:
+        key = tuple(target)
+        acc[key] = tuple(map(add, acc.get(key, (0,) * len(form)), form))
+    return {k: f for k, f in acc.items() if any(f)}
 
 
 def _rules(n: int, table: str, *rows) -> tuple[BracketRule, ...]:
@@ -250,17 +272,6 @@ def _name(n: int, exps: str, alpha: int, i: int) -> str:
     return f"E[{exps};{_slot_name(n, alpha)},{_slot_name(n, i)}]"
 
 
-def _rows(n: int, left: tuple[int, int], right: tuple[int, int], bound: int):
-    """(e1, u, rights) for every basis element u on the slot pattern
-    ``left`` (an (alpha, i)) with exponents e1 in 0..bound, in lexicographic
-    order; ``rights`` is the one list of (e2, v) for the basis elements v on
-    ``right``, in the same order.  Each operand is built once."""
-    box = list(itertools.product(range(bound + 1), repeat=n))
-    rights = [(e2, WittElement.basis(n, e2, *right)) for e2 in box]
-    for e1 in box:
-        yield e1, WittElement.basis(n, e1, *left), rights
-
-
 #: the largest exponent bound ``structure_table`` accepts: the rank-two Lie
 #: table at 12 has 28561 entries per slot pattern, 272 MB of JSON
 MAX_TABLE_BOUND = 12
@@ -286,7 +297,7 @@ def structure_table(n: int, kind: str, bound: int) -> dict:
     """Explicit bracket values for all basis pairs with exponents up to
     ``bound``, for stable diffs ordered by block (in rule order), then
     (left, right) slot pattern, then exponents.
-    Entries carry the computed results; for n = 1 and n = 2 they coincide
+    Entries carry the kernel's results; for n = 1 and n = 2 they coincide
     with the embedded coefficient rules (see ``verify_tables``).
 
     The arguments are checked here, but ``"entries"`` is a single-pass
@@ -299,15 +310,15 @@ def structure_table(n: int, kind: str, bound: int) -> dict:
     patterns = table_patterns(n, kind)
     if not 0 <= bound <= MAX_TABLE_BOUND:
         raise AlgebraError(f"bound must be in 0..{MAX_TABLE_BOUND}")
-    bracket = lie_bracket if kind == "lie" else leibniz_bracket
     return {"n": n, "kind": kind, "bound": bound,
-            "entries": _table_entries(n, bracket, patterns, bound)}
+            "entries": _table_entries(n, kind, patterns, bound)}
 
 
-def _table_entries(n: int, bracket, patterns, bound: int):
-    """The entries of ``structure_table``, made one at a time.  A basis
-    element is one interned ``FrozenDoc`` wherever it occurs (its exponent
-    list is shared too), so entries are read-only."""
+def _table_entries(n: int, kind: str, patterns, bound: int):
+    """The entries of ``structure_table``, made one at a time from the
+    kernel rule of each slot pattern.  A basis element is one interned
+    ``FrozenDoc`` wherever it occurs (its exponent list is shared too), so
+    entries are read-only."""
     docs: dict[WBasis, FrozenDoc] = {}
 
     def doc(b: WBasis) -> FrozenDoc:
@@ -317,13 +328,15 @@ def _table_entries(n: int, bracket, patterns, bound: int):
                                     i=_slot_name(n, b.i))
         return d
 
+    box = list(itertools.product(range(bound + 1), repeat=n))
     for _, left, right in patterns:
-        for e1, u, rights in _rows(n, left, right, bound):
-            left_doc = doc(WBasis(e1, *left))
-            for e2, v in rights:
+        rule = _kernel(kind, n, left, right)
+        for e1 in box:
+            row, left_doc = rule.row(e1), doc(WBasis(e1, *left))
+            for e2 in box:
                 yield {"left": left_doc, "right": doc(WBasis(e2, *right)),
                        "result": [{"coeff": str(c), "basis": doc(b)} for b, c
-                                  in sorted(bracket(u, v).terms.items())]}
+                                  in sorted(_row_terms(row, e2).items())]}
 
 
 @dataclass
@@ -364,28 +377,33 @@ def _format_witt(terms: dict[WBasis, Rational], n: int) -> str:
 
 
 def verify_tables(bound: int = 3) -> TableVerification:
-    """Exhaustively instantiate every embedded coefficient rule over the
-    exponent box 0..bound and compare with the computed brackets, term dict
-    against term dict."""
+    """Check every embedded coefficient rule against the kernel's rule on
+    its slot pattern, over the (bound + 1) ** (2 n) exponent pairs of the
+    box 0..bound.  Where the summed forms agree (see ``_forms``) every pair
+    agrees, in the box and beyond, and nothing is evaluated; where they
+    differ both rules are evaluated at every pair, and each pair whose term
+    dicts differ is a mismatch."""
     if bound < 0:
         raise AlgebraError("bound must be at least 0")
     out = []
     for rule in W1_RULES + W2_LIE_RULES + W2_LEIBNIZ_RULES:
         n = rule.n
         left_exps, right_exps = ("m", "p") if n == 1 else ("m,n", "p,q")
-        bracket = lie_bracket if rule.table == "lie" else leibniz_bracket
+        kernel = _kernel(rule.table, n, rule.left, rule.right)
         chk = RuleCheck(rule.table, rule.block, _name(n, left_exps, *rule.left),
-                        _name(n, right_exps, *rule.right))
-        for e1, u, rights in _rows(n, rule.left, rule.right, bound):
-            row = rule.row(e1)
-            for e2, v in rights:
-                got = bracket(u, v).terms
-                want = _row_terms(row, e2)
-                if got != want:
-                    chk.mismatches.append({
-                        "at": [*e1, *e2],
-                        "computed": _format_witt(got, n),
-                        "expected": _format_witt(want, n)})
-            chk.checked += len(rights)
+                        _name(n, right_exps, *rule.right),
+                        (bound + 1) ** (2 * n))
+        if _forms(rule) != _forms(kernel):
+            box = list(itertools.product(range(bound + 1), repeat=n))
+            for e1 in box:
+                got_row, want_row = kernel.row(e1), rule.row(e1)
+                for e2 in box:
+                    got = _row_terms(got_row, e2)
+                    want = _row_terms(want_row, e2)
+                    if got != want:
+                        chk.mismatches.append({
+                            "at": [*e1, *e2],
+                            "computed": _format_witt(got, n),
+                            "expected": _format_witt(want, n)})
         out.append(chk)
     return TableVerification(bound, out)

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, settings
 
+import permdiff.spans as spans
 from permdiff.algebra import CTX_Q, DiffPermPoly, Monomial, Symbol, normalize
 
 settings.register_profile(
@@ -54,3 +55,11 @@ def enumerate_monomials(max_var, max_order, max_degree, min_degree=1):
 def monomial_pool_deg3():
     """Enumerated pool of monomials of degree <= 3 (2 vars, orders <= 1)."""
     return enumerate_monomials(2, 1, 3)
+
+
+def break_family(monkeypatch, how):
+    """Pass the degree-k comparison family through ``how(k, family)``
+    wherever it is made: in the coordinate proof and in ``generate_S``."""
+    real = spans._comparison_family
+    monkeypatch.setattr(spans, "_comparison_family", lambda monos, variant: (
+        how(monos[0].degree, real(monos, variant))))

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
+from conftest import break_family
 from hypothesis import given, settings
 
 from permdiff import cli, spans
@@ -438,9 +439,8 @@ class TestDispatch:
 
     def test_dim_failed_proof_exit_one(self, capsys, monkeypatch):
         # an element dropped from the degree-3 family fails check 2 there
-        full = spans.generate_S
-        monkeypatch.setattr(spans, "generate_S", lambda k, v: (
-            full(k, v)[1:] if k == 3 else full(k, v)))
+        break_family(monkeypatch, lambda k, family: (
+            family[1:] if k == 3 else family))
         code, out, err = run_cli(capsys, "dim", "--variant", "star",
                                  "--n", "2..3")
         assert code == 1

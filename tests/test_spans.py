@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import hypothesis.strategies as st
 import pytest
-from conftest import polys_st
+from conftest import break_family, polys_st
 from hypothesis import given, settings
 
 import permdiff.spans as spans
@@ -414,9 +414,7 @@ class TestVerifyDimensionWitnesses:
     exact path finds witnesses on the side it breaks."""
 
     def test_dropped_family_element(self, monkeypatch):
-        full = generate_S
-        monkeypatch.setattr(spans, "generate_S",
-                            lambda n, variant: full(n, variant)[1:])
+        break_family(monkeypatch, lambda k, family: family[1:])
         r = spans.verify_dimension(4, "star")
         assert not r.ok and r.dim is None
         assert r.failed == "degree 2: check 2"
@@ -425,10 +423,8 @@ class TestVerifyDimensionWitnesses:
         assert exact.missing_from_S and not exact.missing_from_closure
 
     def test_family_element_outside_closure(self, monkeypatch):
-        full = generate_S
         stray = x(1) * x(2) * x(3)
-        monkeypatch.setattr(spans, "generate_S",
-                            lambda n, variant: full(n, variant) + [stray])
+        break_family(monkeypatch, lambda k, family: family + [stray])
         r = spans.verify_dimension(3, "prime")
         assert not r.ok and r.failed == "degree 2: check 2"
         exact = exact_report(3, "prime")
@@ -518,9 +514,8 @@ class TestCoordinateProof:
         how, check = {"repeated": (lambda f: f + f[:1], 2),
                       "dropped": (lambda f: f[1:], 2),
                       "copied": (lambda f: f[:-1] + f[:1], 3)}[broken]
-        full = generate_S
-        monkeypatch.setattr(spans, "generate_S", lambda k, v: (
-            how(full(k, v)) if k == n else full(k, v)))
+        break_family(monkeypatch, lambda k, family: (
+            how(family) if k == n else family))
         assert_fails(n, variant, f"degree {n}: check {check}")
         exact = exact_report(n, variant)
         assert not exact.ok and exact.rank_closure == exact.formula
@@ -548,10 +543,9 @@ class TestCoordinateProof:
             def star(self):
                 return -super().star()
 
-        full = generate_S
-        monkeypatch.setattr(spans, "generate_S", lambda k, v: [
+        break_family(monkeypatch, lambda k, family: [
             StarNegated(p.ctx, p.terms, _owned=True) if k == level else p
-            for p in full(k, v)])
+            for p in family])
         assert coordinate_proof(level, "star") == \
             spans.generate_S(level, "star")
         assert_fails(n, "star", f"degree {level + 1}: check 5")
@@ -565,10 +559,7 @@ class TestCoordinateProof:
         # the element with the greatest lead gets a term below that lead:
         # a monomial outside the closure, or another element of the family,
         # which keeps the span; the size and the distinct leads stay
-        full = generate_S
-
-        def broken(k, v):
-            family = full(k, v)
+        def broken(k, family):
             if k != n:
                 return family
             leads = spans._leads(family)
@@ -581,7 +572,7 @@ class TestCoordinateProof:
                     extra = extra * x(i)
             return family[:top] + [family[top] + extra] + family[top + 1:]
 
-        monkeypatch.setattr(spans, "generate_S", broken)
+        break_family(monkeypatch, broken)
         assert spans._leads(spans.generate_S(n, variant)) is not None
         assert_fails(n, variant, f"degree {n}: check 4")
         exact = exact_report(n, variant)
@@ -592,9 +583,8 @@ class TestCoordinateProof:
     @pytest.mark.parametrize("variant,n", [("star", 5), ("prime", 4)])
     def test_scaled_family_element(self, monkeypatch, variant, n, scale):
         # scaled by 3, the element's coordinates have denominator 3
-        full = generate_S
-        monkeypatch.setattr(spans, "generate_S", lambda k, v: [
-            full(k, v)[0].scale(scale)] + full(k, v)[1:])
+        break_family(monkeypatch, lambda k, family: [
+            family[0].scale(scale)] + family[1:])
         assert coordinate_proof(n, variant) == spans.generate_S(n, variant)
         r, exact = verify_dimension(n, variant), exact_report(n, variant)
         assert r.ok and exact.ok and r.dim == exact.rank_closure

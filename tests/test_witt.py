@@ -7,7 +7,7 @@ import pytest
 
 from perm_tensor import PermTensorElem, euler_derivation, perm_product
 from permdiff import witt
-from permdiff.algebra import AlgebraError, FrozenDoc
+from permdiff.algebra import BRACKETS, AlgebraError, FrozenDoc
 from permdiff.witt import (
     WittElement,
     leibniz_bracket,
@@ -149,6 +149,97 @@ class TestLeibnizBracket:
             rhs = (leibniz_bracket(a, leibniz_bracket(b, c))
                    - leibniz_bracket(b, leibniz_bracket(a, c)))
             assert lhs == rhs
+
+
+class TestBasis:
+    @pytest.mark.parametrize("n, e", [
+        (1, (-1,)),                   # x^-1
+        (2, (True, 0)),               # a bool is not an exponent
+        (2, (0, 1.0)),
+        (2, (0, Fraction(1))),
+        (2, (0,)),                    # one exponent short
+    ])
+    def test_exponents_are_ints_at_least_zero(self, n, e):
+        with pytest.raises(AlgebraError, match="bad Witt basis data"):
+            WittElement.basis(n, e, 1, 1)
+
+    @pytest.mark.parametrize("alpha, i", [(True, 1), (1, 2.0), (0, 1)])
+    def test_slots_are_ints_in_1_to_n(self, alpha, i):
+        with pytest.raises(AlgebraError, match="bad Witt basis data"):
+            WittElement.basis(2, (0, 0), alpha, i)
+
+    def test_good_data_is_kept(self):
+        assert E(2, [0, 3], 2, 1).terms == {witt.WBasis((0, 3), 2, 1): 1}
+
+
+class TestKernelRules:
+    """Each bracket is its kernel's rule data, evaluated; here it is
+    compared with the per-point loop the brackets ran before."""
+
+    @pytest.mark.parametrize("n, bound", [(1, 3), (2, 3), (3, 1)])
+    @pytest.mark.parametrize("kind, bracket", [
+        ("prec", witt_prec), ("lie", lie_bracket),
+        ("leibniz", leibniz_bracket)])
+    def test_kernel_matches_the_per_point_loop(self, n, bound, kind, bracket):
+        box = witt_box(n, bound)
+        for v, w in itertools.product(box, repeat=2):
+            assert bracket(v, w).terms == _point_bracket(kind, v, w).terms
+        u = box[1] + box[-1].scale(Fraction(-2, 3))
+        assert bracket(u, u + box[2]) == _point_bracket(kind, u, u + box[2])
+
+    @pytest.mark.parametrize("n, kind", [
+        (1, "lie"), (1, "leibniz"), (2, "lie"), (2, "leibniz")])
+    def test_table_entries_match_the_per_point_loop(self, n, kind):
+        slot = {"x": 1, "y": 2, "1": 1}
+        for entry in structure_table(n, kind, 2)["entries"]:
+            v, w = (E(n, tuple(d["e"]), slot[d["alpha"]], slot[d["i"]])
+                    for d in (entry["left"], entry["right"]))
+            want = _point_bracket(kind, v, w)
+            assert [(r["coeff"], r["basis"]["e"]) for r in entry["result"]] \
+                == [(str(c), list(b.e)) for b, c in sorted(want.terms.items())]
+
+    def test_verify_tables_reads_the_kernel_rules(self):
+        for n, rule in _all_rules():
+            kernel = witt._kernel(rule.table, n, rule.left, rule.right)
+            assert witt._forms(kernel) == witt._forms(rule)
+            assert kernel is witt._kernel(rule.table, n, rule.left, rule.right)
+
+    def test_largest_cli_bound_compares_data(self):
+        ver = verify_tables(witt.MAX_TABLE_BOUND)
+        assert ver.ok and ver.total_checks == 914121
+        assert verify_tables(10 ** 6).total_checks == (
+            (10 ** 6 + 1) ** 2 + 32 * (10 ** 6 + 1) ** 4)
+
+    @pytest.mark.parametrize("attr", ["W1_RULES", "W2_LIE_RULES",
+                                      "W2_LEIBNIZ_RULES"])
+    @pytest.mark.parametrize("at", [1, -1])
+    def test_rule_off_in_a_linear_coefficient(self, monkeypatch, attr, at):
+        # the constant terms agree, so the one point of the box at bound 0
+        # cannot tell; at bound 1 the mismatches are the per-point loop's
+        rules = getattr(witt, attr)
+        (form, *target), *rest = rules[0].targets
+        form = list(form)
+        form[at] += 1
+        bad = dataclasses.replace(rules[0], targets=(
+            (tuple(form), *target), *rest))
+        monkeypatch.setattr(witt, attr, (bad,) + rules[1:])
+        ver = verify_tables(0)
+        assert ver.ok and ver.total_checks == 33
+        chk = next(r for r in verify_tables(1).rules
+                   if (r.table, r.block) == (bad.table, bad.block))
+        n = bad.n
+        box = list(itertools.product(range(2), repeat=n))
+        slow = []
+        for e1, e2 in itertools.product(box, box):
+            got = _point_bracket(bad.table, E(n, e1, *bad.left),
+                                 E(n, e2, *bad.right))
+            want = _expected(bad, e1, e2)
+            if got != want:
+                slow.append({"at": [*e1, *e2],
+                             "computed": witt._format_witt(got.terms, n),
+                             "expected": witt._format_witt(want.terms, n)})
+        assert chk.checked == 2 ** (2 * n) and slow
+        assert chk.mismatches == slow
 
 
 class TestFusedFormulasMatchTheDefinition:
@@ -464,6 +555,28 @@ def _expected(rule, e1, e2):
                   for k, (x, y) in enumerate(zip(e1, e2), 1))
         out = out + E(n, e, alpha, i).scale(c)
     return out
+
+
+def _point_bracket(kind, v, w):
+    """The bracket ``kind`` as the library computed it before its kernel
+    was rule data: per pair of basis terms and per summand of
+    ``BRACKETS[kind]``, the derived factor's scale times the product."""
+    acc = {}
+    for (e, alpha, i), c1 in v.terms.items():
+        for (f, beta, j), c2 in w.terms.items():
+            c = c1 * c2
+            ef = [x + y for x, y in zip(e, f)]
+            for sign, v_left, v_derived in BRACKETS[kind]:
+                lam = (e[j - 1] + (alpha == j) if v_derived
+                       else f[i - 1] + (beta == i))
+                if not lam:
+                    continue
+                g = ef[:]
+                g[(alpha if v_left else beta) - 1] += 1
+                key = witt.WBasis(tuple(g), beta if v_left else alpha,
+                                  i if v_derived else j)
+                acc[key] = acc.get(key, 0) + sign * lam * c
+    return WittElement(v.n, acc)
 
 
 def _off_by_one(rule):

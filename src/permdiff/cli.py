@@ -99,7 +99,14 @@ _PRINTED_FORMS = {
 
 class _Parser:
     """Recursive descent over the tokens of one line.  Columns are found
-    again only when an error is raised."""
+    again only when an error is raised.
+
+    Every node is made by ``node``, through a table local to the parser, so
+    equal subtrees of the line are one object.  A key holds the node class,
+    its scalar (a tag, a variable index or a coefficient with its type) and
+    its operands' identities: ``Bracket`` and ``DerOp`` nodes, and the
+    coefficients 2, ``Fraction(2)`` and ``DeltaPoly.const(2)``, which compare
+    equal, stay apart."""
 
     def __init__(self, text: str, line: int, product: str | None):
         self.text = text
@@ -107,6 +114,24 @@ class _Parser:
         self.pos = 0
         self.line = line
         self.product = product
+        self.nodes: dict[tuple, Expr] = {}
+
+    def node(self, key: tuple, cls, *args) -> Expr:
+        """The one node ``cls(*args)`` of this parse with the given key."""
+        got = self.nodes.get(key)
+        if got is None:
+            got = self.nodes[key] = cls(*args)
+        return got
+
+    def scale(self, c, body: Expr) -> Expr:
+        return self.node((Scale, type(c), c, id(body)), Scale, c, body)
+
+    def negate(self, node: Expr) -> Expr:
+        """Fold a leading minus into a rational scalar coefficient."""
+        if isinstance(node, Scale) and not isinstance(node.coeff, DeltaPoly):
+            c = -node.coeff
+            return node.body if c == 1 else self.scale(c, node.body)
+        return self.scale(-1, node)
 
     def error(self, message: str) -> ParseError:
         """The error at the next token; a character outside the grammar
@@ -117,9 +142,6 @@ class _Parser:
                 return ParseError(f"unexpected character {m[1]!r}",
                                   self.line, m.start(1) + 1)
         return ParseError(message, self.line, matches[self.pos].start(1) + 1)
-
-    def peek(self) -> str:
-        return self.toks[self.pos]
 
     def expect_op(self, op: str) -> None:
         if self.toks[self.pos] != op:
@@ -136,103 +158,93 @@ class _Parser:
                              ) from None
 
     def parse_expr(self) -> Expr:
-        t = self.peek()
+        toks = self.toks
+        t = toks[self.pos]
         if t == "+" or t == "-":
             self.pos += 1
         node = self.parse_term()
         if t == "-":
-            node = _negate(node)
+            node = self.negate(node)
+        t = toks[self.pos]
+        if t != "+" and t != "-":
+            return node
         terms = [node]
-        while True:
-            t = self.peek()
-            if t == "+" or t == "-":
-                self.pos += 1
-                nxt = self.parse_term()
-                terms.append(nxt if t == "+" else _negate(nxt))
-            else:
-                break
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+        while t == "+" or t == "-":
+            self.pos += 1
+            nxt = self.parse_term()
+            terms.append(nxt if t == "+" else self.negate(nxt))
+            t = toks[self.pos]
+        return self.node((Sum, *map(id, terms)), Sum, tuple(terms))
 
     def parse_term(self) -> Expr:
-        scalars: list = []
-        nodes: list[Expr] = []
-        self._collect_factor(scalars, nodes)
-        while self.peek() == "*":
+        """Factors joined by '*': the generator factors multiplied from the
+        left, scaled by the product of the scalar factors unless it is 1."""
+        toks = self.toks
+        node = coeff = None
+        while True:
+            t = toks[self.pos]
+            if t[:1] in _DIGITS:
+                num, _, den = t.partition("/")
+                num, den = self.integer(num), self.integer(den or "1")
+                if den == 0:
+                    raise self.error("zero denominator")
+                c = Fraction(num, den)
+            elif t == "delta":
+                c = DELTA
+            else:
+                nxt = self.parse_atom()
+                node = nxt if node is None else self.node(
+                    (Mul, id(node), id(nxt)), Mul, node, nxt)
+                c = None
+            if c is not None:
+                self.pos += 1
+                coeff = c if coeff is None else coeff * c
+            if toks[self.pos] != "*":
+                break
             self.pos += 1
-            self._collect_factor(scalars, nodes)
-        if not nodes:
+        if node is None:
             raise self.error("term has no generator factor")
-        node = nodes[0]
-        for nxt in nodes[1:]:
-            node = Mul(node, nxt)
-        if scalars:
-            coeff = scalars[0]
-            for c in scalars[1:]:
-                coeff = coeff * c
-            if coeff != 1:
-                node = Scale(coeff if isinstance(coeff, DeltaPoly)
-                             else _as_int(coeff), node)
+        if coeff is not None and coeff != 1:
+            node = self.scale(coeff if isinstance(coeff, DeltaPoly)
+                              else _as_int(coeff), node)
         return node
 
-    def _collect_factor(self, scalars: list, nodes: list[Expr]) -> None:
-        t = self.peek()
-        if t[:1] in _DIGITS:
-            num, _, den = t.partition("/")
-            num, den = self.integer(num), self.integer(den or "1")
-            if den == 0:
-                raise self.error("zero denominator")
-            self.pos += 1
-            scalars.append(Fraction(num, den))
-        elif t == "delta":
-            self.pos += 1
-            scalars.append(DELTA)
-        else:
-            nodes.append(self.parse_atom())
-
     def parse_atom(self) -> Expr:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t == "(":
             self.pos += 1
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
-        if t[:1] not in _LETTERS:
-            raise self.error("expected factor")
-        if t[0] == "x" and t[1:].isdigit():
+        if t[:1] == "x" and t[1:].isdigit():
             idx = self.integer(t[1:])
             if idx < 1:
                 raise self.error("variable index must be >= 1")
             self.pos += 1
-            return Var(idx)
+            return self.node((Var, idx), Var, idx)
         form = CALL_FORMS.get(t)
         if form is None:
-            raise self.error(f"unknown operation name {t!r}")
+            raise self.error("expected factor" if t[:1] not in _LETTERS
+                             else f"unknown operation name {t!r}")
         cls, arity = form
-        args = []
+        tag = None
         if hasattr(cls, "tag"):  # a derived product, assoc or bracket
-            args.append(t if cls is DerOp else self.product)
-            if args[0] is None:
+            tag = t if cls is DerOp else self.product
+            if tag is None:
                 raise self.error(f"{t}(...) needs --product")
         self.pos += 1
         self.expect_op("(")
-        args.append(self.parse_expr())
+        ops = [self.parse_expr()]
         for _ in range(arity - 1):
             self.expect_op(",")
-            args.append(self.parse_expr())
+            ops.append(self.parse_expr())
         self.expect_op(")")
-        return cls(*args)
+        args = ops if tag is None else [tag, *ops]
+        return self.node((cls, tag, *map(id, ops)), cls, *args)
 
 
 def _as_int(c: Fraction):
     return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-
-
-def _negate(node: Expr) -> Expr:
-    """Fold a leading minus into a rational scalar coefficient."""
-    if isinstance(node, Scale) and not isinstance(node.coeff, DeltaPoly):
-        c = -node.coeff
-        return node.body if c == 1 else Scale(c, node.body)
-    return Scale(-1, node)
 
 
 def parse_expr(text: str, product: str | None = None, line: int = 1) -> Expr:
@@ -240,7 +252,7 @@ def parse_expr(text: str, product: str | None = None, line: int = 1) -> Expr:
     an evaluation-time error, not a parse error."""
     parser = _Parser(text, line, product)
     node = parser.parse_expr()
-    if parser.peek():
+    if parser.toks[parser.pos]:
         raise parser.error("trailing input")
     return node
 

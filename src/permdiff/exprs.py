@@ -15,13 +15,19 @@ products from ``DERIVED_PRODUCTS``, an associator as its two derived
 products, and a sum by bilinearity: its products that share the operation
 and a structurally equal left operand are evaluated as one product whose
 right operand is the weighted sum of theirs, so a sum of right-nested
-products is evaluated along its prefix tree.  The memo is keyed by the
-frozen node itself, so equal subtrees are evaluated once however they were
-built.  In the ordinary context D^k derives the memoised D^(k-1) normal
-form.  In a δ context D^k is pushed through the syntactic product structure
-with the rule D(uv) = δ(D(u)v + uD(v)), which is the Leibniz rule at δ = 1,
-and bottoms out at generator leaves; there a zero normal form over Q[δ]
-certifies the identity in every perm algebra with a δ-derivation.
+products is evaluated along its prefix tree.  That weighted sum is divided
+by its first nonzero coefficient when this is a rational (or a constant of
+Q[δ]), and the product is scaled by it, so a sum and its scalar multiples
+are one memo entry: in a standard identity the operand that follows the
+prefix (x_i, x_j) is the negative of the one that follows (x_j, x_i).  The
+memo is keyed by the frozen node itself, so equal subtrees are evaluated
+once however they were built; each node caches its hash, so a lookup does
+not walk the subtree again.  In the ordinary context D^k derives the
+memoised D^(k-1) normal form.  In a δ context D^k is pushed through the
+syntactic product structure with the rule D(uv) = δ(D(u)v + uD(v)), which
+is the Leibniz rule at δ = 1, and bottoms out at generator leaves; there a
+zero normal form over Q[δ] certifies the identity in every perm algebra
+with a δ-derivation.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .algebra import (
     DiffPermPoly,
     LinearCombination,
     Monomial,
+    Rational,
     Scalar,
     _coerce_scalar,
 )
@@ -59,9 +66,21 @@ class NonMultilinearError(AlgebraError):
 
 
 class Expr:
-    """Base node; arithmetic operators build trees, nothing is evaluated."""
+    """Base node; arithmetic operators build trees, nothing is evaluated.
 
-    __slots__ = ()
+    A node's hash is computed from its fields once and kept in the ``_hash``
+    slot, which is not a field, so hashing a node does not walk its
+    subtree again."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._field_hash()
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __add__(self, other: "Expr") -> "Expr":
         terms = []
@@ -79,47 +98,55 @@ class Expr:
         return Scale(-1, self)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """A frozen, slotted dataclass node whose hash is cached by ``Expr``."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = Expr.__hash__
+    return cls
+
+
+@_node
 class Var(Expr):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mul(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Der(Expr):
     body: Expr
     axis: int = 1
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class DerOp(Expr):
     tag: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Star(Expr):
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Scale(Expr):
     coeff: Union[int, Fraction, DeltaPoly]
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Sum(Expr):
     terms: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Assoc(Expr):
     """Associator (a, b, c) = (a · b) · c - a · (b · c) of a derived product."""
 
@@ -129,7 +156,7 @@ class Assoc(Expr):
     c: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Bracket(DerOp):
     """Readability alias for a bracket-like derived product: it evaluates as
     the ``DerOp`` it extends and differs from it only in how it prints."""
@@ -193,6 +220,18 @@ def _linear_terms(node: Expr, ctx: Context) -> list[tuple[Scalar, Expr]]:
     return out
 
 
+def _inverse(c: Scalar) -> Rational | None:
+    """1/c when ``c`` is a nonzero rational or a nonzero constant of Q[δ],
+    else None; an integer for the units ±1."""
+    if isinstance(c, DeltaPoly):
+        if len(c.coeffs) != 1:
+            return None
+        c = c.coeffs[0]
+    if not c:
+        return None
+    return c if c == 1 or c == -1 else 1 / Fraction(c)
+
+
 def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
               ctx: Context) -> DiffPermPoly:
     """D^0 of ``e`` through ``rec(node, k)``, which is D^k of the node's
@@ -220,7 +259,9 @@ def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
         """D^k of a linear combination, by bilinearity: its products that
         share the operation and a structurally equal left operand are
         evaluated as one product whose right operand is the weighted sum of
-        theirs."""
+        theirs, divided by its first nonzero coefficient when that is a
+        rational or a constant of Q[δ], so a sum and its scalar multiples
+        share one memo entry."""
         terms: list[tuple[Scalar, Expr]] = []
         groups: dict[tuple, list[tuple[Scalar, Expr]]] = {}
         for c, t in _linear_terms(node, ctx):
@@ -233,9 +274,13 @@ def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
             if len(members) == 1:
                 terms.extend(members)
                 continue
-            rhs = Sum(tuple(t.rhs if c == 1 else Scale(c, t.rhs)
+            lead = next((c for c, _ in members if c), 1)
+            inv = _inverse(lead)
+            if inv is None:
+                lead = inv = 1
+            rhs = Sum(tuple(t.rhs if c == lead else Scale(c * inv, t.rhs)
                             for c, t in members))
-            terms.append((1, Mul(lhs, rhs) if tag is None
+            terms.append((lead, Mul(lhs, rhs) if tag is None
                           else DerOp(tag, lhs, rhs)))
         acc: dict[Monomial, Scalar] = {}
         get = acc.get
@@ -457,8 +502,8 @@ def standard_identity(tag: str, n: int) -> Expr:
     with the innermost argument fixed.  Each bracketed summand expands into
     up to n! monomials of n factors.  Each suffix subtree is built once and
     shared.  The evaluation memo is structural and would find equal copies
-    too; sharing saves hashing them and holding them (std9 peaks at 62 MB
-    shared, 81 MB unshared)."""
+    too; sharing saves hashing them and holding them (checking std9 peaks at
+    66 MB shared, 122 MB unshared)."""
     memo: dict[tuple[int, ...], Expr] = {}
 
     def chain(rest: tuple[int, ...]) -> Expr:

@@ -13,7 +13,13 @@ from conftest import break_family
 from hypothesis import given, settings
 
 from permdiff import cli, spans
-from permdiff.algebra import DERIVED_PRODUCT_TAGS, DiffPermPoly, FrozenDoc
+from permdiff.algebra import (
+    DELTA,
+    DERIVED_PRODUCT_TAGS,
+    DeltaPoly,
+    DiffPermPoly,
+    FrozenDoc,
+)
 from permdiff.cli import ParseError, main, parse_expr, pretty
 from permdiff.exprs import (
     Assoc,
@@ -145,6 +151,53 @@ class TestParse:
                 text = pretty(case.expr)
                 back = parse_expr(text, product=find_tag(case.expr))
                 assert back == case.expr, case.name
+
+    def test_equal_subtrees_of_a_line_are_one_object(self):
+        got = parse_expr("diamond(x1, diamond(x2, x3)) - 2 * x4 * diamond(x2,"
+                         " x3) + (x4 * diamond(x2, x3) + x1)")
+        first, second, third = got.terms
+        inner = first.rhs
+        assert second.body.lhs is third.terms[0].lhs
+        assert second.body.rhs is inner and third.terms[0].rhs is inner
+        assert first.lhs is third.terms[1]
+        assert second.body is third.terms[0]
+
+    def test_sharing_keeps_classes_apart(self):
+        got = parse_expr("bracket(x1, x2) + diamond(x1, x2) + bracket(x1, x2)",
+                         product="diamond")
+        bracket, derop, again = got.terms
+        assert type(bracket) is Bracket and type(derop) is DerOp
+        assert bracket is again and bracket is not derop
+        assert bracket.lhs is derop.lhs and bracket.rhs is derop.rhs
+
+    def test_sharing_keeps_coefficient_types(self):
+        # 0 and 0*delta are equal scalars of different types, so their nodes
+        # are equal but not shared; a coefficient of 1 makes no node
+        got = parse_expr("2*x1 + 1/2*x1 + delta*x1 + 0*x1 + 0*delta*x1"
+                         " + 2*x1 - 2*x1 + 4/2*x1 + 1*x1")
+        terms = got.terms
+        assert [type(t.coeff) for t in terms[:8]] == [
+            int, Fraction, DeltaPoly, int, DeltaPoly, int, int, int]
+        assert [t.coeff for t in terms[:8]] == [2, Fraction(1, 2), DELTA, 0,
+                                                0, 2, -2, 2]
+        assert terms[3] == terms[4] and terms[3] is not terms[4]
+        assert terms[0] is terms[5] is terms[7]
+        assert terms[8] is terms[0].body
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_shared_parse_round_trips(self, n):
+        library = standard_identity("diamond", n)
+        text = pretty(library)
+        got = parse_expr(text)
+        assert got == library and pretty(got) == text
+
+    def test_two_parses_share_no_node(self):
+        text = "loz(x1, x2) * d(x3) - 1/2 * loz(x1, x2) * d(x3)"
+        a, b = parse_expr(text), parse_expr(text)
+        assert a == b and a is not b
+        assert a.terms[0] is a.terms[1].body
+        assert a.terms[0] is not b.terms[0]
+        assert a.terms[0].lhs.lhs is not b.terms[0].lhs.lhs
 
     # grammar pieces mixed with characters outside the grammar: non-ASCII
     # digits and letters, an underscore, a lone slash, a newline

@@ -208,10 +208,37 @@ _OPERANDS = (Var(1), Var(2), Var(3), Der(Var(1)), Mul(Var(2), Var(3)),
              DerOp("succ", Var(3), Var(1)))
 
 
-def _linear_strategy():
+def _multiples(tag, lefts, factors, rights, coeffs):
+    """The sum over left operands l and right operands r of
+    k_l c_r op(l, r), with ``Mul`` for the tag None.  The products with left
+    operand l group into op(l, k_l Σ_r c_r r), so the grouped right operands
+    are scalar multiples of one another, and a group's first coefficient
+    k_l c_r may be zero."""
+    terms = []
+    for lhs, k in zip(lefts, factors):
+        for rhs, c in zip(rights, coeffs):
+            p = Mul(lhs, rhs) if tag is None else DerOp(tag, lhs, rhs)
+            terms.append(Scale(k, p if c == 1 else Scale(c, p)))
+    return Sum(tuple(terms))
+
+
+def _multiples_strategy(left, sub, factor):
+    """``_multiples`` with two or three of each operand and the left
+    operands' factors drawn from ``factor``."""
+    size = dict(min_size=2, max_size=3)
+    return st.builds(
+        _multiples, st.sampled_from(DERIVED_PRODUCT_TAGS + (None,)),
+        st.lists(left, **size), st.lists(factor, **size),
+        st.lists(sub, **size), st.lists(st.sampled_from((0, 1, -1, 2)),
+                                        **size))
+
+
+def _linear_strategy(factor=st.sampled_from((0, -1, 1, 3, Fraction(1, 2),
+                                             Fraction(-2, 3)))):
     """Sums of products over all six tags whose left operands recur, both
-    shared and as unshared equal copies, with nested sums, scalings and
-    summands that cancel."""
+    shared and as unshared equal copies, with nested sums, scalings,
+    summands that cancel and groups whose right operands are scalar
+    multiples of one another (``factor`` scales those)."""
     left = st.one_of(st.sampled_from(_OPERANDS),
                      st.sampled_from(_OPERANDS).map(_clone))
     tag = st.sampled_from(DERIVED_PRODUCT_TAGS)
@@ -226,9 +253,17 @@ def _linear_strategy():
             st.lists(sub, min_size=1, max_size=4).map(
                 lambda ts: Sum(tuple(ts))),
             sub.map(lambda t: Sum((t, Scale(-1, _clone(t))))),
+            _multiples_strategy(left, sub, factor),
         ),
         max_leaves=8)
     return st.lists(expr, min_size=2, max_size=6).map(lambda ts: Sum(tuple(ts)))
+
+
+# factors of Q[δ] for grouped right operands: constants, which are divided
+# out, and δ, δ + 1 and the zero polynomial, which are not
+_DELTA_FACTORS = st.sampled_from((DeltaPoly.const(2), DeltaPoly.const(-1),
+                                  DeltaPoly.const(Fraction(1, 2)), DeltaPoly(),
+                                  DELTA, DELTA + 1, -1, Fraction(-2, 3)))
 
 
 class TestGroupedEvaluation:
@@ -256,6 +291,60 @@ class TestGroupedEvaluation:
             assert specialize_delta(got, 1) == reference_eval(wrap(tree),
                                                               gens(3))
 
+    @given(_linear_strategy(_DELTA_FACTORS))
+    @settings(max_examples=60)
+    def test_delta_factors_match_summands(self, tree):
+        # grouped right operands scaled by constants of Q[δ], by δ and by
+        # zero: the value is the sum of the summands' values, and at δ = 1
+        # the ungrouped ordinary reference on the tree with δ set to 1
+        sub = gens(3, CTX_DELTA)
+        got = eval_delta(tree, sub)
+        want = DiffPermPoly.zero(CTX_DELTA)
+        for t in tree.terms:
+            want = want + eval_delta(t, sub)
+        assert got == want
+        assert specialize_delta(got, 1) == reference_eval(_clone(tree, 1),
+                                                          gens(3))
+
+    def test_zero_leading_coefficient(self):
+        # every product has the left operand x2; the grouped right operand
+        # is led by two zero coefficients, so it is divided by the third
+        p = Mul(v(2), v(3))
+        e = Sum((Sum((Scale(0, p), Scale(-1, Scale(0, p)))), p))
+        assert eval_expr(e, gens(3)) == reference_eval(e, gens(3))
+        assert eval_expr(e, gens(3)) == eval_expr(p, gens(3))
+        d = Sum((Scale(DeltaPoly(), p), Scale(DeltaPoly.const(-2), p),
+                 Scale(DELTA, p)))
+        assert (eval_delta(Der(d), gens(3, CTX_DELTA))
+                == eval_delta(Der(p), gens(3, CTX_DELTA)).scale(DELTA - 2))
+
+    @pytest.mark.parametrize("k", [1, -1, 2, Fraction(-1, 3)])
+    def test_scalar_multiples_share_one_memo_entry(self, k, monkeypatch):
+        # the groups loz(x1, r) and loz(x2, k r) with r = succ(x3, x4) -
+        # succ(x3, x5) have right operands that are multiples of one sum;
+        # its grouped product succ(x3, x4 - x5) is expanded once, so x2's
+        # group costs only the two products of loz
+        r = (DerOp("succ", v(3), v(4)), DerOp("succ", v(3), v(5)))
+        trees = [_multiples("loz", (v(1), v(2)), (1, k), r, (1, -1)),
+                 _multiples("loz", (v(1),), (1,), r, (1, -1))]
+        calls = []
+        mul = DiffPermPoly.__mul__
+
+        def counted(self, other):
+            calls.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(DiffPermPoly, "__mul__", counted)
+        counts = []
+        for tree in trees:
+            calls.clear()
+            eval_expr(tree, gens(5))
+            counts.append(len(calls))
+        assert counts == [5, 3]
+        monkeypatch.undo()
+        for tree in trees:
+            assert eval_expr(tree, gens(5)) == reference_eval(tree, gens(5))
+
     def test_unshared_equal_summands_cancel(self):
         t = DerOp("diamond", DerOp("loz", v(1), v(2)), Mul(v(3), Der(v(1))))
         assert eval_expr(Sum((t, Scale(-1, _clone(t)))), gens(3)).is_zero()
@@ -266,10 +355,12 @@ class TestGroupedEvaluation:
 
     def test_parsed_std7_derives_as_often_as_the_library_tree(self,
                                                              monkeypatch):
-        # the memo is structural, so the unshared equal suffixes of a parsed
-        # tree are expanded once, as the library tree's shared ones are; and
-        # each subtree's derivative is memoised too, so far fewer normal
-        # forms are derived than products are expanded
+        # the memo is structural, so the equal suffixes of a parsed tree are
+        # expanded once, as the library tree's shared ones are; each
+        # subtree's derivative is memoised too, so far fewer normal forms are
+        # derived than products are expanded; and a grouped right operand is
+        # memoised up to a scalar, so the operands of the prefixes (i, j) and
+        # (j, i), negatives of each other, are expanded once
         image = {1: 4, 2: 7, 3: 1, 4: 6, 5: 2, 6: 5, 7: 3}
         text = re.sub(r"x(\d+)", lambda m: f"x{image[int(m.group(1))]}",
                       pretty(standard_identity("diamond", 7)))
@@ -289,8 +380,8 @@ class TestGroupedEvaluation:
             counts.append((calls.count("derive"), calls.count("__mul__")))
         assert counts[0] == counts[1]
         derives, products = counts[0]
-        assert derives <= 119
-        assert products == 624
+        assert derives == 69
+        assert products == 384
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_parsed_and_library_standard_identities_agree(self, n):

@@ -1,25 +1,12 @@
-"""Command-line front end: parse expressions, run suites, compute dimensions,
-emit tables and reduction traces.
+"""Command-line front end: check identities, compute dimensions, emit tables
+and reduction traces, expand and print expressions.
 
 Machine-readable JSON goes to stdout; a human summary goes to stderr unless
 --quiet is given.  Exit codes: 0 success, 1 verification failure, 2 usage or
 parse error, 3 internal error.  All output is deterministic byte-for-byte
-given the same flags.
-
-Expression grammar::
-
-    expr   := ['+'|'-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := rational | 'delta' | var | 'd(' expr ')' | 'star(' expr ')'
-            | opname '(' expr ',' expr ')'
-            | 'assoc(' expr ',' expr ',' expr ')' | 'bracket(' expr ',' expr ')'
-            | '(' expr ')'
-    var    := 'x' digits        rational := digits ['/' digits]
-    opname := prec | succ | loz | bullet | diamond | circ
-
-Digits are ASCII ``0-9`` and names ASCII ``[A-Za-z][A-Za-z0-9_]*``; blanks
-and tabs separate tokens, and any other character is a syntax error.
-``assoc``/``bracket`` use the product selected with --product.
+given the same flags.  Expressions are read in the grammar of
+``exprs.parse_expr``; ``assoc`` and ``bracket`` use the product selected
+with --product.
 """
 
 from __future__ import annotations
@@ -27,16 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
-import string
 import sys
 from dataclasses import asdict, fields
-from fractions import Fraction
 from types import GeneratorType
 
 from .algebra import (
     AlgebraError,
-    DELTA,
     DeltaPoly,
     DERIVED_PRODUCT_TAGS,
     FrozenDoc,
@@ -45,18 +28,17 @@ from .algebra import (
     format_scalar,
 )
 from .exprs import (
-    Assoc,
-    Bracket,
-    Der,
+    CALL_FORMS,
     DerOp,
     Expr,
     Mul,
+    ParseError,
     Scale,
-    Star,
     Sum,
     Var,
     check_identity,
     eval_on_generators,
+    parse_expr,
     run_suite,
     SUITE_IDS,
 )
@@ -66,195 +48,12 @@ from .witt import structure_table, table_patterns, verify_tables
 
 OPNAMES = DERIVED_PRODUCT_TAGS
 
-
-class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"syntax error at line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
-
-
-# One token after optional blanks: a number, a name, an operator, any other
-# character, which no rule accepts, or "" at the end of the text.
-_TOKEN = re.compile(r"[ \t]*([0-9]+(?:/[0-9]+)?|[A-Za-z][A-Za-z0-9_]*"
-                    r"|[-+*(),]|\Z|.)", re.S)
-_DIGITS = frozenset("0123456789")
-_LETTERS = frozenset(string.ascii_letters)
-_STARTS = _DIGITS | _LETTERS | frozenset("+-*(),")  # first chars of tokens
-
-# The call forms of the grammar: name -> (node class, operand count).  A
-# derived product is tagged with its own name; assoc and bracket are tagged
-# with the product chosen by --product.
-CALL_FORMS = {"d": (Der, 1), "star": (Star, 1),
-              **dict.fromkeys(OPNAMES, (DerOp, 2)),
-              "assoc": (Assoc, 3), "bracket": (Bracket, 2)}
-
-# The inverse: node class -> (call name, operand fields).  A DerOp prints as
-# its tag.
+# The inverse of the grammar's call forms: node class -> (call name, operand
+# fields).  A DerOp prints as its tag.
 _PRINTED_FORMS = {
     cls: (None if cls is DerOp else name,
           [f.name for f in fields(cls) if f.name != "tag"][:arity])
     for name, (cls, arity) in CALL_FORMS.items()}
-
-
-class _Parser:
-    """Recursive descent over the tokens of one line.  Columns are found
-    again only when an error is raised.
-
-    Every node is made by ``node``, through a table local to the parser, so
-    equal subtrees of the line are one object.  A key holds the node class,
-    its scalar (a tag, a variable index or a coefficient with its type) and
-    its operands' identities: ``Bracket`` and ``DerOp`` nodes, and the
-    coefficients 2, ``Fraction(2)`` and ``DeltaPoly.const(2)``, which compare
-    equal, stay apart."""
-
-    def __init__(self, text: str, line: int, product: str | None):
-        self.text = text
-        self.toks = _TOKEN.findall(text)
-        self.pos = 0
-        self.line = line
-        self.product = product
-        self.nodes: dict[tuple, Expr] = {}
-
-    def node(self, key: tuple, cls, *args) -> Expr:
-        """The one node ``cls(*args)`` of this parse with the given key."""
-        got = self.nodes.get(key)
-        if got is None:
-            got = self.nodes[key] = cls(*args)
-        return got
-
-    def scale(self, c, body: Expr) -> Expr:
-        return self.node((Scale, type(c), c, id(body)), Scale, c, body)
-
-    def negate(self, node: Expr) -> Expr:
-        """Fold a leading minus into a rational scalar coefficient."""
-        if isinstance(node, Scale) and not isinstance(node.coeff, DeltaPoly):
-            c = -node.coeff
-            return node.body if c == 1 else self.scale(c, node.body)
-        return self.scale(-1, node)
-
-    def error(self, message: str) -> ParseError:
-        """The error at the next token; a character outside the grammar
-        anywhere in the line is reported instead, as the first error."""
-        matches = list(_TOKEN.finditer(self.text))
-        for m in matches:
-            if m[1] and m[1][0] not in _STARTS:
-                return ParseError(f"unexpected character {m[1]!r}",
-                                  self.line, m.start(1) + 1)
-        return ParseError(message, self.line, matches[self.pos].start(1) + 1)
-
-    def expect_op(self, op: str) -> None:
-        if self.toks[self.pos] != op:
-            raise self.error(f"expected {op!r}")
-        self.pos += 1
-
-    def integer(self, digits: str) -> int:
-        """The value of ASCII digits in the next token; more digits than the
-        interpreter converts are a parse error."""
-        try:
-            return int(digits)
-        except ValueError:
-            raise self.error(f"number of {len(digits)} digits is too long"
-                             ) from None
-
-    def parse_expr(self) -> Expr:
-        toks = self.toks
-        t = toks[self.pos]
-        if t == "+" or t == "-":
-            self.pos += 1
-        node = self.parse_term()
-        if t == "-":
-            node = self.negate(node)
-        t = toks[self.pos]
-        if t != "+" and t != "-":
-            return node
-        terms = [node]
-        while t == "+" or t == "-":
-            self.pos += 1
-            nxt = self.parse_term()
-            terms.append(nxt if t == "+" else self.negate(nxt))
-            t = toks[self.pos]
-        return self.node((Sum, *map(id, terms)), Sum, tuple(terms))
-
-    def parse_term(self) -> Expr:
-        """Factors joined by '*': the generator factors multiplied from the
-        left, scaled by the product of the scalar factors unless it is 1."""
-        toks = self.toks
-        node = coeff = None
-        while True:
-            t = toks[self.pos]
-            if t[:1] in _DIGITS:
-                num, _, den = t.partition("/")
-                num, den = self.integer(num), self.integer(den or "1")
-                if den == 0:
-                    raise self.error("zero denominator")
-                c = Fraction(num, den)
-            elif t == "delta":
-                c = DELTA
-            else:
-                nxt = self.parse_atom()
-                node = nxt if node is None else self.node(
-                    (Mul, id(node), id(nxt)), Mul, node, nxt)
-                c = None
-            if c is not None:
-                self.pos += 1
-                coeff = c if coeff is None else coeff * c
-            if toks[self.pos] != "*":
-                break
-            self.pos += 1
-        if node is None:
-            raise self.error("term has no generator factor")
-        if coeff is not None and coeff != 1:
-            node = self.scale(coeff if isinstance(coeff, DeltaPoly)
-                              else _as_int(coeff), node)
-        return node
-
-    def parse_atom(self) -> Expr:
-        t = self.toks[self.pos]
-        if t == "(":
-            self.pos += 1
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if t[:1] == "x" and t[1:].isdigit():
-            idx = self.integer(t[1:])
-            if idx < 1:
-                raise self.error("variable index must be >= 1")
-            self.pos += 1
-            return self.node((Var, idx), Var, idx)
-        form = CALL_FORMS.get(t)
-        if form is None:
-            raise self.error("expected factor" if t[:1] not in _LETTERS
-                             else f"unknown operation name {t!r}")
-        cls, arity = form
-        tag = None
-        if hasattr(cls, "tag"):  # a derived product, assoc or bracket
-            tag = t if cls is DerOp else self.product
-            if tag is None:
-                raise self.error(f"{t}(...) needs --product")
-        self.pos += 1
-        self.expect_op("(")
-        ops = [self.parse_expr()]
-        for _ in range(arity - 1):
-            self.expect_op(",")
-            ops.append(self.parse_expr())
-        self.expect_op(")")
-        args = ops if tag is None else [tag, *ops]
-        return self.node((cls, tag, *map(id, ops)), cls, *args)
-
-
-def _as_int(c: Fraction):
-    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-
-
-def parse_expr(text: str, product: str | None = None, line: int = 1) -> Expr:
-    """Parse one expression; whitespace-insensitive.  Unbound variables are
-    an evaluation-time error, not a parse error."""
-    parser = _Parser(text, line, product)
-    node = parser.parse_expr()
-    if parser.toks[parser.pos]:
-        raise parser.error("trailing input")
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +82,17 @@ def pretty(e: Expr, _prec: int = 0) -> str:
         args = ", ".join(pretty(getattr(e, f)) for f in operands)
         return f"{name or e.tag}({args})"
     if isinstance(e, Mul):
-        lhs = pretty(e.lhs, 1)
-        if isinstance(e.lhs, (Sum, Scale)):
-            lhs = f"({lhs})" if not lhs.startswith("(") else lhs
-        rhs = pretty(e.rhs, 1)
-        if isinstance(e.rhs, (Sum, Scale, Mul)):
-            rhs = f"({rhs})" if not rhs.startswith("(") else rhs
-        return f"{lhs} * {rhs}"
+        # the factors of a flat product are a chain of left operands, read
+        # in a loop so that a long product does not recurse once per factor
+        factors = []
+        while isinstance(e, Mul):
+            factors.append(e.rhs)
+            e = e.lhs
+        factors.append(e)
+        # a Sum parenthesises itself at _prec 1; a scaled factor or a
+        # product is parenthesised here (the first factor is no product)
+        return " * ".join(f"({pretty(f)})" if isinstance(f, (Scale, Mul))
+                          else pretty(f, 1) for f in reversed(factors))
     if isinstance(e, Scale):
         body = pretty(e.body, 1)
         if isinstance(e.body, (Sum, Mul, Scale)):
@@ -428,10 +231,6 @@ def _emit(obj, quiet: bool, summary: list[str], fmt: str = "json") -> None:
 def _cmd_check(args) -> int:
     if args.suite:
         suite_list = list(SUITE_IDS) if args.suite == "all" else [args.suite]
-        for sid in suite_list:
-            if sid not in SUITE_IDS:
-                sys.stderr.write(f"unknown suite: {sid}\n")
-                return 2
         label = args.suite
         results = [(r.name, r.expected, r.verdict)
                    for sid in suite_list for r in run_suite(sid)]
@@ -563,7 +362,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="run identity suites or check a file of "
                             "candidate identities")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--suite", help="suite id a..h, or 'all'")
+    g.add_argument("--suite", choices=(*SUITE_IDS, "all"),
+                   help="suite id a..h, or 'all'")
     g.add_argument("--file", help="file with one candidate identity per line")
     p.add_argument("--product", choices=OPNAMES, default=None,
                    help="product used by assoc(...)/bracket(...)")

@@ -1,4 +1,6 @@
-"""Identity candidates as term trees, their evaluation, and verdicts.
+"""Identity candidates as term trees, read from the expression grammar,
+their evaluation, and verdicts; the built-in suites are written in that
+grammar.
 
 An identity candidate is an expression tree over numbered variables with
 products, derivations, the six derived products, the star operator, scalar
@@ -33,6 +35,8 @@ with a δ-derivation.
 from __future__ import annotations
 
 import itertools
+import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -46,6 +50,7 @@ from .algebra import (
     Context,
     DeltaPoly,
     DELTA,
+    DERIVED_PRODUCT_TAGS,
     DERIVED_PRODUCTS,
     DiffPermPoly,
     LinearCombination,
@@ -193,6 +198,211 @@ def used_vars(e: Expr) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
+# parsing
+# ---------------------------------------------------------------------------
+
+
+class ParseError(Exception):
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"syntax error at line {line}, column {col}: {message}")
+        self.line = line
+        self.col = col
+
+
+# One token after optional blanks: a number, a name, an operator, any other
+# character, which no rule accepts, or "" at the end of the text.
+_TOKEN = re.compile(r"[ \t]*([0-9]+(?:/[0-9]+)?|[A-Za-z][A-Za-z0-9_]*"
+                    r"|[-+*(),]|\Z|.)", re.S)
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset(string.ascii_letters)
+_STARTS = _DIGITS | _LETTERS | frozenset("+-*(),")  # first chars of tokens
+
+# The call forms of the grammar: name -> (node class, operand count).  A
+# derived product is tagged with its own name; assoc and bracket are tagged
+# with the product passed to the parser.
+CALL_FORMS = {"d": (Der, 1), "star": (Star, 1),
+              **dict.fromkeys(DERIVED_PRODUCT_TAGS, (DerOp, 2)),
+              "assoc": (Assoc, 3), "bracket": (Bracket, 2)}
+
+
+class _Parser:
+    """Recursive descent over the tokens of one line.  Columns are found
+    again only when an error is raised.
+
+    Every node is made by ``node``, through a table local to the parser, so
+    equal subtrees of the line are one object.  A key holds the node class,
+    its scalar (a tag, a variable index or a coefficient with its type) and
+    its operands' identities: ``Bracket`` and ``DerOp`` nodes, and the
+    coefficients 2, ``Fraction(2)`` and ``DeltaPoly.const(2)``, which compare
+    equal, stay apart."""
+
+    def __init__(self, text: str, line: int, product: str | None):
+        self.text = text
+        self.toks = _TOKEN.findall(text)
+        self.pos = 0
+        self.line = line
+        self.product = product
+        self.nodes: dict[tuple, Expr] = {}
+
+    def node(self, key: tuple, cls, *args) -> Expr:
+        """The one node ``cls(*args)`` of this parse with the given key."""
+        got = self.nodes.get(key)
+        if got is None:
+            got = self.nodes[key] = cls(*args)
+        return got
+
+    def scale(self, c, body: Expr) -> Expr:
+        return self.node((Scale, type(c), c, id(body)), Scale, c, body)
+
+    def negate(self, node: Expr) -> Expr:
+        """Fold a leading minus into a rational scalar coefficient."""
+        if isinstance(node, Scale) and not isinstance(node.coeff, DeltaPoly):
+            c = -node.coeff
+            return node.body if c == 1 else self.scale(c, node.body)
+        return self.scale(-1, node)
+
+    def error(self, message: str) -> ParseError:
+        """The error at the next token; a character outside the grammar
+        anywhere in the line is reported instead, as the first error."""
+        matches = list(_TOKEN.finditer(self.text))
+        for m in matches:
+            if m[1] and m[1][0] not in _STARTS:
+                return ParseError(f"unexpected character {m[1]!r}",
+                                  self.line, m.start(1) + 1)
+        return ParseError(message, self.line, matches[self.pos].start(1) + 1)
+
+    def expect_op(self, op: str) -> None:
+        if self.toks[self.pos] != op:
+            raise self.error(f"expected {op!r}")
+        self.pos += 1
+
+    def integer(self, digits: str) -> int:
+        """The value of ASCII digits in the next token; more digits than the
+        interpreter converts are a parse error."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"number of {len(digits)} digits is too long"
+                             ) from None
+
+    def parse_expr(self) -> Expr:
+        toks = self.toks
+        t = toks[self.pos]
+        if t == "+" or t == "-":
+            self.pos += 1
+        node = self.parse_term()
+        if t == "-":
+            node = self.negate(node)
+        t = toks[self.pos]
+        if t != "+" and t != "-":
+            return node
+        terms = [node]
+        while t == "+" or t == "-":
+            self.pos += 1
+            nxt = self.parse_term()
+            terms.append(nxt if t == "+" else self.negate(nxt))
+            t = toks[self.pos]
+        return self.node((Sum, *map(id, terms)), Sum, tuple(terms))
+
+    def parse_term(self) -> Expr:
+        """Factors joined by '*': the generator factors multiplied from the
+        left, scaled by the product of the scalar factors unless it is 1."""
+        toks = self.toks
+        node = coeff = None
+        while True:
+            t = toks[self.pos]
+            if t[:1] in _DIGITS:
+                num, _, den = t.partition("/")
+                num, den = self.integer(num), self.integer(den or "1")
+                if den == 0:
+                    raise self.error("zero denominator")
+                c = Fraction(num, den)
+            elif t == "delta":
+                c = DELTA
+            else:
+                nxt = self.parse_atom()
+                if node is None:
+                    node = nxt
+                else:
+                    node = self.node((Mul, id(node), id(nxt)), Mul, node, nxt)
+                    hash(node)  # as made, so a long chain is hashed bottom-up
+                c = None
+            if c is not None:
+                self.pos += 1
+                coeff = c if coeff is None else coeff * c
+            if toks[self.pos] != "*":
+                break
+            self.pos += 1
+        if node is None:
+            raise self.error("term has no generator factor")
+        if coeff is not None and coeff != 1:
+            node = self.scale(coeff if isinstance(coeff, DeltaPoly)
+                              else _as_int(coeff), node)
+        return node
+
+    def parse_atom(self) -> Expr:
+        t = self.toks[self.pos]
+        if t == "(":
+            self.pos += 1
+            inner = self.parse_expr()
+            self.expect_op(")")
+            return inner
+        if t[:1] == "x" and t[1:].isdigit():
+            idx = self.integer(t[1:])
+            if idx < 1:
+                raise self.error("variable index must be >= 1")
+            self.pos += 1
+            return self.node((Var, idx), Var, idx)
+        form = CALL_FORMS.get(t)
+        if form is None:
+            raise self.error("expected factor" if t[:1] not in _LETTERS
+                             else f"unknown operation name {t!r}")
+        cls, arity = form
+        tag = None
+        if hasattr(cls, "tag"):  # a derived product, assoc or bracket
+            tag = t if cls is DerOp else self.product
+            if tag is None:
+                raise self.error(f"{t}(...) needs --product")
+        self.pos += 1
+        self.expect_op("(")
+        ops = [self.parse_expr()]
+        for _ in range(arity - 1):
+            self.expect_op(",")
+            ops.append(self.parse_expr())
+        self.expect_op(")")
+        args = ops if tag is None else [tag, *ops]
+        return self.node((cls, tag, *map(id, ops)), cls, *args)
+
+
+def _as_int(c: Fraction):
+    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def parse_expr(text: str, product: str | None = None, line: int = 1) -> Expr:
+    """Parse one expression of the grammar::
+
+        expr   := ['+'|'-'] term (('+'|'-') term)*
+        term   := factor ('*' factor)*
+        factor := rational | 'delta' | var | 'd(' expr ')' | 'star(' expr ')'
+                | opname '(' expr ',' expr ')'
+                | 'assoc(' expr ',' expr ',' expr ')' | 'bracket(' expr ',' expr ')'
+                | '(' expr ')'
+        var    := 'x' digits        rational := digits ['/' digits]
+        opname := prec | succ | loz | bullet | diamond | circ
+
+    Digits are ASCII ``0-9`` and names ASCII ``[A-Za-z][A-Za-z0-9_]*``;
+    blanks and tabs separate tokens, and any other character is a syntax
+    error.  ``assoc`` and ``bracket`` use ``product`` (``--product`` on the
+    command line).  Unbound variables are an evaluation-time error, not a
+    parse error."""
+    parser = _Parser(text, line, product)
+    node = parser.parse_expr()
+    if parser.toks[parser.pos]:
+        raise parser.error("trailing input")
+    return node
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
@@ -316,6 +526,18 @@ def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
             if ctx.delta:
                 raise AlgebraError("δ evaluation is single-derivation")
             val = rec(node.body, 0).derive(node.axis)
+        elif isinstance(node, Mul) and not k:
+            # the factors of a flat product are a chain of left operands:
+            # evaluate it from its first factor up, in a loop, so that a long
+            # product does not recurse once per factor
+            spine, lhs = [node], node.lhs
+            while isinstance(lhs, Mul) and lhs not in cache:
+                spine.append(lhs)
+                lhs = lhs.lhs
+            val = rec(lhs, 0)
+            for m in reversed(spine):
+                val = val * rec(m.rhs, 0)
+                cache.setdefault(m, {})[0] = val
         elif isinstance(node, Mul):
             val = spread(node.lhs, 0, node.rhs, 0, k)
         elif isinstance(node, DerOp):
@@ -524,78 +746,6 @@ def standard_identity(tag: str, n: int) -> Expr:
     return Sum(tuple(terms))
 
 
-def _tortken_loz() -> Expr:
-    a, b, c, d = v(1), v(2), v(3), v(4)
-    t = "loz"
-    return (DerOp(t, DerOp(t, a, b), DerOp(t, c, d))
-            - DerOp(t, DerOp(t, a, d), DerOp(t, b, c))
-            + DerOp(t, Assoc(t, a, b, c), d)
-            - DerOp(t, Assoc(t, a, d, c), b))
-
-
-def _degree5_loz() -> Expr:
-    a, b, c, d, e = v(1), v(2), v(3), v(4), v(5)
-    t = "loz"
-
-    def chain(*args: Expr) -> Expr:
-        out = args[0]
-        for nxt in args[1:]:
-            out = DerOp(t, out, nxt)
-        return out
-
-    return (Scale(2, chain(b, a, c, d, e)) - chain(b, a, c, e, d)
-            + Scale(-2, chain(b, a, d, c, e)) + chain(b, a, d, e, c)
-            - chain(c, a, b, d, e) + chain(c, a, b, e, d)
-            + chain(c, a, d, e, b) - chain(c, a, e, b, d)
-            + chain(d, a, b, c, e) - chain(d, a, b, e, c)
-            - chain(d, a, c, e, b) + chain(d, a, e, b, c)
-            + chain(e, a, b, c, d) - chain(e, a, b, d, c))
-
-
-def _tortken_di_1() -> Expr:
-    a, b, c, d = v(1), v(2), v(3), v(4)
-    t = "bullet"
-    return (DerOp(t, DerOp(t, a, b), DerOp(t, c, d))
-            - DerOp(t, DerOp(t, c, b), DerOp(t, a, d))
-            + DerOp(t, Assoc(t, a, b, c), d)
-            + DerOp(t, b, DerOp(t, a, DerOp(t, c, d))
-                    - DerOp(t, c, DerOp(t, a, d))))
-
-
-def _tortken_di_2() -> Expr:
-    a, b, c, d = v(1), v(2), v(3), v(4)
-    t = "bullet"
-    return (DerOp(t, DerOp(t, a, b), DerOp(t, c, d))
-            - DerOp(t, DerOp(t, a, c), DerOp(t, b, d))
-            - DerOp(t, b, Assoc(t, a, c, d))
-            + DerOp(t, c, Assoc(t, a, b, d)))
-
-
-def _jacobi(tag: str) -> Expr:
-    a, b, c = v(1), v(2), v(3)
-    return (DerOp(tag, DerOp(tag, a, b), c)
-            + DerOp(tag, DerOp(tag, b, c), a)
-            + DerOp(tag, DerOp(tag, c, a), b))
-
-
-def _delta_leibniz() -> Expr:
-    a, b, c = v(1), v(2), v(3)
-    t = "circ"
-    return (DerOp(t, DerOp(t, a, b), c)
-            - DerOp(t, a, DerOp(t, b, c))
-            + DerOp(t, b, DerOp(t, a, c)))
-
-
-def _delta_transposed() -> Expr:
-    # (δ+1) x {y,z} = {xy, z} + {y, xz} with {a,b} = D(a)b - aD(b)
-    xv, yv, zv = v(1), v(2), v(3)
-    br = DerOp("circ", yv, zv)
-    lhs_core = Mul(xv, br)
-    return (Scale(DELTA, lhs_core) + lhs_core
-            - DerOp("circ", Mul(xv, yv), zv)
-            - DerOp("circ", yv, Mul(xv, zv)))
-
-
 def _w_formal_case(kind: str) -> Verdict:
     """Left Leibniz law or pre-Lie associator symmetry for formal vector
     fields with free-generator coefficients, over all 27 derivation-index
@@ -652,50 +802,51 @@ class SuiteResult:
         return self.verdict.is_identity == self.expected
 
 
-# Suite id -> builder of its cases, built on request.
-_SUITES: dict[str, Callable[[], list[SuiteCase]]] = {
-    "a": lambda: [
-        SuiteCase("loz-commutative", True, 2,
-                  DerOp("loz", v(1), v(2)) - DerOp("loz", v(2), v(1))),
-        SuiteCase("loz-tortken", True, 4, _tortken_loz()),
-        SuiteCase("loz-degree5", True, 5, _degree5_loz()),
-    ],
-    "b": lambda: [
-        SuiteCase("bullet-left-comm", True, 3,
-                  DerOp("bullet", DerOp("bullet", v(1), v(2)), v(3))
-                  - DerOp("bullet", DerOp("bullet", v(2), v(1)), v(3))),
-        SuiteCase("bullet-tortken-di-1", True, 4, _tortken_di_1()),
-        SuiteCase("bullet-tortken-di-2", True, 4, _tortken_di_2()),
-    ],
+SUITE_IDS = ("a", "b", "c", "d", "e", "f", "g", "h")
+
+# The identities of suites a-f, in the expression grammar: suite id, case
+# name, the product that assoc(...) reads, the evaluation context and the
+# text, one line as ``check --file`` reads it.  Each holds in x1..xn, for
+# its largest variable xn.
+_IDENTITIES = (
+    ("a", "loz-commutative", None, CTX_Q, "loz(x1, x2) - loz(x2, x1)"),
+    ("a", "loz-tortken", "loz", CTX_Q, "loz(loz(x1, x2), loz(x3, x4)) - loz(loz(x1, x4), loz(x2, x3)) + loz(assoc(x1, x2, x3), x4) - loz(assoc(x1, x4, x3), x2)"),
+    ("a", "loz-degree5", None, CTX_Q, "2 * loz(loz(loz(loz(x2, x1), x3), x4), x5) - loz(loz(loz(loz(x2, x1), x3), x5), x4) - 2 * loz(loz(loz(loz(x2, x1), x4), x3), x5) + loz(loz(loz(loz(x2, x1), x4), x5), x3) - loz(loz(loz(loz(x3, x1), x2), x4), x5) + loz(loz(loz(loz(x3, x1), x2), x5), x4) + loz(loz(loz(loz(x3, x1), x4), x5), x2) - loz(loz(loz(loz(x3, x1), x5), x2), x4) + loz(loz(loz(loz(x4, x1), x2), x3), x5) - loz(loz(loz(loz(x4, x1), x2), x5), x3) - loz(loz(loz(loz(x4, x1), x3), x5), x2) + loz(loz(loz(loz(x4, x1), x5), x2), x3) + loz(loz(loz(loz(x5, x1), x2), x3), x4) - loz(loz(loz(loz(x5, x1), x2), x4), x3)"),
+    ("b", "bullet-left-comm", None, CTX_Q, "bullet(bullet(x1, x2), x3) - bullet(bullet(x2, x1), x3)"),
+    ("b", "bullet-tortken-di-1", "bullet", CTX_Q, "bullet(bullet(x1, x2), bullet(x3, x4)) - bullet(bullet(x3, x2), bullet(x1, x4)) + bullet(assoc(x1, x2, x3), x4) + bullet(x2, bullet(x1, bullet(x3, x4)) - bullet(x3, bullet(x1, x4)))"),
+    ("b", "bullet-tortken-di-2", "bullet", CTX_Q, "bullet(bullet(x1, x2), bullet(x3, x4)) - bullet(bullet(x1, x3), bullet(x2, x4)) - bullet(x2, assoc(x1, x3, x4)) + bullet(x3, assoc(x1, x2, x4))"),
+    ("c", "diamond-anticomm", None, CTX_Q, "diamond(x1, x2) + diamond(x2, x1)"),
+    ("c", "diamond-jacobi", None, CTX_Q, "diamond(diamond(x1, x2), x3) + diamond(diamond(x2, x3), x1) + diamond(diamond(x3, x1), x2)"),
+    ("d", "prec-pre-lie", "prec", CTX_Q, "assoc(x1, x2, x3) - assoc(x2, x1, x3)"),
+    ("e", "delta-leibniz", None, CTX_DELTA, "circ(circ(x1, x2), x3) - circ(x1, circ(x2, x3)) + circ(x2, circ(x1, x3))"),
+    # (δ+1) x {y, z} = {xy, z} + {y, xz} for {a, b} = circ(a, b)
+    ("f", "delta-transposed", None, CTX_DELTA, "delta * (x1 * circ(x2, x3)) + x1 * circ(x2, x3) - circ(x1 * x2, x3) - circ(x2, x1 * x3)"),
+)
+
+# The cases built by code, after the identities of their suite.
+_BUILT: dict[str, Callable[[], list[SuiteCase]]] = {
     "c": lambda: [
-        SuiteCase("diamond-anticomm", True, 2,
-                  DerOp("diamond", v(1), v(2)) + DerOp("diamond", v(2), v(1))),
-        SuiteCase("diamond-jacobi", True, 3, _jacobi("diamond")),
         SuiteCase("diamond-std6", True, 6, standard_identity("diamond", 6)),
         SuiteCase("diamond-std5", False, 5, standard_identity("diamond", 5)),
     ],
-    "d": lambda: [
-        SuiteCase("prec-pre-lie", True, 3,
-                  Assoc("prec", v(1), v(2), v(3))
-                  - Assoc("prec", v(2), v(1), v(3))),
-    ],
-    "e": lambda: [SuiteCase("delta-leibniz", True, 3, _delta_leibniz(),
-                            ctx=CTX_DELTA)],
-    "f": lambda: [SuiteCase("delta-transposed", True, 3, _delta_transposed(),
-                            ctx=CTX_DELTA)],
     "g": lambda: [SuiteCase("formal-W-leibniz", True,
                             runner=lambda: _w_formal_case("leibniz"))],
     "h": lambda: [SuiteCase("formal-W-pre-lie", True,
                             runner=lambda: _w_formal_case("prelie"))],
 }
-SUITE_IDS = tuple(_SUITES)
 
 
 def suite_cases(suite_id: str) -> list[SuiteCase]:
-    build = _SUITES.get(suite_id)
-    if build is None:
+    """The cases of one suite, parsed or built on request."""
+    if suite_id not in SUITE_IDS:
         raise AlgebraError(f"unknown suite: {suite_id!r}")
-    return build()
+    cases = []
+    for sid, name, product, ctx, text in _IDENTITIES:
+        if sid == suite_id:
+            expr = parse_expr(text, product)
+            cases.append(SuiteCase(name, True, max(used_vars(expr)), expr,
+                                   ctx))
+    return cases + _BUILT.get(suite_id, list)()
 
 
 def run_suite(suite_id: str) -> list[SuiteResult]:

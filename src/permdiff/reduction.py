@@ -2,10 +2,11 @@
 
 Any multilinear identity f = 0 that does not already lie in the right
 annihilator of the free algebra forces an identity of the form
-a_1' a_2' ... a_m' = 0.  The constructive pipeline:
+a_1' a_2' ... a_m' = 0.  The constructive pipeline (``reduce_identity``):
 
-  * split f along a distinguished variable into coefficients of its
-    derivative orders (``decompose``);
+  * pick the pass variable x_k from the multiset normal form of f, its
+    class modulo the right annihilator: the variable of top derivative
+    order, the larger index on ties;
   * antisymmetrize over two fresh variables y, z (``h0``) and multiply by a
     fresh u on the right, which kills the order-zero part;
   * repeatedly lower the top derivative order with fresh variables t_i
@@ -18,7 +19,10 @@ a_1' a_2' ... a_m' = 0.  The constructive pipeline:
     factors.
 
 Every intermediate polynomial is recorded in a trace whose steps can be
-replayed exactly with the public algebra operations.
+replayed exactly with the public algebra operations.  ``decompose`` is the
+paper's split of f along x_k into coefficients of its derivative orders;
+the pipeline never calls it.  It is kept for the tests, which check the
+coefficient formulas of ``h0`` and ``h_step`` against it.
 """
 
 from __future__ import annotations

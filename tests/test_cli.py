@@ -10,9 +10,9 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import pytest
 from conftest import break_family
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from permdiff import cli, spans
+from permdiff import cli, exprs, spans
 from permdiff.algebra import (
     DELTA,
     DERIVED_PRODUCT_TAGS,
@@ -33,6 +33,7 @@ from permdiff.exprs import (
     Sum,
     Var,
     eval_expr,
+    run_suite,
     standard_identity,
     suite_cases,
 )
@@ -40,6 +41,9 @@ from permdiff.spans import MAX_DIM_DEGREE
 from permdiff.witt import MAX_TABLE_BOUND
 
 DEEP = "d(" * 3000 + "x1" + ")" * 3000
+# a product of 1000 factors with no parentheses, which parses into a chain
+# of 999 products down the left operands
+FLAT = " * ".join(f"x{i}" for i in range(1, 1001))
 BIG = "1" + "0" * 4000
 UNPRINTABLE = (f"error: a coefficient has more than "
                f"{sys.get_int_max_str_digits()} digits and cannot be printed")
@@ -136,6 +140,11 @@ class TestParse:
     @given(st.sampled_from(DERIVED_PRODUCT_TAGS).flatmap(
         lambda p: st.tuples(st.just(p), grammar_trees(p))))
     @settings(max_examples=150, deadline=None)
+    # a right operand that is a product whose text starts with "("
+    @example(product_tree=("loz", Mul(Var(1), Mul(Sum((Var(2), Var(3))),
+                                                  Var(1)))))
+    @example(product_tree=("loz", Mul(Var(1), Mul(Scale(2, Var(2)),
+                                                  Var(3)))))
     def test_round_trip_on_random_trees(self, product_tree):
         product, tree = product_tree
         text = pretty(tree)
@@ -151,6 +160,11 @@ class TestParse:
                 text = pretty(case.expr)
                 back = parse_expr(text, product=find_tag(case.expr))
                 assert back == case.expr, case.name
+
+    def test_suite_texts_are_printed_as_written(self):
+        assert len(exprs._IDENTITIES) == 11
+        for _, name, product, _, text in exprs._IDENTITIES:
+            assert pretty(parse_expr(text, product)) == text, name
 
     def test_equal_subtrees_of_a_line_are_one_object(self):
         got = parse_expr("diamond(x1, diamond(x2, x3)) - 2 * x4 * diamond(x2,"
@@ -231,7 +245,8 @@ class TestDispatch:
 
     def test_check_unknown_suite_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "check", "--suite", "zz", "--quiet")
-        assert code == 2
+        assert code == 2 and out == ""
+        assert "argument --suite: invalid choice: 'zz'" in err
 
     def test_dim_star_range(self, capsys):
         code, out, err = run_cli(capsys, "dim", "--variant", "star",
@@ -419,6 +434,44 @@ class TestDispatch:
         assert code == 0
         doc = json.loads(out)
         assert [c["name"] for c in doc["cases"]] == ["line2", "line3"]
+
+    def test_suite_identities_hold_from_files(self, tmp_path, capsys):
+        # the identities of suites a-d, one file per product that their
+        # assoc(...) reads, hold under check --file as in their suites (e
+        # and f are evaluated over Q[delta], which check --file is not)
+        verdicts = {r.name: r.verdict for sid in "abcd"
+                    for r in run_suite(sid)}
+        files = {}
+        for sid, name, product, _, text in exprs._IDENTITIES:
+            if sid in "abcd":
+                files.setdefault(product, []).append((name, text))
+        assert set(files) == {None, "bullet", "loz", "prec"}
+        for product, cases in files.items():
+            path = tmp_path / f"{product}.txt"
+            path.write_text("".join(f"{text}\n" for _, text in cases))
+            argv = ["check", "--file", str(path), "--quiet"]
+            code, out, err = run_cli(capsys, *argv, *(
+                ("--product", product) if product else ()))
+            assert code == 0, product
+            got = [c["got"] for c in json.loads(out)["cases"]]
+            assert got == [verdicts[name].is_identity for name, _ in cases]
+            assert all(got)
+
+    def test_flat_product_check_file_and_expand(self, tmp_path, capsys):
+        # the perm law lets the first two factors swap; no step may recurse
+        # once per factor of the chain
+        path = tmp_path / "flat.txt"
+        path.write_text(f"{FLAT} - x2 * x1 * {FLAT[10:]}\n")
+        code, out, err = run_cli(capsys, "check", "--file", str(path),
+                                 "--quiet")
+        assert code == 0 and err == ""
+        assert json.loads(out)["cases"] == [
+            {"name": "line1", "expected": True, "got": True}]
+        code, out, err = run_cli(capsys, "expand", FLAT, "--quiet")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["expression"] == FLAT
+        assert doc["text"] == FLAT.replace(" * ", " ")
 
     def test_check_file_failing_identity(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -57,7 +57,6 @@ from .exprs import (
     run_suite,
     standard_identity,
     suite_cases,
-    used_vars,
     v,
     vf_leibniz_bracket,
     vf_prec,

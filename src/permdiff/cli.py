@@ -15,12 +15,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from types import GeneratorType
 
 from .algebra import (
     AlgebraError,
-    DeltaPoly,
     DERIVED_PRODUCT_TAGS,
     FrozenDoc,
     format_monomial,
@@ -28,17 +27,11 @@ from .algebra import (
     format_scalar,
 )
 from .exprs import (
-    CALL_FORMS,
-    DerOp,
-    Expr,
-    Mul,
     ParseError,
-    Scale,
-    Sum,
-    Var,
     check_identity,
     eval_on_generators,
     parse_expr,
+    pretty,
     run_suite,
     SUITE_IDS,
 )
@@ -47,81 +40,6 @@ from .spans import MAX_DIM_DEGREE, verify_dimension
 from .witt import structure_table, table_patterns, verify_tables
 
 OPNAMES = DERIVED_PRODUCT_TAGS
-
-# The inverse of the grammar's call forms: node class -> (call name, operand
-# fields).  A DerOp prints as its tag.
-_PRINTED_FORMS = {
-    cls: (None if cls is DerOp else name,
-          [f.name for f in fields(cls) if f.name != "tag"][:arity])
-    for name, (cls, arity) in CALL_FORMS.items()}
-
-
-# ---------------------------------------------------------------------------
-# pretty printer (inverse of the parser on grammar-expressible trees)
-# ---------------------------------------------------------------------------
-
-
-def _coeff_text(c) -> str:
-    if isinstance(c, DeltaPoly):
-        nonzero = [k for k, v in enumerate(c.coeffs) if v]
-        if nonzero == [1] and c.coeffs[1] == 1:
-            return "delta"
-        raise AlgebraError("only the bare delta scalar is printable; "
-                           "spell other delta coefficients as sums")
-    return format_scalar(c)
-
-
-def pretty(e: Expr, _prec: int = 0) -> str:
-    """Render a tree in the expression grammar; parsing the result gives the
-    tree back."""
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    form = _PRINTED_FORMS.get(type(e))
-    if form is not None:
-        name, operands = form
-        args = ", ".join(pretty(getattr(e, f)) for f in operands)
-        return f"{name or e.tag}({args})"
-    if isinstance(e, Mul):
-        # the factors of a flat product are a chain of left operands, read
-        # in a loop so that a long product does not recurse once per factor
-        factors = []
-        while isinstance(e, Mul):
-            factors.append(e.rhs)
-            e = e.lhs
-        factors.append(e)
-        # a Sum parenthesises itself at _prec 1; a scaled factor or a
-        # product is parenthesised here (the first factor is no product)
-        return " * ".join(f"({pretty(f)})" if isinstance(f, (Scale, Mul))
-                          else pretty(f, 1) for f in reversed(factors))
-    if isinstance(e, Scale):
-        body = pretty(e.body, 1)
-        if isinstance(e.body, (Sum, Mul, Scale)):
-            body = f"({body})"
-        return f"{_coeff_text(e.coeff)} * {body}"
-    if isinstance(e, Sum):
-        parts = []
-        for t in e.terms:
-            if (isinstance(t, Scale) and not isinstance(t.coeff, DeltaPoly)
-                    and t.coeff < 0):
-                inner = (Scale(-t.coeff, t.body) if t.coeff != -1
-                         else t.body)
-                text = pretty(inner, 1)
-                if isinstance(inner, Sum):
-                    text = f"({text})"
-                parts.append(("-", text))
-            else:
-                text = pretty(t, 1)
-                if isinstance(t, Sum):
-                    text = f"({text})"
-                parts.append(("+", text))
-        sign, head = parts[0]
-        out = head if sign == "+" else f"-{head}"
-        for sign, text in parts[1:]:
-            out += f" {sign} {text}"
-        if _prec > 0:
-            out = f"({out})"
-        return out
-    raise AlgebraError(f"not printable: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +247,7 @@ def _cmd_reduce(args) -> int:
         doc["certificate"] = format_poly(result.certificate)
         summary.append(f"certificate: {doc['certificate']} = 0")
     doc["trace"] = [{"step": i, "name": s.name,
-                     "rule": {k: (list(v) if isinstance(v, (tuple, list))
-                                  else v) for k, v in s.rule.items()},
-                     "poly": text}
+                     "rule": s.rule, "poly": text}
                     for i, (s, text) in enumerate(zip(result.trace, texts))]
     summary += [f"  {s.name}: {text}" for s, text in zip(result.trace, texts)]
     _emit(doc, args.quiet, summary, args.format)

@@ -1,6 +1,6 @@
-"""Identity candidates as term trees, read from the expression grammar,
-their evaluation, and verdicts; the built-in suites are written in that
-grammar.
+"""Identity candidates as term trees, read from and printed in the
+expression grammar, their evaluation, and verdicts; the built-in suites are
+written in that grammar.
 
 An identity candidate is an expression tree over numbered variables with
 products, derivations, the six derived products, the star operator, scalar
@@ -9,7 +9,9 @@ testing the normal form for zero decides whether the candidate vanishes in
 every differential perm algebra: any assignment of values extends to an
 endomorphism of the free algebra commuting with all the operations, so the
 generator substitution is the universal one (this is itself a tested
-property, not an act of faith).
+property, not an act of faith).  The generators are bound as the evaluation
+meets the variables, so one walk finds the variables and evaluates the tree,
+and a candidate's arity is its largest variable evaluated.
 
 One memoised traversal evaluates a tree in both contexts.  It computes
 D^k of a node's value, with the six derived products read as signed
@@ -37,7 +39,7 @@ from __future__ import annotations
 import itertools
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping, Union
@@ -58,6 +60,7 @@ from .algebra import (
     Rational,
     Scalar,
     _coerce_scalar,
+    format_scalar,
 )
 
 
@@ -121,11 +124,15 @@ class Mul(Expr):
     lhs: Expr
     rhs: Expr
 
+    def __post_init__(self):
+        # hashed as made, so a long product built from the left (as Python's
+        # * and the parser build one) is hashed bottom-up, not recursively
+        hash(self)
+
 
 @_node
 class Der(Expr):
     body: Expr
-    axis: int = 1
 
 
 @_node
@@ -169,32 +176,6 @@ class Bracket(DerOp):
 
 def v(i: int) -> Var:
     return Var(i)
-
-
-def used_vars(e: Expr) -> set[int]:
-    """Indices of the variables ``e`` uses.  Each node object is visited
-    once, however often the tree shares it."""
-    out: set[int] = set()
-    seen: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            out.add(node.index)
-        elif isinstance(node, (Mul, DerOp)):
-            stack += (node.lhs, node.rhs)
-        elif isinstance(node, (Der, Star, Scale)):
-            stack.append(node.body)
-        elif isinstance(node, Sum):
-            stack.extend(node.terms)
-        elif isinstance(node, Assoc):
-            stack += (node.a, node.b, node.c)
-        else:
-            raise AlgebraError(f"not an expression node: {node!r}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +306,6 @@ class _Parser:
                     node = nxt
                 else:
                     node = self.node((Mul, id(node), id(nxt)), Mul, node, nxt)
-                    hash(node)  # as made, so a long chain is hashed bottom-up
                 c = None
             if c is not None:
                 self.pos += 1
@@ -400,6 +380,67 @@ def parse_expr(text: str, product: str | None = None, line: int = 1) -> Expr:
     if parser.toks[parser.pos]:
         raise parser.error("trailing input")
     return node
+
+
+# The inverse of the grammar's call forms: node class -> (call name, operand
+# fields).  A DerOp prints as its tag.
+_PRINTED_FORMS = {
+    cls: (None if cls is DerOp else name,
+          [f.name for f in fields(cls) if f.name != "tag"][:arity])
+    for name, (cls, arity) in CALL_FORMS.items()}
+
+
+def _coeff_text(c) -> str:
+    if isinstance(c, DeltaPoly):
+        nonzero = [k for k, v in enumerate(c.coeffs) if v]
+        if nonzero == [1] and c.coeffs[1] == 1:
+            return "delta"
+        raise AlgebraError("only the bare delta scalar is printable; "
+                           "spell other delta coefficients as sums")
+    return format_scalar(c)
+
+
+def pretty(e: Expr, _prec: int = 0) -> str:
+    """Render a tree in the expression grammar; parsing the result gives the
+    tree back.  A sum parenthesises itself at ``_prec`` 1, as a term or
+    factor of something else."""
+    if isinstance(e, Var):
+        return f"x{e.index}"
+    form = _PRINTED_FORMS.get(type(e))
+    if form is not None:
+        name, operands = form
+        args = ", ".join(pretty(getattr(e, f)) for f in operands)
+        return f"{name or e.tag}({args})"
+    if isinstance(e, Mul):
+        # the factors of a flat product are a chain of left operands, read
+        # in a loop so that a long product does not recurse once per factor
+        factors = []
+        while isinstance(e, Mul):
+            factors.append(e.rhs)
+            e = e.lhs
+        factors.append(e)
+        # a scaled factor or a product is parenthesised here (the first
+        # factor is no product)
+        return " * ".join(f"({pretty(f)})" if isinstance(f, (Scale, Mul))
+                          else pretty(f, 1) for f in reversed(factors))
+    if isinstance(e, Scale):
+        body = pretty(e.body, 1)
+        if isinstance(e.body, (Mul, Scale)):
+            body = f"({body})"
+        return f"{_coeff_text(e.coeff)} * {body}"
+    if isinstance(e, Sum):
+        out = []
+        for t in e.terms:
+            sign = " + "
+            if (isinstance(t, Scale) and not isinstance(t.coeff, DeltaPoly)
+                    and t.coeff < 0):
+                sign = " - "
+                t = Scale(-t.coeff, t.body) if t.coeff != -1 else t.body
+            out += (sign, pretty(t, 1))
+        out[0] = out[0].strip(" +")  # a first term takes "" or "-"
+        text = "".join(out)
+        return f"({text})" if _prec > 0 else text
+    raise AlgebraError(f"not printable: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +545,16 @@ def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
         got = memo.get(k)
         if got is not None:
             return got
-        if isinstance(node, Der) and node.axis == 1:
+        if isinstance(node, Der):
             val = rec(node.body, k + 1)
         elif k and not ctx.delta:
             val = rec(node, k - 1).derive()
         elif isinstance(node, Var):
-            if node.index not in subst:
-                raise AlgebraError(f"unbound variable x{node.index}")
-            val = subst[node.index]
+            try:
+                val = subst[node.index]
+            except KeyError:
+                raise AlgebraError(f"unbound variable x{node.index}"
+                                   ) from None
             if k:
                 if len(val.terms) != 1:
                     raise AlgebraError("ambiguous δ-derivation: derivative of a "
@@ -522,10 +565,6 @@ def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
                                        "flattened product")
                 val = DiffPermPoly(ctx, {Monomial((), m.last.derived(0, k)): c},
                                    _owned=True)
-        elif isinstance(node, Der):
-            if ctx.delta:
-                raise AlgebraError("δ evaluation is single-derivation")
-            val = rec(node.body, 0).derive(node.axis)
         elif isinstance(node, Mul) and not k:
             # the factors of a flat product are a chain of left operands:
             # evaluate it from its first factor up, in a loop, so that a long
@@ -614,40 +653,53 @@ class Verdict:
     witness: tuple[Monomial, Scalar] | None = None
 
 
-def eval_on_generators(e: Expr, ctx: Context = CTX_Q,
-                       variables: set[int] | None = None) -> DiffPermPoly:
+class _Generators(dict):
+    """The substitution of distinct free generators: x_i of ``ctx`` is made
+    and bound the first time an evaluation reads index i, so after one
+    evaluation the keys are the variables of the tree."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: Context):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, i: int) -> DiffPermPoly:
+        g = self[i] = DiffPermPoly.generator(i, 0, self.ctx)
+        return g
+
+    def evaluate(self, e: Expr) -> DiffPermPoly:
+        """``e`` on these generators, with the δ-parametric rule in a δ
+        context and the ordinary derivation otherwise."""
+        evaluate = eval_delta if self.ctx.delta else eval_expr
+        return evaluate(e, self, self.ctx)
+
+
+def eval_on_generators(e: Expr, ctx: Context = CTX_Q) -> DiffPermPoly:
     """``e`` evaluated on distinct free generators, x_i for each variable
-    x_i it uses (``variables``, when the caller has them already), with the
-    δ-parametric rule in a δ context and the ordinary derivation otherwise."""
-    if variables is None:
-        variables = used_vars(e)
-    subst = {i: DiffPermPoly.generator(i, 0, ctx) for i in variables}
-    return eval_delta(e, subst, ctx) if ctx.delta else eval_expr(e, subst, ctx)
+    x_i it uses."""
+    return _Generators(ctx).evaluate(e)
 
 
-def check_identity(e: Expr, nvars: int | None = None,
-                   ctx: Context = CTX_Q) -> Verdict:
-    """Decide whether ``e = 0`` holds identically, by substituting distinct
-    generators for x1..x_nvars and expanding; ``nvars`` defaults to the
-    largest variable index in ``e``.
+def check_identity(e: Expr, *, ctx: Context = CTX_Q) -> Verdict:
+    """Decide whether ``e = 0`` holds identically, by evaluating it on
+    distinct free generators; its arity n is the largest variable index
+    evaluated.
 
     The candidate must be multilinear: each monomial of the expansion has to
-    contain each of the variables exactly once.  Non-multilinear candidates
-    are rejected rather than multilinearized.
+    contain each of x1..xn exactly once.  Non-multilinear candidates are
+    rejected rather than multilinearized.
     """
-    vs = used_vars(e)
-    top = max(vs, default=0)
-    if nvars is None:
-        nvars = top
-    elif top > nvars:
-        raise AlgebraError(f"expression uses x{top} beyond arity {nvars}")
+    gens = _Generators(ctx)
     # in sorted order, so an error names the least offending monomial
-    terms = eval_on_generators(e, ctx, vs).sorted_terms()
+    terms = gens.evaluate(e).sorted_terms()
+    n = max(gens, default=0)
+    want = tuple(range(1, n + 1))
     for m, _ in terms:
         seen = tuple(sorted(s.var for s in m.factors))
-        if seen != tuple(range(1, nvars + 1)):
+        if seen != want:
             raise NonMultilinearError(
-                f"expansion is not multilinear in x1..x{nvars}: "
+                f"expansion is not multilinear in x1..x{n}: "
                 f"monomial variables {seen}")
     return Verdict(not terms, terms[0] if terms else None)
 
@@ -780,7 +832,6 @@ def _w_formal_case(kind: str) -> Verdict:
 class SuiteCase:
     name: str
     expected: bool
-    nvars: int = 0
     expr: Expr | None = None
     ctx: Context = CTX_Q
     runner: Callable[[], Verdict] | None = None
@@ -788,7 +839,7 @@ class SuiteCase:
     def run(self) -> Verdict:
         if self.runner is not None:
             return self.runner()
-        return check_identity(self.expr, self.nvars, self.ctx)
+        return check_identity(self.expr, ctx=self.ctx)
 
 
 @dataclass(frozen=True)
@@ -826,8 +877,8 @@ _IDENTITIES = (
 # The cases built by code, after the identities of their suite.
 _BUILT: dict[str, Callable[[], list[SuiteCase]]] = {
     "c": lambda: [
-        SuiteCase("diamond-std6", True, 6, standard_identity("diamond", 6)),
-        SuiteCase("diamond-std5", False, 5, standard_identity("diamond", 5)),
+        SuiteCase("diamond-std6", True, standard_identity("diamond", 6)),
+        SuiteCase("diamond-std5", False, standard_identity("diamond", 5)),
     ],
     "g": lambda: [SuiteCase("formal-W-leibniz", True,
                             runner=lambda: _w_formal_case("leibniz"))],
@@ -843,8 +894,7 @@ def suite_cases(suite_id: str) -> list[SuiteCase]:
     cases = []
     for sid, name, product, ctx, text in _IDENTITIES:
         if sid == suite_id:
-            expr = parse_expr(text, product)
-            cases.append(SuiteCase(name, True, max(used_vars(expr)), expr,
+            cases.append(SuiteCase(name, True, parse_expr(text, product),
                                    ctx))
     return cases + _BUILT.get(suite_id, list)()
 

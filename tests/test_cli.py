@@ -145,6 +145,10 @@ class TestParse:
                                                   Var(1)))))
     @example(product_tree=("loz", Mul(Var(1), Mul(Scale(2, Var(2)),
                                                   Var(3)))))
+    # a sum as a term of a sum and as the body of a scale
+    @example(product_tree=("loz", Sum((Var(1), Sum((Var(2), Var(3)))))))
+    @example(product_tree=("loz", Scale(2, Sum((Var(1), Var(2))))))
+    @example(product_tree=("loz", Scale(-1, Sum((Var(1), Var(2))))))
     def test_round_trip_on_random_trees(self, product_tree):
         product, tree = product_tree
         text = pretty(tree)
@@ -294,6 +298,17 @@ class TestDispatch:
         assert code == 0
         doc = json.loads(out)
         assert doc["expression"] == "bracket(x1, x2) - assoc(x1, x2, x3)"
+
+    @pytest.mark.parametrize("text,printed", [
+        ("x1 + (x2 + x3)", "x1 + (x2 + x3)"),
+        ("2 * (x1 + x2)", "2 * (x1 + x2)"),
+        ("-(x1 + x2)", "-1 * (x1 + x2)"),
+    ])
+    def test_expand_prints_a_nested_sum_in_one_pair_of_parentheses(
+            self, capsys, text, printed):
+        code, out, err = run_cli(capsys, "expand", text, "--quiet")
+        assert code == 0
+        assert json.loads(out)["expression"] == printed
 
     @pytest.mark.parametrize("argv,message", [
         (("expand", "x\u00b2"),

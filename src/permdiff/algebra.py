@@ -142,13 +142,6 @@ class DeltaPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def subs(self, value):
-        """Evaluate at a concrete rational value of delta."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def __repr__(self) -> str:
         return f"DeltaPoly({self.coeffs!r})"
 
@@ -748,18 +741,3 @@ def is_multilinear(p: DiffPermPoly, k: int | None = None) -> bool:
         if vs != want:
             return False
     return True
-
-
-def specialize_delta(p: DiffPermPoly, value: Rational = 1) -> DiffPermPoly:
-    """Evaluate Q[δ] coefficients at a rational value, landing in the
-    plain-rational context of the same arity."""
-    if not p.ctx.delta:
-        return p
-    ctx = Context(p.ctx.arity, False)
-    return DiffPermPoly(ctx, {m: c.subs(value) if isinstance(c, DeltaPoly) else c
-                              for m, c in p.terms.items()})
-
-
-def x(var: int, order: int = 0) -> DiffPermPoly:
-    """Shorthand generator in the default rational single-derivation context."""
-    return DiffPermPoly.generator(var, order, CTX_Q)

@@ -76,19 +76,22 @@ class NonMultilinearError(AlgebraError):
 class Expr:
     """Base node; arithmetic operators build trees, nothing is evaluated.
 
-    A node's hash is computed from its fields once and kept in the ``_hash``
-    slot, which is not a field, so hashing a node does not walk its
-    subtree again."""
+    A node's hash is computed from its fields when the node is made and kept
+    in the ``_hash`` slot, which is not a field.  Its operands are made
+    first, so hashing a node reads their slots and never walks its subtree,
+    however deep a tree is built."""
 
     __slots__ = ("_hash",)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", self._field_hash())
+
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = self._field_hash()
-            object.__setattr__(self, "_hash", h)
-            return h
+        return self._hash
+
+    def __reduce__(self):
+        # copied and unpickled nodes are made again, so they hash too
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __add__(self, other: "Expr") -> "Expr":
         terms = []
@@ -123,11 +126,6 @@ class Var(Expr):
 class Mul(Expr):
     lhs: Expr
     rhs: Expr
-
-    def __post_init__(self):
-        # hashed as made, so a long product built from the left (as Python's
-        # * and the parser build one) is hashed bottom-up, not recursively
-        hash(self)
 
 
 @_node
@@ -172,10 +170,6 @@ class Assoc(Expr):
 class Bracket(DerOp):
     """Readability alias for a bracket-like derived product: it evaluates as
     the ``DerOp`` it extends and differs from it only in how it prints."""
-
-
-def v(i: int) -> Var:
-    return Var(i)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +309,11 @@ class _Parser:
             self.pos += 1
         if node is None:
             raise self.error("term has no generator factor")
+        if isinstance(coeff, DeltaPoly) and coeff.degree < 1:
+            # a zero multiple of delta has no δ term: it is read as the
+            # rational 0, which it equals and hashes as, so the evaluation
+            # memo cannot take one for the other
+            coeff = Fraction(coeff.coeffs[0] if coeff.coeffs else 0)
         if coeff is not None and coeff != 1:
             node = self.scale(coeff if isinstance(coeff, DeltaPoly)
                               else _as_int(coeff), node)
@@ -400,6 +399,12 @@ def _coeff_text(c) -> str:
     return format_scalar(c)
 
 
+def _negative(e: Expr) -> bool:
+    """A scaled tree whose rational coefficient prints with a minus."""
+    return (isinstance(e, Scale) and not isinstance(e.coeff, DeltaPoly)
+            and e.coeff < 0)
+
+
 def pretty(e: Expr, _prec: int = 0) -> str:
     """Render a tree in the expression grammar; parsing the result gives the
     tree back.  A sum parenthesises itself at ``_prec`` 1, as a term or
@@ -432,11 +437,13 @@ def pretty(e: Expr, _prec: int = 0) -> str:
         out = []
         for t in e.terms:
             sign = " + "
-            if (isinstance(t, Scale) and not isinstance(t.coeff, DeltaPoly)
-                    and t.coeff < 0):
+            if _negative(t):
                 sign = " - "
                 t = Scale(-t.coeff, t.body) if t.coeff != -1 else t.body
-            out += (sign, pretty(t, 1))
+            # "x2 - -3 * x4" does not parse: a term still negative once its
+            # sign is taken (-1 times a negative multiple) is parenthesised
+            text = pretty(t, 1)
+            out += (sign, f"({text})" if _negative(t) else text)
         out[0] = out[0].strip(" +")  # a first term takes "" or "-"
         text = "".join(out)
         return f"({text})" if _prec > 0 else text

@@ -19,10 +19,10 @@ a_1' a_2' ... a_m' = 0.  The constructive pipeline (``reduce_identity``):
     factors.
 
 Every intermediate polynomial is recorded in a trace whose steps can be
-replayed exactly with the public algebra operations.  ``decompose`` is the
-paper's split of f along x_k into coefficients of its derivative orders;
-the pipeline never calls it.  It is kept for the tests, which check the
-coefficient formulas of ``h0`` and ``h_step`` against it.
+replayed exactly with the public algebra operations.  The pipeline never
+splits f along x_k into the coefficients of its derivative orders; the
+tests check the coefficient formulas of ``h0`` and ``h_step`` against that
+split of the paper, ``decompose`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -44,65 +44,6 @@ from .algebra import (
 
 OUTCOME_DERIVATIVE_ONLY = "derivative_only"
 OUTCOME_RIGHT_ANNIHILATOR = "right_annihilator"
-
-
-# ---------------------------------------------------------------------------
-# decomposition along one variable
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """f = sum_s g_s x_k^{(s)} + sum_s x_k^{(s)} p_s, coefficients in the
-    remaining variables, s running from 0 to the top order n of x_k."""
-
-    var: int
-    n: int
-    g: tuple[DiffPermPoly, ...]
-    p: tuple[DiffPermPoly, ...]
-
-    def reassemble(self) -> DiffPermPoly:
-        ctx = self.g[0].ctx
-        out = DiffPermPoly.zero(ctx)
-        for s in range(self.n + 1):
-            xs = DiffPermPoly.generator(self.var, s, ctx)
-            out = out + self.g[s] * xs + xs * self.p[s]
-        return out
-
-
-def decompose(f: DiffPermPoly, k: int) -> Decomposition:
-    """Route each monomial by the position of its x_k factor: final factor
-    to the g side, otherwise (after moving it to the front, which the perm
-    law allows) to the p side."""
-    if f.is_zero():
-        raise AlgebraError("cannot decompose the zero polynomial")
-    if not is_multilinear(f):
-        raise AlgebraError("decompose requires a multilinear polynomial")
-    ctx = f.ctx
-    if len(f.variables()) < 2:
-        raise AlgebraError("decompose requires at least two variables")
-    gacc: dict[int, dict[Monomial, Scalar]] = {}
-    pacc: dict[int, dict[Monomial, Scalar]] = {}
-    n = 0
-    for m, c in f.terms.items():
-        if m.last.var == k:
-            s = sum(m.last.dord)
-            rest = Monomial(m.left[:-1], m.left[-1])
-            side = gacc
-        else:
-            hits = [i for i, sym in enumerate(m.left) if sym.var == k]
-            if not hits:
-                raise AlgebraError(f"variable x{k} missing from a monomial")
-            i = hits[0]
-            s = sum(m.left[i].dord)
-            rest = Monomial(m.left[:i] + m.left[i + 1:], m.last)
-            side = pacc
-        n = max(n, s)
-        acc = side.setdefault(s, {})
-        acc[rest] = acc.get(rest, 0) + c
-    g = tuple(DiffPermPoly(ctx, gacc.get(s, {})) for s in range(n + 1))
-    p = tuple(DiffPermPoly(ctx, pacc.get(s, {})) for s in range(n + 1))
-    return Decomposition(k, n, g, p)
 
 
 # ---------------------------------------------------------------------------

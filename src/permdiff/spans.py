@@ -76,14 +76,6 @@ class SpanBasis:
         self._cols: dict[Monomial, int] = {}
         self._pivots: dict[int, dict[int, int]] = {}
 
-    @classmethod
-    def from_elements(cls, elems: Iterable[DiffPermPoly]) -> "SpanBasis":
-        elems = list(elems)
-        basis = cls(elems[0].ctx if elems else CTX_Q)
-        for p in elems:
-            basis.add(p)
-        return basis
-
     @property
     def rank(self) -> int:
         return len(self._pivots)
@@ -147,11 +139,6 @@ class SpanBasis:
 
     def contains(self, p: DiffPermPoly) -> bool:
         return not self._reduce(self._int_row(p))
-
-
-def rank(elems: Iterable[DiffPermPoly]) -> int:
-    """Dimension of the linear span, by exact elimination."""
-    return SpanBasis.from_elements(elems).rank
 
 
 #: the prime of ``modular_rank``, 2^61 - 1

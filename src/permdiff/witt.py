@@ -69,11 +69,6 @@ def _bracket(kind: str, v: WittElement, w: WittElement) -> WittElement:
     return WittElement(v.n, acc)
 
 
-def witt_prec(v: WittElement, w: WittElement) -> WittElement:
-    """(a D_i) prec (b D_j) = (a D_i(b)) D_j, extended bilinearly."""
-    return _bracket("prec", v, w)
-
-
 def lie_bracket(v: WittElement, w: WittElement) -> WittElement:
     """[v, w] = v prec w - w prec v, antisymmetric by construction."""
     return _bracket("lie", v, w)

@@ -11,12 +11,11 @@ import sys
 import time
 from math import factorial
 
-from permdiff.algebra import CTX_Q, DiffPermPoly, grade, x
+from permdiff.algebra import CTX_Q, DiffPermPoly, grade
 from permdiff.exprs import SUITE_IDS, run_suite
 from permdiff.reduction import (
     OUTCOME_DERIVATIVE_ONLY,
     OUTCOME_RIGHT_ANNIHILATOR,
-    decompose,
     h0,
     h_step,
     reduce_identity,
@@ -29,6 +28,7 @@ from permdiff.witt import (
     verify_tables,
 )
 
+from oracles import decompose, x
 from test_algebra import (
     binary_trees,
     left_comb,

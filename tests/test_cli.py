@@ -189,18 +189,31 @@ class TestParse:
         assert bracket.lhs is derop.lhs and bracket.rhs is derop.rhs
 
     def test_sharing_keeps_coefficient_types(self):
-        # 0 and 0*delta are equal scalars of different types, so their nodes
-        # are equal but not shared; a coefficient of 1 makes no node
+        # an integral rational is an int and a zero multiple of delta has
+        # no delta term, so 0*x1 and 0*delta*x1 are one node of the rational
+        # 0; a coefficient of 1 makes no node
         got = parse_expr("2*x1 + 1/2*x1 + delta*x1 + 0*x1 + 0*delta*x1"
                          " + 2*x1 - 2*x1 + 4/2*x1 + 1*x1")
         terms = got.terms
         assert [type(t.coeff) for t in terms[:8]] == [
-            int, Fraction, DeltaPoly, int, DeltaPoly, int, int, int]
+            int, Fraction, DeltaPoly, int, int, int, int, int]
         assert [t.coeff for t in terms[:8]] == [2, Fraction(1, 2), DELTA, 0,
                                                 0, 2, -2, 2]
-        assert terms[3] == terms[4] and terms[3] is not terms[4]
+        assert terms[3] is terms[4]
         assert terms[0] is terms[5] is terms[7]
         assert terms[8] is terms[0].body
+
+    def test_negative_term_left_by_its_sign_prints_parseable(self):
+        # -1 times a negative multiple: the sign is printed, and the term it
+        # leaves, negative itself, is parenthesised
+        gens = {i: DiffPermPoly.generator(i) for i in (1, 2, 3, 4)}
+        for tree, text in (
+                (Sum((Var(2), Scale(-1, Scale(-3, Var(4))))),
+                 "x2 - (-3 * x4)"),
+                (Sum((Scale(-1, Scale(Fraction(-1, 2), Var(4))), Var(2))),
+                 "-(-1/2 * x4) + x2")):
+            assert pretty(tree) == text
+            assert eval_expr(parse_expr(text), gens) == eval_expr(tree, gens)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_shared_parse_round_trips(self, n):
@@ -344,6 +357,15 @@ class TestDispatch:
         assert code == 2 and out == ""
         assert err.startswith(f"cannot read {path}: 'utf-8' codec")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["d(0*x1) + d(0*delta*x1)",
+                                      "d(0*delta*x1) + d(0*x1)"])
+    def test_zero_multiple_of_delta_expands_to_zero(self, capsys, text):
+        # 0*delta is the rational 0, in either order of the two terms
+        code, out, err = run_cli(capsys, "expand", text, "--quiet")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"expression": "d(0 * x1) + d(0 * x1)",
+                                   "terms": [], "text": "0"}
 
     def test_parse_error_exit_two(self, capsys):
         code, out, err = run_cli(capsys, "expand", "x1 *", "--quiet")

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import itertools
 import operator
+import pickle
 import re
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from oracles import specialize_delta, subs, v, x
 from permdiff import exprs
 from permdiff.algebra import (
     CTX_DELTA,
@@ -22,8 +25,6 @@ from permdiff.algebra import (
     apply_substitution,
     derived_product,
     monomial_key,
-    specialize_delta,
-    x,
 )
 from permdiff.cli import parse_expr, pretty
 from permdiff.exprs import (
@@ -46,7 +47,6 @@ from permdiff.exprs import (
     run_suite,
     standard_identity,
     suite_cases,
-    v,
     vf_leibniz_bracket,
     vf_prec,
 )
@@ -132,6 +132,21 @@ class TestEval:
         text = " * ".join(f"x{i}" for i in range(1, 3001))
         assert hash(chain) == hash(parse_expr(text))
 
+    def test_deep_der_chain_built_in_library_code_hashes(self):
+        # every node is hashed as it is made, so hashing a chain of 3000
+        # derivations built from the inside out does not recurse down it
+        chain = functools.reduce(lambda e, _: Der(e), range(3000), Var(1))
+        assert hash(chain) == hash(Der(chain.body))
+
+    def test_copied_and_unpickled_nodes_hash(self):
+        # a copy is made again through its class, so it stores its hash too
+        e = Sum((Scale(DELTA, Bracket("loz", v(1), Der(v(2)))), v(3)))
+        for copy_of in (copy.copy, copy.deepcopy,
+                        lambda t: pickle.loads(pickle.dumps(t))):
+            got = copy_of(e)
+            assert got == e and hash(got) == hash(e)
+            assert type(got.terms[0].body) is Bracket
+
     def test_star_node(self):
         assert eval_expr(Star(Mul(v(1), v(2))), gens(2)) == (x(1) * x(2)).star()
 
@@ -215,7 +230,7 @@ def _clone(e, delta=None):
     ``delta`` given, its δ-polynomial scale factors are evaluated there."""
     if (delta is not None and isinstance(e, Scale)
             and isinstance(e.coeff, DeltaPoly)):
-        return Scale(e.coeff.subs(delta), _clone(e.body, delta))
+        return Scale(subs(e.coeff, delta), _clone(e.body, delta))
     parts = []
     for f in dataclasses.fields(e):
         val = getattr(e, f.name)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import witt_prec
 from perm_tensor import PermTensorElem, euler_derivation, perm_product
 from permdiff import witt
 from permdiff.algebra import BRACKETS, AlgebraError, FrozenDoc
@@ -14,7 +15,6 @@ from permdiff.witt import (
     lie_bracket,
     structure_table,
     verify_tables,
-    witt_prec,
 )
 
 

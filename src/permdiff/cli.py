@@ -351,9 +351,6 @@ def main(argv: list[str] | None = None) -> int:
     except AlgebraError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except RecursionError:
-        sys.stderr.write("error: input nested too deeply\n")
-        return 2
     except Exception as exc:  # a fault of permdiff, never exit 1's verdict
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3

@@ -24,14 +24,15 @@ by its first nonzero coefficient when this is a rational (or a constant of
 Q[δ]), and the product is scaled by it, so a sum and its scalar multiples
 are one memo entry: in a standard identity the operand that follows the
 prefix (x_i, x_j) is the negative of the one that follows (x_j, x_i).  The
-memo is keyed by the frozen node itself, so equal subtrees are evaluated
-once however they were built; each node caches its hash, so a lookup does
-not walk the subtree again.  In the ordinary context D^k derives the
-memoised D^(k-1) normal form.  In a δ context D^k is pushed through the
-syntactic product structure with the rule D(uv) = δ(D(u)v + uD(v)), which
-is the Leibniz rule at δ = 1, and bottoms out at generator leaves; there a
-zero normal form over Q[δ] certifies the identity in every perm algebra
-with a δ-derivation.
+memo is keyed by ``(node, k)``, so equal subtrees are evaluated once however
+they were built; each node caches its hash, so a lookup does not walk the
+subtree again.  The walk keeps its pending nodes on a list, not on the
+Python stack, so only the parser bounds nesting (``MAX_NESTING``).  In the
+ordinary context D^k derives the memoised D^(k-1) normal form.  In a δ
+context D^k is pushed through the syntactic product structure with the rule
+D(uv) = δ(D(u)v + uD(v)), which is the Leibniz rule at δ = 1, and bottoms
+out at generator leaves; there a zero normal form over Q[δ] certifies the
+identity in every perm algebra with a δ-derivation.
 """
 
 from __future__ import annotations
@@ -199,6 +200,10 @@ CALL_FORMS = {"d": (Der, 1), "star": (Star, 1),
               **dict.fromkeys(DERIVED_PRODUCT_TAGS, (DerOp, 2)),
               "assoc": (Assoc, 3), "bracket": (Bracket, 2)}
 
+# The most parentheses, bare or of a call form, open at once in one line.
+# The parser and ``pretty`` spend at most 3 Python frames per level.
+MAX_NESTING = 256
+
 
 class _Parser:
     """Recursive descent over the tokens of one line.  Columns are found
@@ -206,10 +211,8 @@ class _Parser:
 
     Every node is made by ``node``, through a table local to the parser, so
     equal subtrees of the line are one object.  A key holds the node class,
-    its scalar (a tag, a variable index or a coefficient with its type) and
-    its operands' identities: ``Bracket`` and ``DerOp`` nodes, and the
-    coefficients 2, ``Fraction(2)`` and ``DeltaPoly.const(2)``, which compare
-    equal, stay apart."""
+    its scalar (a tag, a variable index or a coefficient) and its operands'
+    identities, so ``Bracket`` and ``DerOp`` nodes stay apart."""
 
     def __init__(self, text: str, line: int, product: str | None):
         self.text = text
@@ -217,6 +220,7 @@ class _Parser:
         self.pos = 0
         self.line = line
         self.product = product
+        self.depth = 0  # parentheses open
         self.nodes: dict[tuple, Expr] = {}
 
     def node(self, key: tuple, cls, *args) -> Expr:
@@ -227,7 +231,7 @@ class _Parser:
         return got
 
     def scale(self, c, body: Expr) -> Expr:
-        return self.node((Scale, type(c), c, id(body)), Scale, c, body)
+        return self.node((Scale, c, id(body)), Scale, c, body)
 
     def negate(self, node: Expr) -> Expr:
         """Fold a leading minus into a rational scalar coefficient."""
@@ -249,6 +253,13 @@ class _Parser:
     def expect_op(self, op: str) -> None:
         if self.toks[self.pos] != op:
             raise self.error(f"expected {op!r}")
+        self.pos += 1
+
+    def open(self) -> None:
+        """Consume the '(' or call name of one more level of nesting."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
         self.pos += 1
 
     def integer(self, digits: str) -> int:
@@ -322,9 +333,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         t = self.toks[self.pos]
         if t == "(":
-            self.pos += 1
+            self.open()
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if t[:1] == "x" and t[1:].isdigit():
             idx = self.integer(t[1:])
@@ -342,13 +354,14 @@ class _Parser:
             tag = t if cls is DerOp else self.product
             if tag is None:
                 raise self.error(f"{t}(...) needs --product")
-        self.pos += 1
+        self.open()
         self.expect_op("(")
         ops = [self.parse_expr()]
         for _ in range(arity - 1):
             self.expect_op(",")
             ops.append(self.parse_expr())
         self.expect_op(")")
+        self.depth -= 1
         args = ops if tag is None else [tag, *ops]
         return self.node((cls, tag, *map(id, ops)), cls, *args)
 
@@ -371,9 +384,9 @@ def parse_expr(text: str, product: str | None = None, line: int = 1) -> Expr:
 
     Digits are ASCII ``0-9`` and names ASCII ``[A-Za-z][A-Za-z0-9_]*``;
     blanks and tabs separate tokens, and any other character is a syntax
-    error.  ``assoc`` and ``bracket`` use ``product`` (``--product`` on the
-    command line).  Unbound variables are an evaluation-time error, not a
-    parse error."""
+    error, as is nesting deeper than ``MAX_NESTING``.  ``assoc`` and
+    ``bracket`` use ``product`` (``--product`` on the command line).
+    Unbound variables are an evaluation-time error, not a parse error."""
     parser = _Parser(text, line, product)
     node = parser.parse_expr()
     if parser.toks[parser.pos]:
@@ -406,9 +419,10 @@ def _negative(e: Expr) -> bool:
 
 
 def pretty(e: Expr, _prec: int = 0) -> str:
-    """Render a tree in the expression grammar; parsing the result gives the
-    tree back.  A sum parenthesises itself at ``_prec`` 1, as a term or
-    factor of something else."""
+    """Render a tree in the expression grammar.  A parsed tree prints text
+    that parses back to the same tree; a tree built in library code prints
+    text whose parse has the same value.  A sum parenthesises itself at
+    ``_prec`` 1, as a term or factor of something else."""
     if isinstance(e, Var):
         return f"x{e.index}"
     form = _PRINTED_FORMS.get(type(e))
@@ -492,28 +506,30 @@ def _inverse(c: Scalar) -> Rational | None:
 
 def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
               ctx: Context) -> DiffPermPoly:
-    """D^0 of ``e`` through ``rec(node, k)``, which is D^k of the node's
-    value, memoised on the frozen node and k.  In the ordinary context D^k
-    for k > 0 derives the memoised D^(k-1) normal form; in a δ context it is
-    pushed down to the generators by the δ-rule."""
+    """D^0 of ``e``.  ``value(node, k)`` is a generator of D^k of the node's
+    value: it yields each ``(child, j)`` it needs and is sent back D^j of the
+    child.  A loop keeps the pending generators on a list, so nesting costs
+    no Python frames, and memoises each value by ``(node, k)``.  In the
+    ordinary context D^k for k > 0 derives the memoised D^(k-1) normal form;
+    in a δ context it is pushed down to the generators by the δ-rule."""
     _check_subst(subst, ctx)
-    cache: dict[Expr, dict[int, DiffPermPoly]] = {}
+    memo: dict[tuple[Expr, int], DiffPermPoly] = {}
     delta_pows = [DeltaPoly.const(1), DELTA]
 
-    def spread(lhs: Expr, i: int, rhs: Expr, j: int, k: int) -> DiffPermPoly:
+    def spread(lhs: Expr, i: int, rhs: Expr, j: int, k: int):
         """k δ-derivations crossing the product D^i(lhs) D^j(rhs):
         δ^k Σ_r C(k, r) D^(i+r)(lhs) D^(j+k-r)(rhs)."""
         if k == 0:
-            return rec(lhs, i) * rec(rhs, j)
+            return (yield lhs, i) * (yield rhs, j)
         val = DiffPermPoly.zero(ctx)
         for r in range(k + 1):
-            term = rec(lhs, i + r) * rec(rhs, j + k - r)
+            term = (yield lhs, i + r) * (yield rhs, j + k - r)
             val = val + term.scale(comb(k, r))
         while len(delta_pows) <= k:
             delta_pows.append(delta_pows[-1] * DELTA)
         return val.scale(delta_pows[k])
 
-    def combine(node: Expr, k: int) -> DiffPermPoly:
+    def combine(node: Expr, k: int):
         """D^k of a linear combination, by bilinearity: its products that
         share the operation and a structurally equal left operand are
         evaluated as one product whose right operand is the weighted sum of
@@ -543,19 +559,15 @@ def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
         acc: dict[Monomial, Scalar] = {}
         get = acc.get
         for c, t in terms:
-            for m, x in rec(t, k).terms.items():
+            for m, x in (yield t, k).terms.items():
                 acc[m] = get(m, 0) + (x if c == 1 else c * x)
         return DiffPermPoly(ctx, acc)
 
-    def rec(node: Expr, k: int) -> DiffPermPoly:
-        memo = cache.setdefault(node, {})
-        got = memo.get(k)
-        if got is not None:
-            return got
+    def value(node: Expr, k: int):
         if isinstance(node, Der):
-            val = rec(node.body, k + 1)
+            val = yield node.body, k + 1
         elif k and not ctx.delta:
-            val = rec(node, k - 1).derive()
+            val = (yield node, k - 1).derive()
         elif isinstance(node, Var):
             try:
                 val = subst[node.index]
@@ -572,20 +584,8 @@ def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
                                        "flattened product")
                 val = DiffPermPoly(ctx, {Monomial((), m.last.derived(0, k)): c},
                                    _owned=True)
-        elif isinstance(node, Mul) and not k:
-            # the factors of a flat product are a chain of left operands:
-            # evaluate it from its first factor up, in a loop, so that a long
-            # product does not recurse once per factor
-            spine, lhs = [node], node.lhs
-            while isinstance(lhs, Mul) and lhs not in cache:
-                spine.append(lhs)
-                lhs = lhs.lhs
-            val = rec(lhs, 0)
-            for m in reversed(spine):
-                val = val * rec(m.rhs, 0)
-                cache.setdefault(m, {})[0] = val
         elif isinstance(node, Mul):
-            val = spread(node.lhs, 0, node.rhs, 0, k)
+            val = yield from spread(node.lhs, 0, node.rhs, 0, k)
         elif isinstance(node, DerOp):
             if ctx.arity != 1:
                 raise AlgebraError("derived products require a single derivation")
@@ -595,26 +595,39 @@ def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
             val = None
             for sign, swap, left_derived in summands:
                 u, w = (node.rhs, node.lhs) if swap else (node.lhs, node.rhs)
-                t = spread(u, int(left_derived), w, int(not left_derived), k)
+                t = yield from spread(u, int(left_derived), w,
+                                      int(not left_derived), k)
                 if sign < 0:
                     t = -t
                 val = t if val is None else val + t
         elif isinstance(node, Assoc):
             tag, a, b, c = node.tag, node.a, node.b, node.c
-            val = rec(DerOp(tag, DerOp(tag, a, b), c)
-                      - DerOp(tag, a, DerOp(tag, b, c)), k)
+            val = ((yield DerOp(tag, DerOp(tag, a, b), c), k)
+                   - (yield DerOp(tag, a, DerOp(tag, b, c)), k))
         elif isinstance(node, Star):
             if ctx.delta:
                 raise AlgebraError("star is not defined in a δ context")
-            val = rec(node.body, 0).star()
+            val = (yield node.body, 0).star()
         elif isinstance(node, (Scale, Sum)):
-            val = combine(node, k)
+            val = yield from combine(node, k)
         else:
             raise AlgebraError(f"not an expression node: {node!r}")
-        memo[k] = val
         return val
 
-    return rec(e, 0)
+    stack = [((e, 0), value(e, 0))]
+    got = None
+    while stack:
+        key, gen = stack[-1]
+        try:
+            child = gen.send(got)
+        except StopIteration as done:
+            got = memo[key] = done.value
+            stack.pop()
+        else:
+            got = memo.get(child)
+            if got is None:
+                stack.append((child, value(*child)))
+    return got
 
 
 def eval_expr(e: Expr, subst: Mapping[int, DiffPermPoly],

@@ -49,6 +49,32 @@ UNPRINTABLE = (f"error: a coefficient has more than "
                f"{sys.get_int_max_str_digits()} digits and cannot be printed")
 
 
+# forms that keep one term per level, each with the offset of the name or
+# parenthesis that opens a level and the product that assoc and bracket
+# read; forms that double their terms, such as assoc under diamond, are
+# exponential at any depth
+NESTINGS = pytest.mark.parametrize("wrap,opener,product", [
+    (lambda t: f"d({t})", 0, None),
+    (lambda t: f"star({t})", 0, None),
+    (lambda t: f"({t})", 0, None),
+    (lambda t: f"x1 * ({t})", 5, None),
+    (lambda t: f"x1 + ({t})", 5, None),
+    (lambda t: f"x1 - ({t})", 5, None),
+    (lambda t: f"succ(x1, {t})", 0, None),
+    (lambda t: f"prec({t}, x1)", 0, None),
+    (lambda t: f"bracket({t}, x1)", 0, "prec"),
+    (lambda t: f"assoc({t}, x1, x1)", 0, "prec"),
+], ids=["d", "star", "paren", "mul", "sum", "difference", "succ", "prec",
+        "bracket", "assoc"])
+
+
+def nest(wrap, levels: int) -> str:
+    text = "x2"
+    for _ in range(levels):
+        text = wrap(text)
+    return text
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -215,6 +241,17 @@ class TestParse:
             assert pretty(tree) == text
             assert eval_expr(parse_expr(text), gens) == eval_expr(tree, gens)
 
+    def test_library_tree_prints_text_of_the_same_value(self):
+        # -1 times a positive multiple prints as one negative term, which
+        # parses as another tree of the same value
+        tree = Sum((Var(2), Scale(-1, Scale(3, Var(4)))))
+        text = pretty(tree)
+        back = parse_expr(text)
+        assert text == "x2 - 3 * x4"
+        assert back == Sum((Var(2), Scale(-3, Var(4)))) != tree
+        gens = {i: DiffPermPoly.generator(i) for i in (2, 4)}
+        assert eval_expr(back, gens) == eval_expr(tree, gens)
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_shared_parse_round_trips(self, n):
         library = standard_identity("diamond", n)
@@ -378,38 +415,58 @@ class TestDispatch:
         code, out, err = run_cli(capsys, "expand", expr, "--quiet")
         assert code == 2
         assert out == ""
-        assert err == "error: input nested too deeply\n"
+        col = 513 if expr.startswith("d") else 257  # the 257th level opens
+        assert err == (f"syntax error at line 1, column {col}: "
+                       "nested deeper than 256 levels\n")
 
-    @pytest.mark.parametrize("wrap", [
-        lambda t: f"succ(x1, {t})",
-        lambda t: f"x1 * ({t})",
-        lambda t: f"x1 + ({t})",
-        lambda t: f"d({t})",
-    ], ids=["succ", "mul", "sum", "d"])
-    def test_deep_input_that_parses_expands(self, capsys, wrap):
-        # the parser refuses these chains at about 250 levels; evaluating
-        # one it accepts must not run out of stack instead
-        text = "x2"
-        for _ in range(200):
-            text = wrap(text)
-        code, out, err = run_cli(capsys, "expand", text, "--quiet")
+    @NESTINGS
+    def test_deep_input_that_parses_expands(self, capsys, wrap, opener,
+                                            product):
+        # MAX_NESTING levels expand in process, on pytest's deeper stack
+        text = nest(wrap, exprs.MAX_NESTING)
+        flags = ("--product", product) if product else ()
+        code, out, err = run_cli(capsys, "expand", text, "--quiet", *flags)
         assert code == 0 and err == ""
         assert json.loads(out)["terms"]
 
-    @pytest.mark.parametrize("text", [
-        DEEP,
-        f"{DEEP} + {DEEP.replace('x1', 'x2')}",
-        f"diamond({DEEP}, x2) - diamond({DEEP}, x3)",
+    @NESTINGS
+    def test_one_level_deeper_is_refused(self, capsys, wrap, opener,
+                                         product):
+        # refused at the name or parenthesis that opens the extra level
+        text = nest(wrap, exprs.MAX_NESTING + 1)
+        flags = ("--product", product) if product else ()
+        code, out, err = run_cli(capsys, "expand", text, "--quiet", *flags)
+        col = wrap("x2").index("x2") * exprs.MAX_NESTING + opener + 1
+        assert (code, out) == (2, "")
+        assert err == (f"syntax error at line 1, column {col}: "
+                       "nested deeper than 256 levels\n")
+
+    @pytest.mark.parametrize("text,col", [
+        (DEEP, 513),
+        (f"{DEEP} + {DEEP.replace('x1', 'x2')}", 513),
+        (f"diamond({DEEP}, x2) - diamond({DEEP}, x3)", 519),
     ], ids=["deep", "sum-of-two", "deep-left-operands"])
     def test_deep_check_file_and_reduce_exit_two(self, tmp_path, capsys,
-                                                  text):
+                                                  text, col):
         path = tmp_path / "deep.txt"
         path.write_text(text + "\n")
         for argv in (("check", "--file", str(path)), ("reduce", text)):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2, argv[0]
             assert out == ""
-            assert err == "error: input nested too deeply\n"
+            assert err == (f"syntax error at line 1, column {col}: "
+                           "nested deeper than 256 levels\n")
+
+    def test_recursion_error_is_an_internal_error(self, capsys, monkeypatch):
+        # only the parser bounds nesting: a RecursionError is a fault
+        def overflow(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(cli, "verify_dimension", overflow)
+        code, out, err = run_cli(capsys, "dim", "--variant", "star", "--n",
+                                 "3", "--quiet")
+        assert (code, out) == (3, "")
+        assert err == ("internal error: RecursionError: maximum recursion "
+                       "depth exceeded\n")
 
     @pytest.mark.parametrize("argv,code,want", [
         (("expand", "x3000000"), 0, '"text": "x3000000"'),

@@ -44,6 +44,7 @@ from permdiff.exprs import (
     check_identity,
     eval_delta,
     eval_expr,
+    eval_on_generators,
     run_suite,
     standard_identity,
     suite_cases,
@@ -137,6 +138,20 @@ class TestEval:
         # derivations built from the inside out does not recurse down it
         chain = functools.reduce(lambda e, _: Der(e), range(3000), Var(1))
         assert hash(chain) == hash(Der(chain.body))
+
+    @pytest.mark.parametrize("ctx", [CTX_Q, CTX_DELTA], ids=["Q", "delta"])
+    def test_deep_der_chain_built_in_library_code_evaluates(self, ctx):
+        # the evaluation keeps pending nodes on a list, not on the stack
+        chain = functools.reduce(lambda e, _: Der(e), range(3000), Var(1))
+        assert (eval_on_generators(chain, ctx)
+                == DiffPermPoly.generator(1, 3000, ctx))
+
+    def test_deep_right_nested_product_evaluates(self):
+        # x1 * (x2 * (... * x2000)): the first factors sorted, the last kept
+        nested = functools.reduce(lambda e, i: Mul(Var(i), e),
+                                  range(1999, 0, -1), Var(2000))
+        flat = functools.reduce(operator.mul, map(Var, range(1, 2001)))
+        assert eval_on_generators(nested) == eval_on_generators(flat)
 
     def test_copied_and_unpickled_nodes_hash(self):
         # a copy is made again through its class, so it stores its hash too

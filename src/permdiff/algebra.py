@@ -301,9 +301,7 @@ class LinearCombination:
     Stored as a map from basis keys to nonzero exact scalars.  Instances are
     immutable by convention: no method mutates ``terms`` after construction,
     so values can be shared freely.  The constructor takes over the dict it
-    is handed and is the one place that deletes zero entries; ``_owned=True``
-    skips that scan for a dict that cannot hold a zero (negation, nonzero
-    scaling, relabelled keys, a basis element).
+    is handed and is the one place that deletes zero entries.
 
     Subclasses name the ``space`` slot after what it holds (``ctx`` or
     ``n``) and may override the two hooks: ``_check``, which refuses an
@@ -315,8 +313,8 @@ class LinearCombination:
     __slots__ = ("space", "terms")
     _MISMATCH = "space mismatch: {} vs {}"
 
-    def __init__(self, space, terms: dict, _owned: bool = False):
-        if not (_owned or all(terms.values())):
+    def __init__(self, space, terms: dict):
+        if not all(terms.values()):
             for k in [k for k, c in terms.items() if not c]:
                 del terms[k]
         self.space = space
@@ -324,7 +322,7 @@ class LinearCombination:
 
     @classmethod
     def zero(cls, space):
-        return cls(space, {}, _owned=True)
+        return cls(space, {})
 
     # -- hooks
 
@@ -366,8 +364,7 @@ class LinearCombination:
         return type(self)(self.space, acc)
 
     def __neg__(self):
-        return type(self)(self.space, {k: -c for k, c in self.terms.items()},
-                          _owned=True)
+        return type(self)(self.space, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -379,8 +376,7 @@ class LinearCombination:
         if not c:
             return self.zero(self.space)
         return type(self)(self.space,
-                          {k: c * v for k, v in self.terms.items()},
-                          _owned=True)
+                          {k: c * v for k, v in self.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +403,7 @@ class DiffPermPoly(LinearCombination):
                   ctx: Context = CTX_Q) -> "DiffPermPoly":
         s = symbol(var, order, ctx.arity)
         one: Scalar = DeltaPoly.const(1) if ctx.delta else 1
-        return cls(ctx, {Monomial((), s): one}, _owned=True)
+        return cls(ctx, {Monomial((), s): one})
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[Monomial, Scalar]],

@@ -582,8 +582,7 @@ def _evaluate(e: Expr, subst: Mapping[int, DiffPermPoly],
                 if m.degree != 1:
                     raise AlgebraError("ambiguous δ-derivation: derivative of a "
                                        "flattened product")
-                val = DiffPermPoly(ctx, {Monomial((), m.last.derived(0, k)): c},
-                                   _owned=True)
+                val = DiffPermPoly(ctx, {Monomial((), m.last.derived(0, k)): c})
         elif isinstance(node, Mul):
             val = yield from spread(node.lhs, 0, node.rhs, 0, k)
         elif isinstance(node, DerOp):

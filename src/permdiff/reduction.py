@@ -120,35 +120,36 @@ class ReductionResult:
 
 
 def _strip_factors(poly: DiffPermPoly, strip: list[Symbol], last_var: int
-                   ) -> tuple[DiffPermPoly | None, Scalar | None]:
+                   ) -> DiffPermPoly | Scalar:
     """Remove one occurrence of each symbol of ``strip`` plus the final
     underived ``last_var`` factor from every monomial; the remainder comes
-    back in multiset normal form, or as a bare scalar when nothing is left.
-    ``(None, None)`` signals an unexpected shape."""
-    ctx = poly.ctx
+    back in multiset normal form, or as a bare nonzero scalar when nothing
+    is left.  Any other shape raises ``AlgebraError``."""
+    shape = ("reduction pipeline produced an unexpected shape; cannot "
+             "extract the top coefficient")
     acc: dict[Monomial, Scalar] = {}
     scalar_part: Scalar | None = None
     for m, c in poly.terms.items():
         if m.last.var != last_var or any(m.last.dord):
-            return None, None
+            raise AlgebraError(shape)
         fs = list(m.left)
         for s in strip:
             try:
                 fs.remove(s)
             except ValueError:
-                return None, None
+                raise AlgebraError(shape) from None
         if not fs:
             scalar_part = c if scalar_part is None else scalar_part + c
             continue
         fs.sort()
         key = Monomial(tuple(fs[:-1]), fs[-1])
         acc[key] = acc.get(key, 0) + c
-    rest = DiffPermPoly(ctx, acc)
-    if scalar_part is not None:
-        if rest or not scalar_part:
-            return None, None
-        return None, scalar_part
-    return rest, None
+    rest = DiffPermPoly(poly.ctx, acc)
+    if scalar_part is None:
+        return rest
+    if rest or not scalar_part:
+        raise AlgebraError(shape)
+    return scalar_part
 
 
 def reduce_identity(f: DiffPermPoly) -> ReductionResult:
@@ -208,19 +209,15 @@ def reduce_identity(f: DiffPermPoly) -> ReductionResult:
 
         strip = [Symbol(t, (1,)) for t in ts] + [Symbol(y, (0,)),
                                                  Symbol(z, (0,))]
-        remainder, scalar = _strip_factors(H, strip, u)
-        if remainder is None and scalar is None:
-            raise AlgebraError("reduction pipeline produced an unexpected "
-                               "shape; cannot extract the top coefficient")
-        if remainder is not None:
-            current = remainder
+        got = _strip_factors(H, strip, u)
+        if isinstance(got, DiffPermPoly):
+            current = got
             trace.append(TraceStep(
                 f"{label}:coefficient",
                 {"op": "extract", "strip": [(s.var, s.dord[0]) for s in strip]
-                 + [(u, 0)]}, remainder))
+                 + [(u, 0)]}, got))
         else:
-            coeff_scalar = scalar
-            current = None
+            coeff_scalar, current = got, None
         inert.extend(strip)
         inert.append(Symbol(u, (0,)))
         passes += 1
@@ -245,7 +242,7 @@ def reduce_identity(f: DiffPermPoly) -> ReductionResult:
         rules["padded_with"] = pad.var
     bumped.sort()
     cert_mono = Monomial(tuple(bumped[:-1]), bumped[-1])
-    certificate = DiffPermPoly(CTX_Q, {cert_mono: coeff}, _owned=True)
+    certificate = DiffPermPoly(CTX_Q, {cert_mono: coeff})
     trace.append(TraceStep("certificate", rules, certificate))
     return ReductionResult(OUTCOME_DERIVATIVE_ONLY, len(bumped), certificate,
                            trace)

@@ -8,17 +8,18 @@ multilinear degree-n component, of dimension C(2n-3, n-1), respectively
 n * C(2n-3, n-1), by the product factorisations a•b = (ab)' and, when
 a* = a' and b* = b', a⧫b = (ab)*: the closure is d, resp. star, of the span
 of plain products, whose rank modulo a prime bounds its rank from below.
-The checks the proof rests on are spelled out at ``verify_dimension``; a
-failed one is reported by name.  ``generate_closure`` saturates the
-component exactly, by fraction-free Gaussian elimination over integer
-column ids (``SpanBasis``); it is the exact reference used by the tests.
+The checks the proof rests on are spelled out at ``verify_dimension``,
+which returns one report per degree; each check raises where it fails, and
+the report names it.  ``generate_closure`` saturates the component exactly,
+by fraction-free Gaussian elimination over integer column ids
+(``SpanBasis``); it is the exact reference used by the tests.
 The closure component on any k variables is the relabelled component on
 x1..xk, so only those are built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -268,7 +269,7 @@ def _relabel(p: DiffPermPoly, subset: tuple[int, ...],
 
     return DiffPermPoly(p.ctx, {Monomial(tuple(map(image, m.left)),
                                          image(m.last)): c
-                                for m, c in p.terms.items()}, _owned=True)
+                                for m, c in p.terms.items()})
 
 
 class _Components:
@@ -342,16 +343,14 @@ def generate_closure(tag: str, n: int) -> list[DiffPermPoly]:
 
 @dataclass
 class DimensionReport:
-    """Outcome of the degree-n dimension proof for one variant: the proved
-    dimension, or the check that failed and no dimension.  ``lower`` holds
-    the reports of the degrees below n that the same proof passed through."""
+    """Outcome of the dimension proof in degree n for one variant: the
+    proved dimension, or the check that failed and no dimension."""
 
     n: int
     variant: str
     formula: int
     dim: int | None
     failed: str | None = None
-    lower: list[DimensionReport] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -365,101 +364,89 @@ class DimensionReport:
         return rec
 
 
-def _leads(family: list[DiffPermPoly]) -> list[Monomial] | None:
-    """The leads of the family's elements, or None when an element is zero
-    or two leads coincide.  A lead is the greatest monomial, ordered by the
-    derivative order of the last factor first, then by ``monomial_key``;
-    distinct leads put the family in echelon form, so it is independent."""
-    if not all(family):
-        return None
-    leads = [max(p.terms, key=lambda m: (m.last.order, monomial_key(m)))
-             for p in family]
-    return leads if len(set(leads)) == len(leads) else None
+def _leads(family: list[DiffPermPoly]) -> list[Monomial]:
+    """The leads of the family's elements, none of which is zero.  A lead is
+    the greatest monomial, ordered by the derivative order of the last
+    factor first, then by ``monomial_key``; distinct leads put the family
+    in echelon form, so it is independent."""
+    return [max(p.terms, key=lambda m: (m.last.order, monomial_key(m)))
+            for p in family]
 
 
-def _coordinate_proof(variant: str, n: int
-                      ) -> Iterator[list[DiffPermPoly] | str]:
-    """For k = 2..n in turn, the family ``generate_S(k, variant)`` once the
-    factorisation proof (see ``verify_dimension``) shows it is a basis of
-    the closure component on x1..xk; a failure ends the proof: "degree k:
-    check c" for the first check c that fails, or "degree k: rank" when the
-    rank falls short."""
+class _Failed(Exception):
+    """A step of the dimension proof failed; the message names it."""
+
+
+def _level(k: int, variant: str, comps: _Components) -> list[DiffPermPoly]:
+    """The family ``generate_S(k, variant)`` once the factorisation proof
+    (see ``verify_dimension``) shows it is a basis of the closure component
+    on x1..xk, whose operands are ``comps.canonical[-1]``, the family of
+    degree k-1 (or x1), and its relabellings.  Raises ``_Failed`` with
+    "degree k: check c" for the first check c that fails, or "degree k:
+    rank" when the rank falls short."""
     tag = _variant_tag(variant)
     star = variant == "star"
     image = DiffPermPoly.star if star else DiffPermPoly.derive
     column = (lambda m: tuple(sorted(m.factors))) if star else (lambda m: m)
-    comps = _Components()
+    failed = f"degree {k}: check "
+    # checks 1 and 5 on this level's operands: the last level's family,
+    # or x1; their relabellings onto other variables are graded alike
+    if not all(is_multilinear(s, k - 1) and set(s.weights()) <= {-1}
+               for s in comps.canonical[-1]):
+        raise _Failed(failed + "1")
+    if star and any(s.star() != s.derive() for s in comps.canonical[-1]):
+        raise _Failed(failed + "5")
+    # the column of each weight -2 monomial, keyed by the monomial
+    cols, ids = {}, {}
+    for m in (monos := weight_minus2_monomials(k)):
+        cols[m] = ids.setdefault(column(m), len(ids))
+    family = _comparison_family(monos, variant)
+    if len(family) != len(ids):
+        raise _Failed(failed + "2")
+    if not all(family) or len(set(leads := _leads(family))) != len(leads):
+        raise _Failed(failed + "3")
+    for p, lead in zip(family, leads):
+        if not lead.last.order:
+            raise _Failed(failed + "4")
+        u = Monomial(lead.left, lead.last.derived(0, -1))
+        img = image(DiffPermPoly(CTX_Q, {u: 1}))
+        a, b = p.terms[lead], img.terms[lead]  # p = (a / b) img
+        if u not in cols or img.scale(a).terms != p.scale(b).terms:
+            raise _Failed(failed + "4")
 
-    def level(k: int) -> list[DiffPermPoly] | str:
-        failed = f"degree {k}: check "
-        # checks 1 and 5 on this level's operands: the last level's family,
-        # or x1; their relabellings onto other variables are graded alike
-        if not all(is_multilinear(s, k - 1) and set(s.weights()) <= {-1}
-                   for s in comps.canonical[-1]):
-            return failed + "1"
-        if star and any(s.star() != s.derive() for s in comps.canonical[-1]):
-            return failed + "5"
-        # the column of each weight -2 monomial, keyed by the monomial
-        cols, ids = {}, {}
-        for m in (monos := weight_minus2_monomials(k)):
-            cols[m] = ids.setdefault(column(m), len(ids))
-        family = _comparison_family(monos, variant)
-        if len(family) != len(ids):
-            return failed + "2"
-        leads = _leads(family)
-        if leads is None:
-            return failed + "3"
-        for p, lead in zip(family, leads):
-            if not lead.last.order:
-                return failed + "4"
-            u = Monomial(lead.left, lead.last.derived(0, -1))
-            img = image(DiffPermPoly(CTX_Q, {u: 1}, _owned=True))
-            a, b = p.terms[lead], img.terms[lead]  # p = (a / b) img
-            if u not in cols or img.scale(a).terms != p.scale(b).terms:
-                return failed + "4"
-        missed = []
+    def rows() -> Iterator[dict[int, Rational]]:
+        # in stages by the smaller side's size, each built only when the
+        # rank reads it, sparse rows first to keep the pivots sparse; a row
+        # that misses a column fails check 1 through ``modular_rank``
+        for smaller in range(1, k // 2 + 1):
+            stage = []
+            for a, b in comps.products(tag, smaller):
+                row: dict[int, Rational] = {}
+                for m, c in (a * b).terms.items():
+                    col = cols.get(m)
+                    if col is None:
+                        raise _Failed(failed + "1")
+                    row[col] = row.get(col, 0) + c
+                # a star column sums a factor multiset's terms, which may
+                # cancel
+                stage.append({col: c for col, c in row.items() if c})
+            stage.sort(key=len)
+            yield from stage
 
-        def rows() -> Iterator[dict[int, Rational]]:
-            # in stages by the smaller side's size, each built only when
-            # the rank reads it, sparse rows first to keep the pivots sparse
-            for smaller in range(1, k // 2 + 1):
-                stage = []
-                for a, b in comps.products(tag, smaller):
-                    row: dict[int, Rational] = {}
-                    for m, c in (a * b).terms.items():
-                        col = cols.get(m)
-                        if col is None:
-                            missed.append(m)
-                            return
-                        row[col] = row.get(col, 0) + c
-                    # a star column sums a factor multiset's terms, which
-                    # may cancel
-                    stage.append({col: c for col, c in row.items() if c})
-                stage.sort(key=len)
-                yield from stage
-
-        got = modular_rank(rows(), stop=len(family))
-        if missed:
-            return failed + "1"
-        return family if got == len(family) else f"degree {k}: rank"
-
-    for k in range(2, n + 1):
-        got = level(k)
-        yield got
-        if isinstance(got, str):
-            return
-        comps.canonical.append(got)
+    if modular_rank(rows(), stop=len(family)) != len(family):
+        raise _Failed(f"degree {k}: rank")
+    return family
 
 
-def verify_dimension(n: int, variant: str) -> DimensionReport:
-    """Prove, in degree n, that the explicit family is a basis of the
-    closure component on x1..xn, so that its size is the dimension, and
-    compare that with the closed-form dimension.  The proof passes through
-    every lower degree, so the report also holds, in ``lower``, the reports
-    of degrees 2..n-1: one call proves a whole range of degrees.
+def verify_dimension(n: int, variant: str) -> list[DimensionReport]:
+    """Prove, in each degree k = 2..n, that the explicit family is a basis
+    of the closure component on x1..xk, so that its size is the dimension,
+    and compare that with the closed-form dimension: one report per degree,
+    in order.  Each degree's proof rests on the family of the degree below,
+    so one call proves a whole range of degrees.
 
-    The proof is ``_coordinate_proof``.  For k = 2..n, the component on
-    x1..xk is spanned by the products of elements a, b of the components on
+    The proof of degree k is ``_level``.  The component on x1..xk is
+    spanned by the products of elements a, b of the components on
     complementary pieces, each a lower-degree family (or x1) relabelled.  As
     a•b = (ab)', and a⧫b = (ab)* when a* = a' and b* = b', the component is
     d (resp. star) of the span of the rows ab, read in monomials (resp. in
@@ -484,18 +471,20 @@ def verify_dimension(n: int, variant: str) -> DimensionReport:
     rank over Q, hence by 4 of the component's, proves that the component
     is span(S_k).  The rank reads the rows in stages, by the size of the
     smaller operand's variable set, and a stage is built only when the
-    rank has not yet reached |S_k|.  If a check fails or the rank falls
-    short, the report names it in ``failed`` and claims no dimension, and
-    so does the report of every degree above it.
+    rank has not yet reached |S_k|.  Each check raises where it fails, as
+    does a rank that falls short; from that degree up, each report names
+    the failure in ``failed`` and claims no dimension.
     """
     if n < 2:
         raise AlgebraError("verify_dimension needs n >= 2")
-    proof = list(_coordinate_proof(variant, n))
-    proof += proof[-1:] * (n - 1 - len(proof))  # a failure, repeated
-    reports = [DimensionReport(k, variant, dimension_formula(k, variant),
-                               dim=None if isinstance(got, str) else len(got),
-                               failed=got if isinstance(got, str) else None)
-               for k, got in zip(range(2, n + 1), proof)]
-    *lower, top = reports
-    top.lower = lower
-    return top
+    comps, failed, reports = _Components(), None, []
+    for k in range(2, n + 1):
+        if failed is None:
+            try:
+                comps.canonical.append(_level(k, variant, comps))
+            except _Failed as e:
+                failed = str(e)
+        reports.append(DimensionReport(
+            k, variant, dimension_formula(k, variant),
+            dim=None if failed else len(comps.canonical[k]), failed=failed))
+    return reports

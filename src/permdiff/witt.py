@@ -50,7 +50,7 @@ class WittElement(LinearCombination):
         if (len(e) != n or not (_is_slot(alpha, n) and _is_slot(i, n))
                 or not all(type(x) is int and x >= 0 for x in e)):
             raise AlgebraError("bad Witt basis data")
-        return cls(n, {WBasis(tuple(e), alpha, i): 1}, _owned=True)
+        return cls(n, {WBasis(tuple(e), alpha, i): 1})
 
     def __repr__(self):
         return f"<WittElement n={self.n} {self.terms}>"

@@ -33,7 +33,7 @@ class PermTensorElem(LinearCombination):
     def basis(cls, n: int, e: tuple[int, ...], alpha: int) -> "PermTensorElem":
         if len(e) != n or not 1 <= alpha <= n or any(k < 0 for k in e):
             raise AlgebraError("bad tensor basis data")
-        return cls(n, {TBasis(tuple(e), alpha): 1}, _owned=True)
+        return cls(n, {TBasis(tuple(e), alpha): 1})
 
     def __repr__(self):
         return f"<PermTensorElem n={self.n} {self.terms}>"

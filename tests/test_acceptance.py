@@ -69,14 +69,12 @@ def test_criterion_2_dimensions():
     t0 = time.time()
     ok = True
     dims = []
-    for n, want in zip(range(2, 7), (1, 3, 10, 35, 126)):
-        r = verify_dimension(n, "star")
-        dims.append(r.dim)
-        ok = ok and r.ok and r.formula == want
-    for n, want in zip(range(2, 6), (2, 9, 40, 175)):
-        r = verify_dimension(n, "prime")
-        dims.append(r.dim)
-        ok = ok and r.ok and r.formula == want
+    for variant, wants in (("star", (1, 3, 10, 35, 126)),
+                           ("prime", (2, 9, 40, 175))):
+        reports = verify_dimension(len(wants) + 1, variant)
+        dims += [r.dim for r in reports]
+        ok = ok and all(r.ok and r.formula == want
+                        for r, want in zip(reports, wants, strict=True))
     elapsed = time.time() - t0
     _report("2 dimension reproduction", ok,
             f"star 2..6 + prime 2..5 = {dims}, proved, "

@@ -125,9 +125,7 @@ def test_space_slot_keeps_its_names():
 
 
 def test_owned_terms_are_taken_as_given():
-    terms = {TBasis((0, 0), 1): Fraction(1, 2)}
-    assert PermTensorElem(2, terms, _owned=True).terms is terms
-    # any other dict is taken over too, its zero entries deleted
+    # the dict is taken over, its zero entries deleted
     mixed = {TBasis((0, 0), 1): 0, TBasis((1, 0), 1): Fraction(1, 2)}
     assert PermTensorElem(2, mixed).terms is mixed
     assert mixed == {TBasis((1, 0), 1): Fraction(1, 2)}

@@ -20,6 +20,7 @@ from permdiff.algebra import (
 from permdiff.reduction import (
     OUTCOME_DERIVATIVE_ONLY,
     OUTCOME_RIGHT_ANNIHILATOR,
+    _strip_factors,
     h0,
     h_step,
     multiset_normal_form,
@@ -432,3 +433,37 @@ class TestMultisetNormalForm:
         p = x(2, 1) * x(1) + x(1) * x(2)
         nf = multiset_normal_form(p)
         assert multiset_normal_form(nf) == nf
+
+
+class TestStripFactors:
+    """``_strip_factors`` gives the top coefficient back, as a remainder or
+    a nonzero scalar, and refuses every other shape."""
+
+    X, T, Y, U = (Symbol(1, (2,)), Symbol(3, (1,)), Symbol(4, (0,)),
+                  Symbol(5, (0,)))
+
+    def strip(self, terms):
+        return _strip_factors(DiffPermPoly(CTX_Q, terms), [self.T, self.Y], 5)
+
+    def test_remainder(self):
+        got = self.strip({Monomial((self.X, self.T, self.Y), self.U): 3})
+        assert got == DiffPermPoly(CTX_Q, {Monomial((), self.X): 3})
+
+    def test_scalar(self):
+        assert self.strip({Monomial((self.T, self.Y), self.U): -2}) == -2
+
+    @pytest.mark.parametrize("terms", [
+        # the last factor is not the underived u
+        {Monomial((X, T, Y), Symbol(5, (1,))): 1},
+        # a stripped symbol is missing
+        {Monomial((X, T), U): 1},
+        # a scalar part beside a remainder
+        {Monomial((T, Y), U): 1, Monomial((X, T, Y), U): 1},
+        # a zero scalar part: two monomials, one with its left factors out
+        # of order, strip to nothing and cancel
+        {Monomial((T, Y), U): 1, Monomial((Y, T), U): -1},
+    ], ids=["last-factor", "missing-symbol", "scalar-and-remainder",
+            "zero-scalar"])
+    def test_unexpected_shape_is_refused(self, terms):
+        with pytest.raises(AlgebraError, match="unexpected shape"):
+            self.strip(terms)

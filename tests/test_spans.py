@@ -385,15 +385,15 @@ class TestBaseCaseRewrites:
 
 class TestVerifyDimension:
     def test_degree3_star(self):
-        r = verify_dimension(3, "star")
+        r = verify_dimension(3, "star")[-1]
         assert r.ok and r.dim == 3
 
     def test_degree4_prime(self):
-        r = verify_dimension(4, "prime")
+        r = verify_dimension(4, "prime")[-1]
         assert r.ok and r.dim == 40
 
     def test_degree2_star(self):
-        r = verify_dimension(2, "star")
+        r = verify_dimension(2, "star")[-1]
         assert r.ok and r.dim == 1
 
     def test_formula_values(self):
@@ -402,8 +402,23 @@ class TestVerifyDimension:
         assert [dimension_formula(n, "prime") for n in range(2, 6)] == \
             [2, 9, 40, 175]
 
+    def test_one_report_per_degree(self):
+        reports = verify_dimension(6, "star")
+        assert [r.n for r in reports] == [2, 3, 4, 5, 6]
+        assert all(r.ok for r in reports)
+        assert [r.dim for r in reports] == [1, 3, 10, 35, 126]
+
+    def test_failure_is_reported_from_its_degree_up(self, monkeypatch):
+        # modulo 2 the rank of degree 3 falls short (see
+        # ``test_modular_shortfall_falls_back``); no degree above is proved
+        monkeypatch.setattr(spans, "MODULUS", 2)
+        first, *rest = verify_dimension(5, "prime")
+        assert (first.n, first.ok, first.failed) == (2, True, None)
+        assert [(r.n, r.ok, r.dim, r.failed) for r in rest] == [
+            (k, False, None, "degree 3: rank") for k in (3, 4, 5)]
+
     def test_record_shape(self):
-        rec = verify_dimension(2, "prime").record()
+        rec = verify_dimension(2, "prime")[-1].record()
         assert rec == {"n": 2, "variant": "prime", "formula": 2,
                        "rank_closure": 2, "rank_S": 2, "ok": True}
 
@@ -414,7 +429,7 @@ class TestVerifyDimensionWitnesses:
 
     def test_dropped_family_element(self, monkeypatch):
         break_family(monkeypatch, lambda k, family: family[1:])
-        r = spans.verify_dimension(4, "star")
+        r = spans.verify_dimension(4, "star")[-1]
         assert not r.ok and r.dim is None
         assert r.failed == "degree 2: check 2"
         exact = exact_report(4, "star")
@@ -424,7 +439,7 @@ class TestVerifyDimensionWitnesses:
     def test_family_element_outside_closure(self, monkeypatch):
         stray = x(1) * x(2) * x(3)
         break_family(monkeypatch, lambda k, family: family + [stray])
-        r = spans.verify_dimension(3, "prime")
+        r = spans.verify_dimension(3, "prime")[-1]
         assert not r.ok and r.failed == "degree 2: check 2"
         exact = exact_report(3, "prime")
         assert exact.missing_from_closure == ["x1 x2 x3"]
@@ -466,15 +481,20 @@ def exact_report(n, variant):
 def coordinate_proof(n, variant):
     """The proof's outcome in degree n: the family, or the failure that
     ended it."""
-    *_, last = spans._coordinate_proof(variant, n)
-    return last
+    comps = spans._Components()
+    try:
+        for k in range(2, n + 1):
+            comps.canonical.append(spans._level(k, variant, comps))
+    except spans._Failed as e:
+        return str(e)
+    return comps.canonical[n]
 
 
 def assert_fails(n, variant, failed):
     """The proof and the report both name ``failed``, and no dimension is
     claimed."""
     assert coordinate_proof(n, variant) == failed
-    r = verify_dimension(n, variant)
+    r = verify_dimension(n, variant)[-1]
     assert (r.ok, r.dim, r.failed) == (False, None, failed)
     assert r.record()["failed"] == failed
 
@@ -487,7 +507,8 @@ class TestCoordinateProof:
                              + [("prime", n) for n in range(2, 6)])
     def test_matches_exact_path(self, variant, n):
         assert coordinate_proof(n, variant) == generate_S(n, variant)
-        r, exact = verify_dimension(n, variant), exact_report(n, variant)
+        r = verify_dimension(n, variant)[-1]
+        exact = exact_report(n, variant)
         assert r.ok and exact.ok
         assert r.dim == exact.rank_closure == exact.rank_S
 
@@ -543,7 +564,7 @@ class TestCoordinateProof:
                 return -super().star()
 
         break_family(monkeypatch, lambda k, family: [
-            StarNegated(p.ctx, p.terms, _owned=True) if k == level else p
+            StarNegated(p.ctx, p.terms) if k == level else p
             for p in family])
         assert coordinate_proof(level, "star") == \
             spans.generate_S(level, "star")
@@ -585,7 +606,8 @@ class TestCoordinateProof:
         break_family(monkeypatch, lambda k, family: [
             family[0].scale(scale)] + family[1:])
         assert coordinate_proof(n, variant) == spans.generate_S(n, variant)
-        r, exact = verify_dimension(n, variant), exact_report(n, variant)
+        r = verify_dimension(n, variant)[-1]
+        exact = exact_report(n, variant)
         assert r.ok and exact.ok and r.dim == exact.rank_closure
 
 
@@ -668,5 +690,5 @@ class TestStagedRows:
             pairs += sum(1 for _ in comps.products("loz"))
             comps.canonical.append(generate_S(k, "star"))
         products = count_products(monkeypatch)
-        assert verify_dimension(7, "star").ok
+        assert verify_dimension(7, "star")[-1].ok
         assert 0 < len(products) < pairs

@@ -201,7 +201,7 @@ CALL_FORMS = {"d": (Der, 1), "star": (Star, 1),
               "assoc": (Assoc, 3), "bracket": (Bracket, 2)}
 
 # The most parentheses, bare or of a call form, open at once in one line.
-# The parser and ``pretty`` spend at most 3 Python frames per level.
+# The parser spends at most 3 Python frames per level; ``pretty`` spends none.
 MAX_NESTING = 256
 
 
@@ -422,46 +422,62 @@ def pretty(e: Expr, _prec: int = 0) -> str:
     """Render a tree in the expression grammar.  A parsed tree prints text
     that parses back to the same tree; a tree built in library code prints
     text whose parse has the same value.  A sum parenthesises itself at
-    ``_prec`` 1, as a term or factor of something else."""
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    form = _PRINTED_FORMS.get(type(e))
-    if form is not None:
-        name, operands = form
-        args = ", ".join(pretty(getattr(e, f)) for f in operands)
-        return f"{name or e.tag}({args})"
-    if isinstance(e, Mul):
-        # the factors of a flat product are a chain of left operands, read
-        # in a loop so that a long product does not recurse once per factor
-        factors = []
-        while isinstance(e, Mul):
-            factors.append(e.rhs)
-            e = e.lhs
-        factors.append(e)
-        # a scaled factor or a product is parenthesised here (the first
-        # factor is no product)
-        return " * ".join(f"({pretty(f)})" if isinstance(f, (Scale, Mul))
-                          else pretty(f, 1) for f in reversed(factors))
-    if isinstance(e, Scale):
-        body = pretty(e.body, 1)
-        if isinstance(e.body, (Mul, Scale)):
-            body = f"({body})"
-        return f"{_coeff_text(e.coeff)} * {body}"
-    if isinstance(e, Sum):
-        out = []
-        for t in e.terms:
-            sign = " + "
-            if _negative(t):
-                sign = " - "
-                t = Scale(-t.coeff, t.body) if t.coeff != -1 else t.body
-            # "x2 - -3 * x4" does not parse: a term still negative once its
-            # sign is taken (-1 times a negative multiple) is parenthesised
-            text = pretty(t, 1)
-            out += (sign, f"({text})" if _negative(t) else text)
-        out[0] = out[0].strip(" +")  # a first term takes "" or "-"
-        text = "".join(out)
-        return f"({text})" if _prec > 0 else text
-    raise AlgebraError(f"not printable: {e!r}")
+    ``_prec`` 1, as a term or factor of something else.
+
+    Printing does not recurse, so a tree of any depth prints: one stack
+    holds, in reverse order, the text still to write and the nodes still to
+    print, each node with its ``_prec``."""
+    out: list[str] = []
+    names: dict[int, str] = {}  # each variable's text, shared by its uses
+    todo: list = [(e, _prec)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        e, prec = item
+        if isinstance(e, Var):
+            out.append(names.setdefault(e.index, f"x{e.index}"))
+            continue
+        form = _PRINTED_FORMS.get(type(e))
+        if form is not None:
+            name, operands = form
+            parts = [f"{name or e.tag}("]
+            for f in operands:
+                parts += ((getattr(e, f), 0), ", ")
+            parts[-1] = ")"
+        elif isinstance(e, Mul):
+            # a product of left operands prints flat; a scaled factor, or a
+            # product as the right operand, is parenthesised
+            lhs, rhs = e.lhs, e.rhs
+            parts = (["(", (lhs, 0), ")"] if isinstance(lhs, Scale)
+                     else [(lhs, 1)])
+            parts += ((" * ", "(", (rhs, 0), ")")
+                      if isinstance(rhs, (Scale, Mul)) else (" * ", (rhs, 1)))
+        elif isinstance(e, Scale):
+            parts = [f"{_coeff_text(e.coeff)} * "]
+            parts += (("(", (e.body, 1), ")")
+                      if isinstance(e.body, (Mul, Scale)) else ((e.body, 1),))
+        elif isinstance(e, Sum):
+            parts = ["("] if prec > 0 else []
+            first = len(parts)
+            for t in e.terms:
+                sign = " + "
+                if _negative(t):
+                    sign = " - "
+                    t = Scale(-t.coeff, t.body) if t.coeff != -1 else t.body
+                # "x2 - -3 * x4" does not parse: a term still negative once
+                # its sign is taken (-1 times a negative multiple) is
+                # parenthesised
+                parts += ((sign, "(", (t, 1), ")") if _negative(t)
+                          else (sign, (t, 1)))
+            parts[first] = parts[first].strip(" +")  # a first term: "" or "-"
+            if prec > 0:
+                parts.append(")")
+        else:
+            raise AlgebraError(f"not printable: {e!r}")
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

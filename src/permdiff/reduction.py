@@ -10,13 +10,19 @@ a_1' a_2' ... a_m' = 0.  The constructive pipeline (``reduce_identity``):
   * antisymmetrize over two fresh variables y, z (``h0``) and multiply by a
     fresh u on the right, which kills the order-zero part;
   * repeatedly lower the top derivative order with fresh variables t_i
-    (``h_step``), each step being a combination of substitutions, right
-    multiplications and subtractions;
-  * one final substitution leaves  n! * c_n * t_1' ... t_n' * y z u,  where
-    c_n is the top coefficient; recurse on c_n with the derived factors kept
-    as inert context;
+    (``h_step``), then one final substitution leaves
+    n! * c_n * t_1' ... t_n' * y z u,  where c_n is the top coefficient;
+    recurse on c_n with the derived factors kept as inert context;
   * once a single monomial remains, substitute a -> a' on its underived
     factors.
+
+Each step of a pass is one sweep over the terms, in closed form.  In a
+pass (i) every term of h ends in the underived u, (ii) y and z occur once
+each in its left part, and (iii) h changes sign when y and z are swapped:
+``h0`` builds (iii) and each step keeps it, the sweep checks (i) and (ii).
+So h[u -> t u] = t h and h[y -> y t] = t h + L_y(h), where L_y replaces
+the left factor y^(s) by  sum_{j<s} C(s, j) y^(j) t^(s-j); the final
+substitution is L_y(h), a step L_y(h) + L_z(h), and no term built cancels.
 
 Every intermediate polynomial is recorded in a trace whose steps can be
 replayed exactly with the public algebra operations.  The pipeline never
@@ -27,7 +33,10 @@ split of the paper, ``decompose`` in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import count
+from math import comb
 from .algebra import (
     CTX_Q,
     AlgebraError,
@@ -36,7 +45,6 @@ from .algebra import (
     Scalar,
     Symbol,
     annihilator_test,
-    apply_substitution,
     is_multilinear,
     multiset_normal_form,
     rename_vars,
@@ -80,23 +88,47 @@ def h_step(h: DiffPermPoly, t: int,
 
         h(y t, z) u - h(y, z) t u - h(z t, y) u + h(z, y) t u
 
-    computed as A - (A with y and z swapped) for
-    A = h[y -> y t] - h[u -> t u].  The top index drops by one and the new
-    leading coefficient is the old one times (top index) * t'.
+    that is A - (A with y and z swapped) for A = h[y -> y t] - h[u -> t u].
+    The top index drops by one and the new leading coefficient is the old
+    one times (top index) * t'.
+
+    It is L_y(h) + L_z(h) (module docstring) when (i) every term of h ends
+    in the underived u, (ii) has y and z once each on its left, and (iii) h
+    changes sign when y and z swap, as ``h0`` and each step make it.
     """
-    y, z, u = roles
-    A = _final_step(h, t, y, u)
-    return A - rename_vars(A, {y: z, z: y})
+    return _lower(h, t, roles)
 
 
-def _final_step(h: DiffPermPoly, t: int, y: int, u: int) -> DiffPermPoly:
-    """h[y -> y t] - h[u -> t u]: the closing substitution of one pass."""
-    ctx = h.ctx
-    gy = DiffPermPoly.generator(y, 0, ctx)
-    gt = DiffPermPoly.generator(t, 0, ctx)
-    gu = DiffPermPoly.generator(u, 0, ctx)
-    return (apply_substitution(h, {y: gy * gt})
-            - apply_substitution(h, {u: gt * gu}))
+def _lower(h: DiffPermPoly, t: int, roles: tuple[int, ...]) -> DiffPermPoly:
+    """The sum of L_v(h) over the roles v before the last, u, in one sweep:
+    ``h_step`` for roles (y, z, u), and h[y -> y t] - h[u -> t u], the
+    closing substitution of a pass, for (y, u).  A term not ending in u
+    alone, or without a single v on its left, raises ``AlgebraError``."""
+    if h.ctx != CTX_Q:
+        raise AlgebraError("reduction steps need the context CTX_Q")
+    *vs, u = roles
+    last = Symbol(u, (0,))
+    pieces: dict[Symbol, list] = {}  # v^(s) -> its lowered pairs, C(s, j)
+    acc: dict[Monomial, Scalar] = {}
+    for m, c in h.terms.items():
+        L = m.left
+        i = bisect_left(L, (u,))
+        if m.last != last or bisect_left(L, (u + 1,), i) != i:
+            raise AlgebraError(f"unexpected shape: a term not ending in x{u}")
+        for v in vs:
+            i = bisect_left(L, (v,))
+            if bisect_left(L, (v + 1,), i) != i + 1:
+                raise AlgebraError(f"unexpected shape: x{v} not once on left")
+            got = pieces.get(L[i])
+            if got is None:
+                s = L[i].dord[0]
+                got = pieces[L[i]] = [((Symbol(v, (j,)), Symbol(t, (s - j,))),
+                                       comb(s, j)) for j in range(s)]
+            rest = L[:i] + L[i + 1:]
+            for ab, w in got:
+                key = Monomial(tuple(sorted(rest + ab)), last)
+                acc[key] = acc.get(key, 0) + w * c
+    return DiffPermPoly(CTX_Q, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +157,8 @@ def _strip_factors(poly: DiffPermPoly, strip: list[Symbol], last_var: int
     underived ``last_var`` factor from every monomial; the remainder comes
     back in multiset normal form, or as a bare nonzero scalar when nothing
     is left.  Any other shape raises ``AlgebraError``."""
-    shape = ("reduction pipeline produced an unexpected shape; cannot "
-             "extract the top coefficient")
-    acc: dict[Monomial, Scalar] = {}
-    scalar_part: Scalar | None = None
+    shape = "unexpected shape: cannot extract the top coefficient"
+    acc: dict[Monomial | None, Scalar] = {}  # None: nothing is left
     for m, c in poly.terms.items():
         if m.last.var != last_var or any(m.last.dord):
             raise AlgebraError(shape)
@@ -138,12 +168,10 @@ def _strip_factors(poly: DiffPermPoly, strip: list[Symbol], last_var: int
                 fs.remove(s)
             except ValueError:
                 raise AlgebraError(shape) from None
-        if not fs:
-            scalar_part = c if scalar_part is None else scalar_part + c
-            continue
         fs.sort()
-        key = Monomial(tuple(fs[:-1]), fs[-1])
+        key = Monomial(tuple(fs[:-1]), fs[-1]) if fs else None
         acc[key] = acc.get(key, 0) + c
+    scalar_part = acc.pop(None, None)
     rest = DiffPermPoly(poly.ctx, acc)
     if scalar_part is None:
         return rest
@@ -172,11 +200,8 @@ def reduce_identity(f: DiffPermPoly) -> ReductionResult:
 
     current = f
     inert: list[Symbol] = []
-    coeff_scalar: Scalar | None = None  # set when the coefficient is a constant
     fresh = f.max_var()
-    passes = 0
-
-    while True:
+    for passes in count():
         # The pass variable has the top derivative order in the class modulo
         # the right annihilator, ties broken by the larger index; measured on
         # that class, the extracted top coefficient survives the right
@@ -184,11 +209,11 @@ def reduce_identity(f: DiffPermPoly) -> ReductionResult:
         cls = multiset_normal_form(current)
         n, k = max((s.order, s.var) for m in cls.terms for s in m.factors)
         if len(cls.terms) == 1 and n <= 1 and (passes >= 1 or n == 0):
+            (mono, coeff), = cls.terms.items()
+            factors = list(mono.factors) + inert
             break
         label = f"pass{passes + 1}"
-        y, z = fresh + 1, fresh + 2
-        ts = [fresh + 2 + i for i in range(1, n + 1)]
-        u = fresh + 3 + n
+        y, z, *ts, u = range(fresh + 1, fresh + n + 4)
         fresh = u
 
         H = h0(current, k, y, z)
@@ -201,7 +226,7 @@ def reduce_identity(f: DiffPermPoly) -> ReductionResult:
             trace.append(TraceStep(
                 f"{label}:h{i + 1}*u",
                 {"op": "h_step", "t": ts[i], "y": y, "z": z, "u": u}, H))
-        H = _final_step(H, ts[n - 1], y, u)
+        H = _lower(H, ts[n - 1], (y, u))
         trace.append(TraceStep(
             f"{label}:final", {"op": "final_subst", "t": ts[n - 1], "y": y,
                                "u": u}, H))
@@ -209,40 +234,25 @@ def reduce_identity(f: DiffPermPoly) -> ReductionResult:
 
         strip = [Symbol(t, (1,)) for t in ts] + [Symbol(y, (0,)),
                                                  Symbol(z, (0,))]
-        got = _strip_factors(H, strip, u)
-        if isinstance(got, DiffPermPoly):
-            current = got
-            trace.append(TraceStep(
-                f"{label}:coefficient",
-                {"op": "extract", "strip": [(s.var, s.dord[0]) for s in strip]
-                 + [(u, 0)]}, got))
-        else:
-            coeff_scalar, current = got, None
-        inert.extend(strip)
-        inert.append(Symbol(u, (0,)))
-        passes += 1
-        if current is None:
+        current = _strip_factors(H, strip, u)
+        inert += strip + [Symbol(u, (0,))]
+        if not isinstance(current, DiffPermPoly):  # a constant coefficient
+            coeff, factors = current, inert
             break
+        trace.append(TraceStep(
+            f"{label}:coefficient",
+            {"op": "extract", "strip": [(s.var, s.dord[0]) for s in strip]
+             + [(u, 0)]}, current))
 
     # assemble the certificate
-    if current is None:
-        factors = list(inert)
-        coeff = coeff_scalar
-    else:
-        (mono, coeff), = multiset_normal_form(current).terms.items()
-        factors = list(mono.factors) + inert
-
     bumped = [s if s.order >= 1 else s.derived(0) for s in factors]
     rules: dict = {"op": "certificate",
                    "inert": [(s.var, s.dord[0]) for s in inert],
                    "bumped": sorted({s.var for s in factors if s.order == 0})}
     if len(bumped) < 2:
-        pad = Symbol(fresh + 1, (1,))
-        bumped.append(pad)
-        rules["padded_with"] = pad.var
-    bumped.sort()
-    cert_mono = Monomial(tuple(bumped[:-1]), bumped[-1])
-    certificate = DiffPermPoly(CTX_Q, {cert_mono: coeff})
+        bumped.append(Symbol(fresh + 1, (1,)))
+        rules["padded_with"] = fresh + 1
+    certificate = DiffPermPoly.monomial(sorted(bumped), coeff)
     trace.append(TraceStep("certificate", rules, certificate))
     return ReductionResult(OUTCOME_DERIVATIVE_ONLY, len(bumped), certificate,
                            trace)

@@ -153,6 +153,20 @@ class TestEval:
         flat = functools.reduce(operator.mul, map(Var, range(1, 2001)))
         assert eval_on_generators(nested) == eval_on_generators(flat)
 
+    def test_deep_der_chain_built_in_library_code_prints(self):
+        # printing keeps pending nodes and text on a list, not on the stack
+        chain = functools.reduce(lambda e, _: Der(e), range(3000), Var(1))
+        assert pretty(chain) == "d(" * 3000 + "x1" + ")" * 3000
+
+    def test_deep_mixed_tree_built_in_library_code_prints(self):
+        # a sum, a negative multiple and a product at every level: each
+        # level's text is the last one's, parenthesised as a factor
+        tree, text = Var(1), "x1"
+        for i in range(3000):
+            tree = Sum((Scale(-2, Mul(Var(2), tree)), Var(3)))
+            text = f"-2 * (x2 * {text if i == 0 else f'({text})'}) + x3"
+        assert pretty(tree) == text
+
     def test_copied_and_unpickled_nodes_hash(self):
         # a copy is made again through its class, so it stores its hash too
         e = Sum((Scale(DELTA, Bracket("loz", v(1), Der(v(2)))), v(3)))

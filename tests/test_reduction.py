@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from oracles import decompose, x
 from permdiff.algebra import (
+    CTX_DELTA,
     CTX_Q,
     AlgebraError,
     DiffPermPoly,
@@ -20,6 +21,7 @@ from permdiff.algebra import (
 from permdiff.reduction import (
     OUTCOME_DERIVATIVE_ONLY,
     OUTCOME_RIGHT_ANNIHILATOR,
+    _lower,
     _strip_factors,
     h0,
     h_step,
@@ -204,6 +206,76 @@ class TestHStep:
             assert H == alt
 
 
+def final_by_substitution(h, t, y, u):
+    """h[y -> y t] - h[u -> t u], computed by generic substitution."""
+    return (apply_substitution(h, {y: x(y) * x(t)})
+            - apply_substitution(h, {u: x(t) * x(u)}))
+
+
+def step_by_substitution(h, t, y, z, u):
+    """A - (A with y and z swapped) for A = h[y -> y t] - h[u -> t u]: the
+    definition of ``h_step``, computed by generic substitution."""
+    A = final_by_substitution(h, t, y, u)
+    return A - rename_vars(A, {y: z, z: y})
+
+
+@st.composite
+def pass_shaped(draw, antisymmetric):
+    """(h, t, (y, z, u)) for h = p * u with p multilinear in x1..x(n+2),
+    derivative orders up to 3, y and z its last two variables, and t and u
+    fresh: every term of h ends in the underived u and has y and z once on
+    its left.  ``antisymmetric`` takes p - (p with y and z swapped) for p,
+    so that h changes sign when y and z are swapped."""
+    n = draw(st.integers(0, 3))
+    y, z, t, u = n + 1, n + 2, n + 3, n + 4
+    p = draw(multilinear_st(n + 2, 3))
+    if antisymmetric:
+        p = p - rename_vars(p, {y: z, z: y})
+    return p * x(u), t, (y, z, u)
+
+
+class TestClosedForm:
+    """The sweep of ``_lower`` against the substitution definitions."""
+
+    @settings(max_examples=80)
+    @given(pass_shaped(antisymmetric=True))
+    def test_h_step_is_the_definition(self, case):
+        h, t, (y, z, u) = case
+        assert h_step(h, t, (y, z, u)) == step_by_substitution(h, t, y, z, u)
+
+    @settings(max_examples=80)
+    @given(pass_shaped(antisymmetric=False))
+    def test_final_step_is_the_definition(self, case):
+        # the closing substitution needs no antisymmetry
+        h, t, (y, z, u) = case
+        assert _lower(h, t, (y, u)) == final_by_substitution(h, t, y, u)
+
+    Y, Z, T, U = 2, 3, 4, 5
+
+    @pytest.mark.parametrize("h, roles", [
+        # a term ends in another factor, or in a derived u
+        (x(1) * x(Y) * x(U) * x(Z), (Y, Z, U)),
+        (x(1) * x(Y) * x(Z) * x(U, 1), (Y, U)),
+        # u also sits on the left
+        (x(U, 1) * x(Y) * x(Z) * x(U), (Y, Z, U)),
+        # y is missing, or there twice; z is missing
+        (x(1) * x(Z) * x(U) + x(1) * x(Y) * x(Z) * x(U), (Y, U)),
+        (x(Y) * x(Y, 1) * x(Z) * x(U), (Y, Z, U)),
+        (x(1) * x(Y) * x(U), (Y, Z, U)),
+    ], ids=["last-factor", "derived-u", "u-on-left", "missing-y",
+            "y-twice", "missing-z"])
+    def test_unexpected_shape_is_refused(self, h, roles):
+        with pytest.raises(AlgebraError, match="unexpected shape"):
+            _lower(h, self.T, roles)
+
+    def test_other_contexts_are_refused(self):
+        h = DiffPermPoly.from_terms(
+            [(Monomial((Symbol(self.Y, (1,)), Symbol(self.Z, (0,))),
+                       Symbol(self.U, (0,))), 1)], CTX_DELTA)
+        with pytest.raises(AlgebraError, match="context"):
+            h_step(h, self.T, (self.Y, self.Z, self.U))
+
+
 def replay_trace(result, original):
     """Re-derive every recorded step from its predecessor using only the
     public algebra operations; returns the number of steps checked."""
@@ -223,14 +295,13 @@ def replay_trace(result, original):
             got = prev * x(step.rule["var"])
             assert got == step.poly
         elif op == "h_step":
+            # from the definition, not through the closed form of h_step
             r = step.rule
-            got = h_step(prev, r["t"], roles=(r["y"], r["z"], r["u"]))
+            got = step_by_substitution(prev, r["t"], r["y"], r["z"], r["u"])
             assert got == step.poly
         elif op == "final_subst":
             r = step.rule
-            y, t, u = r["y"], r["t"], r["u"]
-            got = (apply_substitution(prev, {y: x(y) * x(t)})
-                   - apply_substitution(prev, {u: x(t) * x(u)}))
+            got = final_by_substitution(prev, r["t"], r["y"], r["u"])
             assert got == step.poly
         elif op == "extract":
             back = step.poly

@@ -458,7 +458,7 @@ def pretty(e: Expr, _prec: int = 0) -> str:
             parts = [f"{_coeff_text(e.coeff)} * "]
             parts += (("(", (e.body, 1), ")")
                       if isinstance(e.body, (Mul, Scale)) else ((e.body, 1),))
-        elif isinstance(e, Sum):
+        elif isinstance(e, Sum) and e.terms:  # an empty sum has no text
             parts = ["("] if prec > 0 else []
             first = len(parts)
             for t in e.terms:

@@ -102,10 +102,13 @@ def h_step(h: DiffPermPoly, t: int,
 def _lower(h: DiffPermPoly, t: int, roles: tuple[int, ...]) -> DiffPermPoly:
     """The sum of L_v(h) over the roles v before the last, u, in one sweep:
     ``h_step`` for roles (y, z, u), and h[y -> y t] - h[u -> t u], the
-    closing substitution of a pass, for (y, u).  A term not ending in u
-    alone, or without a single v on its left, raises ``AlgebraError``."""
+    closing substitution of a pass, for (y, u).  A t among the roles, a
+    term not ending in u alone, or one without a single v on its left,
+    raises ``AlgebraError``."""
     if h.ctx != CTX_Q:
         raise AlgebraError("reduction steps need the context CTX_Q")
+    if t in roles:
+        raise AlgebraError(f"x{t} is a role, not a fresh variable")
     *vs, u = roles
     last = Symbol(u, (0,))
     pieces: dict[Symbol, list] = {}  # v^(s) -> its lowered pairs, C(s, j)

@@ -13,6 +13,9 @@ check the library against them:
     kernel's own rule data;
   * ``span_basis`` and ``rank``: the exact span of a list of polynomials,
     against which the modular rank of the dimension proof is checked;
+  * ``smallest_pivot_rank``: the dimension proof's first modular rank, with
+    another pivot order and prime, against which the proof's reports are
+    checked;
   * ``x`` and ``v``: a generator of the rational context and a variable
     leaf of an expression tree.
 """
@@ -20,6 +23,8 @@ check the library against them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from permdiff import witt
@@ -147,6 +152,37 @@ def span_basis(elems: Iterable[DiffPermPoly]) -> SpanBasis:
 def rank(elems: Iterable[DiffPermPoly]) -> int:
     """Dimension of the linear span, by exact elimination."""
     return span_basis(elems).rank
+
+
+def smallest_pivot_rank(rows: Iterable[dict[int, Rational]],
+                        stop: int | None = None) -> int:
+    """``spans.modular_rank`` as first written: each row pivots on its
+    smallest column, modulo 2^61 - 1."""
+    p = (1 << 61) - 1
+    pivots: dict[int, dict[int, int]] = {}
+    rows = iter(rows)
+    while len(pivots) != stop and (row := next(rows, None)) is not None:
+        denom = lcm(*(Fraction(v).denominator for v in row.values()))
+        r = {}
+        for c, v in row.items():
+            v = int(v * denom) % p
+            if v:
+                r[c] = v
+        while r:
+            lead = min(r)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(r[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in r.items()}
+                break
+            f = r[lead]
+            for c, v in prow.items():
+                w = (r.get(c, 0) - f * v) % p
+                if w:
+                    r[c] = w
+                else:
+                    del r[c]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,14 @@ class TestEval:
             text = f"-2 * (x2 * {text if i == 0 else f'({text})'}) + x3"
         assert pretty(tree) == text
 
+    @pytest.mark.parametrize("tree", [Sum(()), Der(Sum(())),
+                                      Sum((Var(1), Sum(())))],
+                             ids=["alone", "under-d", "as-a-term"])
+    def test_empty_sum_is_not_printable(self, tree):
+        # the grammar has no empty sum; only library code builds one
+        with pytest.raises(AlgebraError, match="not printable"):
+            pretty(tree)
+
     def test_copied_and_unpickled_nodes_hash(self):
         # a copy is made again through its class, so it stores its hash too
         e = Sum((Scale(DELTA, Bracket("loz", v(1), Der(v(2)))), v(3)))

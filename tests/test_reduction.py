@@ -268,6 +268,20 @@ class TestClosedForm:
         with pytest.raises(AlgebraError, match="unexpected shape"):
             _lower(h, self.T, roles)
 
+    def test_role_as_t_is_refused(self):
+        # the sweep gives the definition for a fresh t, and even for x1,
+        # but not for t = y or t = z, so every role is refused
+        h = (x(1) * x(2, 2) * x(3) - x(1) * x(3, 2) * x(2)) * x(4)
+        for t in (1, 5):
+            assert h_step(h, t, (2, 3, 4)) == \
+                step_by_substitution(h, t, 2, 3, 4)
+        for t in (2, 3, 4):
+            with pytest.raises(AlgebraError, match="not a fresh variable"):
+                h_step(h, t, (2, 3, 4))
+        for t in (2, 4):
+            with pytest.raises(AlgebraError, match="not a fresh variable"):
+                _lower(h, t, (2, 4))
+
     def test_other_contexts_are_refused(self):
         h = DiffPermPoly.from_terms(
             [(Monomial((Symbol(self.Y, (1,)), Symbol(self.Z, (0,))),

@@ -12,7 +12,7 @@ from conftest import break_family, polys_st
 from hypothesis import given, settings
 
 import permdiff.spans as spans
-from oracles import rank, span_basis, x
+from oracles import rank, smallest_pivot_rank, span_basis, x
 from permdiff.algebra import (
     CTX_Q,
     AlgebraError,
@@ -168,8 +168,9 @@ class TestModularRankAgainstFractionOracle:
     @given(matrices(6, 6, st.integers(-10, 10)))
     @settings(max_examples=200)
     def test_equals_exact_rank_on_small_matrices(self, matrix):
-        # Hadamard: every minor is at most (10 * sqrt(6))^6 < 2^61 - 1 in
+        # Hadamard: every minor is at most (10 * sqrt(6))^6 < MODULUS in
         # absolute value, so none that is nonzero over Q vanishes mod p
+        assert 600 ** 3 < spans.MODULUS
         assert modular_rank(as_rows(matrix)) == fraction_matrix_rank(matrix)
 
     @given(matrices(8, 8, st.fractions(-10**6, 10**6, max_denominator=12)),
@@ -497,6 +498,34 @@ def assert_fails(n, variant, failed):
     r = verify_dimension(n, variant)[-1]
     assert (r.ok, r.dim, r.failed) == (False, None, failed)
     assert r.record()["failed"] == failed
+
+
+def counting(rank_of, log):
+    """``rank_of``, logging for each call its rank and the rows it read."""
+    def counted(rows, stop=None):
+        read = []
+        got = rank_of((read.append(row) or row for row in rows), stop)
+        log.append((got, len(read)))
+        return got
+    return counted
+
+
+class TestPivotOrder:
+    @pytest.mark.parametrize("variant", ["star", "prime"])
+    def test_same_reports_as_smallest_column_pivots(self, monkeypatch,
+                                                    variant):
+        # the rank after each row does not depend on the pivot order, and
+        # here neither prime loses rank, so both read the same rows and
+        # give the same reports
+        runs = []
+        for rank_of in (modular_rank, smallest_pivot_rank):
+            log = []
+            monkeypatch.setattr(spans, "modular_rank", counting(rank_of, log))
+            records = [r.record() for r in verify_dimension(6, variant)]
+            runs.append((log, records))
+        assert runs[0] == runs[1]
+        log, records = runs[0]
+        assert len(log) == 5 and all(r["ok"] for r in records)
 
 
 class TestCoordinateProof:

@@ -515,27 +515,6 @@ class DiffPermPoly(LinearCombination):
         return f"<DiffPermPoly {format_poly(self)}>"
 
 
-class FrozenDoc(dict):
-    """A JSON object that cannot change once it is made, so its text can be
-    encoded once and reused: ``cli.write_json`` keeps that text in
-    ``encoded``, keyed by the indent it was written at.  Every mutating
-    method raises ``TypeError``; the values it holds are not frozen."""
-
-    __slots__ = ("encoded",)
-
-    def __init__(self, *args, **kwargs):
-        if hasattr(self, "encoded"):
-            self._read_only()
-        super().__init__(*args, **kwargs)
-        self.encoded: dict[str, str] = {}
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a FrozenDoc is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-
 def format_scalar(c: Scalar) -> str:
     """``str(c)``, or an ``AlgebraError`` for a number with more digits than
     the interpreter converts to text."""

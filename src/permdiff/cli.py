@@ -12,6 +12,7 @@ with --product.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ from types import GeneratorType
 from .algebra import (
     AlgebraError,
     DERIVED_PRODUCT_TAGS,
-    FrozenDoc,
     format_monomial,
     format_poly,
     format_scalar,
@@ -37,7 +37,7 @@ from .exprs import (
 )
 from .reduction import reduce_identity
 from .spans import MAX_DIM_DEGREE, verify_dimension
-from .witt import structure_table, table_patterns, verify_tables
+from .witt import basis_doc, structure_table, table_patterns, verify_tables
 
 OPNAMES = DERIVED_PRODUCT_TAGS
 
@@ -55,35 +55,38 @@ _QUOTE = json.encoder.encode_basestring  # JSON string literal, non-ASCII kept
 # the JSON text of a scalar, by exact type
 _SCALARS = {str: _QUOTE, int: int.__repr__, type(None): lambda _: "null",
             bool: lambda b: "true" if b else "false"}
-_BATCH = 4096  # pieces per write: one write per piece is slow on an
-               # unbuffered stdout (python -u)
+_BATCH = 1 << 16  # characters per write: one write per piece is slow on an
+                  # unbuffered stdout (python -u)
 
 
 def write_json(obj, write) -> None:
     """Pass ``json.dumps(obj, indent=2, ensure_ascii=False)`` to ``write``
-    in batches of pieces, as it is encoded.
+    in batches of about 64 KB, as it is encoded.
 
     Scalars are of the exact types ``str``, ``int``, ``bool`` and ``None``,
     containers lists, tuples and dicts with ``str`` keys; anything else
     raises ``TypeError``.  A generator is written as the list it yields,
-    read in a single pass as it is written, so a long one (the entries of
-    ``structure_table``) need never be held whole.  A ``FrozenDoc`` (a
-    basis element of a table, met thousands of times) is encoded once for
-    each indent it is written at; its text is kept in the doc and written
-    whole from then on.  The standard encoder runs in pure Python when it
+    read in a single pass as it is written, so a long one need never be
+    held whole.  A callable is written as the list of the texts it yields
+    when called with the indent of its items, each encoded whole (see
+    ``_entry_texts``).  The standard encoder runs in pure Python when it
     indents; this writer makes one call per container, not per value.
     """
     out: list[str] = []
-    put = out.append
+    size = 0
     scalar = _SCALARS.get
+
+    def put(text: str) -> None:
+        nonlocal size
+        out.append(text)
+        size += len(text)
+        if size >= _BATCH:
+            write("".join(out))
+            out.clear()
+            size = 0
 
     def value(o, pad: str) -> None:
         if isinstance(o, dict):
-            if type(o) is FrozenDoc:
-                text = o.encoded.get(pad)
-                if text is None:
-                    text = o.encoded[pad] = _frozen_text(o, pad)
-                return put(text)
             if not o:
                 return put("{}")
             inner = pad + "  "
@@ -98,40 +101,59 @@ def write_json(obj, write) -> None:
                     put(head + text(item))
                 sep = ",\n" + inner
             put("\n" + pad + "}")
-        elif isinstance(o, (list, tuple, GeneratorType)):
+        elif isinstance(o, (list, tuple, GeneratorType)) or callable(o):
             inner = pad + "  "
             sep = first = "[\n" + inner
-            for item in o:
-                text = scalar(type(item))
-                if text is None:
-                    put(sep)
-                    value(item, inner)
-                else:
-                    put(sep + text(item))
-                sep = ",\n" + inner
+            if callable(o):
+                for text in o(inner):
+                    put(sep + text)
+                    sep = ",\n" + inner
+            else:
+                for item in o:
+                    text = scalar(type(item))
+                    if text is None:
+                        put(sep)
+                        value(item, inner)
+                    else:
+                        put(sep + text(item))
+                    sep = ",\n" + inner
             put("[]" if sep is first else "\n" + pad + "]")
         else:
             text = scalar(type(o))
             if text is None:
                 raise TypeError(f"Object of type {type(o).__name__} "
                                 "is not JSON serializable")
-            return put(text(o))
-        if len(out) >= _BATCH:
-            write("".join(out))
-            out.clear()
+            put(text(o))
 
     value(obj, "")
     if out:
         write("".join(out))
 
 
-def _frozen_text(doc: FrozenDoc, pad: str) -> str:
-    """The text of ``doc`` written at indent ``pad``.  Every newline in the
+def _encoded(obj, pad: str) -> str:
+    """The text of ``obj`` written at indent ``pad``.  Every newline in the
     text is structure (strings escape theirs), so each is followed by
     ``pad`` more blanks than at the top level."""
     pieces: list[str] = []
-    write_json(dict(doc), pieces.append)
+    write_json(obj, pieces.append)
     return "".join(pieces).replace("\n", "\n" + pad)
+
+
+def _entry_texts(n: int, entries, pad: str):
+    """The text of each entry of a structure table written at indent
+    ``pad``, as one string.  A basis element's text is encoded the first
+    time it is met at each of its two indents and kept for the table: the
+    results reach exponents up to 2 * bound + 1, so a few thousand texts."""
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    side = functools.cache(lambda b: _encoded(basis_doc(n, b), p1))
+    term = functools.cache(lambda b: _encoded(basis_doc(n, b), p3))
+    for left, right, result in entries:
+        items = [f'{{\n{p3}"coeff": "{c}",\n{p3}"basis": '
+                 f'{term(b)}\n{p2}}}' for b, c in result]
+        items = (f"[\n{p2}" + f",\n{p2}".join(items) + f"\n{p1}]"
+                 if items else "[]")
+        yield (f'{{\n{p1}"left": {side(left)},\n{p1}"right": {side(right)}'
+               f',\n{p1}"result": {items}\n{pad}}}')
 
 
 def _emit(obj, quiet: bool, summary: list[str], fmt: str = "json") -> None:
@@ -217,6 +239,7 @@ def _cmd_dim(args) -> int:
 
 def _cmd_table(args) -> int:
     doc = structure_table(args.n, args.kind, args.bound)
+    doc["entries"] = functools.partial(_entry_texts, args.n, doc["entries"])
     count = (len(table_patterns(args.n, args.kind))
              * (args.bound + 1) ** (2 * args.n))
     summary = [f"table n={args.n} kind={args.kind} bound={args.bound}: "

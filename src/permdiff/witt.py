@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from operator import add, mul
 from typing import NamedTuple
 
-from .algebra import (BRACKETS, AlgebraError, FrozenDoc, LinearCombination,
-                      Rational)
+from .algebra import BRACKETS, AlgebraError, LinearCombination, Rational
 
 
 class WBasis(NamedTuple):
@@ -117,32 +116,28 @@ class BracketRule:
                         for t in self.targets)):
             raise AlgebraError("bad Witt basis data")
 
-    def row(self, e1: tuple[int, ...]) -> list[tuple]:
-        """The targets at left exponents e1, with the left share of each
-        coefficient added into its constant: (constant, right part of the
-        form, e1 + unit(direction), alpha, i)."""
-        n = self.n
-        return [(f[0] + sum(map(mul, f[1:n + 1], e1)), f[n + 1:],
-                 (*e1[:d - 1], e1[d - 1] + 1, *e1[d:]), alpha, i)
-                for f, d, alpha, i in self.targets]
+    @functools.cached_property
+    def forms(self) -> dict[tuple, tuple]:
+        """The forms summed per target (direction, alpha, i), zero sums
+        dropped.  Distinct targets reach distinct basis elements, so two
+        rules with equal sums give equal brackets at every exponent."""
+        acc: dict[tuple, tuple] = {}
+        for form, *target in self.targets:
+            key = tuple(target)
+            acc[key] = tuple(map(add, acc.get(key, (0,) * len(form)), form))
+        return {k: f for k, f in acc.items() if any(f)}
 
     def expected_terms(self, e1: tuple[int, ...],
                        e2: tuple[int, ...]) -> dict[WBasis, Rational]:
         """The nonzero coefficients of the bracket the rule gives for
         exponents e1 and e2, by basis element."""
-        return _row_terms(self.row(e1), e2)
-
-
-def _row_terms(row: list[tuple], e2: tuple[int, ...]) -> dict[WBasis, Rational]:
-    """The nonzero coefficients of a ``BracketRule.row`` at right
-    exponents e2, by basis element."""
-    acc: dict[WBasis, Rational] = {}
-    for c0, cp, g, alpha, i in row:
-        c = c0 + sum(map(mul, cp, e2))
-        if c:
-            key = WBasis(tuple(map(add, g, e2)), alpha, i)
-            acc[key] = acc.get(key, 0) + c
-    return {k: c for k, c in acc.items() if c}
+        e, g = (*e1, *e2), tuple(map(add, e1, e2))
+        out: dict[WBasis, Rational] = {}
+        for (d, alpha, i), f in self.forms.items():
+            c = f[0] + sum(map(mul, f[1:], e))
+            if c:
+                out[WBasis((*g[:d - 1], g[d - 1] + 1, *g[d:]), alpha, i)] = c
+        return out
 
 
 @functools.lru_cache(maxsize=1024)
@@ -162,17 +157,6 @@ def _kernel(kind: str, n: int, left: tuple[int, int],
         targets.append((tuple(form), alpha if v_left else beta,
                         beta if v_left else alpha, i if v_derived else j))
     return BracketRule(n, kind, "kernel", left, right, tuple(targets))
-
-
-def _forms(rule: BracketRule) -> dict[tuple, tuple]:
-    """The rule's forms summed per target (direction, alpha, i), zero sums
-    dropped.  Distinct targets reach distinct basis elements, so two rules
-    with equal sums give equal brackets at every exponent."""
-    acc: dict[tuple, tuple] = {}
-    for form, *target in rule.targets:
-        key = tuple(target)
-        acc[key] = tuple(map(add, acc.get(key, (0,) * len(form)), form))
-    return {k: f for k, f in acc.items() if any(f)}
 
 
 def _rules(n: int, table: str, *rows) -> tuple[BracketRule, ...]:
@@ -298,9 +282,10 @@ def structure_table(n: int, kind: str, bound: int) -> dict:
     The arguments are checked here, but ``"entries"`` is a single-pass
     generator that computes each entry as it is read, so a writer holds
     one entry at a time; there are ``len(table_patterns(n, kind)) *
-    (bound + 1) ** (2 * n)`` of them.  Each basis element is one interned,
-    read-only ``FrozenDoc`` wherever it occurs, which ``cli.write_json``
-    encodes once.
+    (bound + 1) ** (2 * n)`` of them.  An entry is ``(left, right,
+    result)``: two ``WBasis`` and the nonzero terms of their bracket as
+    ``(WBasis, int)`` pairs in basis order; ``basis_doc`` gives the JSON
+    object of a basis element.
     """
     patterns = table_patterns(n, kind)
     if not 0 <= bound <= MAX_TABLE_BOUND:
@@ -309,29 +294,44 @@ def structure_table(n: int, kind: str, bound: int) -> dict:
             "entries": _table_entries(n, kind, patterns, bound)}
 
 
+def basis_doc(n: int, b: WBasis) -> dict:
+    """The JSON object of a basis element in a structure table."""
+    return {"e": list(b.e), "alpha": _slot_name(n, b.alpha),
+            "i": _slot_name(n, b.i)}
+
+
 def _table_entries(n: int, kind: str, patterns, bound: int):
-    """The entries of ``structure_table``, made one at a time from the
-    kernel rule of each slot pattern.  A basis element is one interned
-    ``FrozenDoc`` wherever it occurs (its exponent list is shared too), so
-    entries are read-only."""
-    docs: dict[WBasis, FrozenDoc] = {}
-
-    def doc(b: WBasis) -> FrozenDoc:
-        d = docs.get(b)
-        if d is None:
-            d = docs[b] = FrozenDoc(e=list(b.e), alpha=_slot_name(n, b.alpha),
-                                    i=_slot_name(n, b.i))
-        return d
-
+    """The entries of ``structure_table``, a row (slot pattern and left
+    exponents e1) at a time, in closed form.  Basis elements are read from
+    a grid of all exponents e below side = 2 * bound + 2, at place
+    weights . e, so places are in basis order.  A row's targets are the
+    kernel rule's ``forms``: target (d, alpha, i) reaches the basis element
+    at place e1 + unit(d) + e2, so adding e2 keeps their order.  Each
+    target's coefficient is evaluated over the whole e2 box at once."""
     box = list(itertools.product(range(bound + 1), repeat=n))
+    side = 2 * bound + 2
+    weights = [side ** (n - k) for k in range(1, n + 1)]
+    offsets = [sum(map(mul, weights, e2)) for e2 in box]
+    grid = {}
+    for alpha, i in itertools.product(range(1, n + 1), repeat=2):
+        grid[alpha, i] = [WBasis(e, alpha, i)
+                          for e in itertools.product(range(side), repeat=n)]
     for _, left, right in patterns:
-        rule = _kernel(kind, n, left, right)
+        forms = _kernel(kind, n, left, right).forms
+        targets = sorted((weights[d - 1], alpha, i, f[0], f[1:n + 1],
+                          [sum(map(mul, f[n + 1:], e2)) for e2 in box])
+                         for (d, alpha, i), f in forms.items())
+        lefts, rights = grid[left], grid[right]
         for e1 in box:
-            row, left_doc = rule.row(e1), doc(WBasis(e1, *left))
-            for e2 in box:
-                yield {"left": left_doc, "right": doc(WBasis(e2, *right)),
-                       "result": [{"coeff": str(c), "basis": doc(b)} for b, c
-                                  in sorted(_row_terms(row, e2).items())]}
+            at, cols = sum(map(mul, weights, e1)), []
+            for unit, alpha, i, c0, cm, values in targets:
+                bases, start = grid[alpha, i], at + unit
+                c0 += sum(map(mul, cm, e1))
+                cols.append(([bases[start + o] for o in offsets],
+                             [c0 + v for v in values]))
+            for k, o in enumerate(offsets):
+                yield lefts[at], rights[o], [(b[k], c[k]) for b, c in cols
+                                             if c[k]]
 
 
 @dataclass
@@ -374,10 +374,10 @@ def _format_witt(terms: dict[WBasis, Rational], n: int) -> str:
 def verify_tables(bound: int = 3) -> TableVerification:
     """Check every embedded coefficient rule against the kernel's rule on
     its slot pattern, over the (bound + 1) ** (2 n) exponent pairs of the
-    box 0..bound.  Where the summed forms agree (see ``_forms``) every pair
-    agrees, in the box and beyond, and nothing is evaluated; where they
-    differ both rules are evaluated at every pair, and each pair whose term
-    dicts differ is a mismatch."""
+    box 0..bound.  Where the summed forms agree (``BracketRule.forms``)
+    every pair agrees, in the box and beyond, and nothing is evaluated;
+    where they differ both rules are evaluated at every pair, and each pair
+    whose term dicts differ is a mismatch."""
     if bound < 0:
         raise AlgebraError("bound must be at least 0")
     out = []
@@ -388,17 +388,15 @@ def verify_tables(bound: int = 3) -> TableVerification:
         chk = RuleCheck(rule.table, rule.block, _name(n, left_exps, *rule.left),
                         _name(n, right_exps, *rule.right),
                         (bound + 1) ** (2 * n))
-        if _forms(rule) != _forms(kernel):
+        if rule.forms != kernel.forms:
             box = list(itertools.product(range(bound + 1), repeat=n))
-            for e1 in box:
-                got_row, want_row = kernel.row(e1), rule.row(e1)
-                for e2 in box:
-                    got = _row_terms(got_row, e2)
-                    want = _row_terms(want_row, e2)
-                    if got != want:
-                        chk.mismatches.append({
-                            "at": [*e1, *e2],
-                            "computed": _format_witt(got, n),
-                            "expected": _format_witt(want, n)})
+            for e1, e2 in itertools.product(box, box):
+                got = kernel.expected_terms(e1, e2)
+                want = rule.expected_terms(e1, e2)
+                if got != want:
+                    chk.mismatches.append({
+                        "at": [*e1, *e2],
+                        "computed": _format_witt(got, n),
+                        "expected": _format_witt(want, n)})
         out.append(chk)
     return TableVerification(bound, out)

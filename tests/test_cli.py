@@ -18,7 +18,6 @@ from permdiff.algebra import (
     DERIVED_PRODUCT_TAGS,
     DeltaPoly,
     DiffPermPoly,
-    FrozenDoc,
 )
 from permdiff.cli import ParseError, main, parse_expr, pretty
 from permdiff.exprs import (
@@ -750,23 +749,6 @@ _json_values = st.recursive(
     max_leaves=30)
 
 
-@st.composite
-def _sharing_frozen_docs(draw):
-    """(doc, obj): a ``FrozenDoc`` (maybe holding another) and a document
-    that holds that one doc object at several depths."""
-    fields = st.dictionaries(st.text(max_size=6), _json_values, max_size=4)
-    doc = FrozenDoc(draw(fields))
-    if draw(st.booleans()):
-        doc = FrozenDoc(draw(fields), inner=doc)
-    tree = draw(st.recursive(
-        st.one_of(_json_leaves, st.just(doc)),
-        lambda inner: st.one_of(st.lists(inner, max_size=4),
-                                st.dictionaries(st.text(max_size=6), inner,
-                                                max_size=4)),
-        max_leaves=20))
-    return doc, [doc, {"in": [doc, tree]}, tree, doc]
-
-
 class TestJsonWriter:
     @staticmethod
     def written(obj):
@@ -786,31 +768,12 @@ class TestJsonWriter:
         assert self.written(_generators(obj)) == json.dumps(
             obj, indent=2, ensure_ascii=False)
 
-    @given(_sharing_frozen_docs())
-    @settings(max_examples=300)
-    def test_frozen_docs_match_json_dumps_at_every_depth(self, doc_obj):
-        doc, obj = doc_obj
-        want = json.dumps(obj, indent=2, ensure_ascii=False)
-        for _ in range(3):  # the later writes reuse the texts kept in doc
-            assert self.written(obj) == want
-        assert self.written(doc) == json.dumps(doc, indent=2,
-                                               ensure_ascii=False)
-
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d.__setitem__("e", [1]), lambda d: d.__delitem__("e"),
-        lambda d: d.__ior__({"e": [1]}), lambda d: d.clear(),
-        lambda d: d.pop("e"), lambda d: d.popitem(),
-        lambda d: d.setdefault("z", 1), lambda d: d.update(z=1),
-        lambda d: d.__init__(z=1)])
-    def test_frozen_doc_mutators_are_type_errors(self, mutate):
-        doc = FrozenDoc(e=[0, 1], alpha="x", i="y")
-        with pytest.raises(TypeError):
-            mutate(doc)
-        assert doc == {"e": [0, 1], "alpha": "x", "i": "y"}
-
     def test_empty_generator(self):
         assert self.written(x for x in ()) == "[]"
         assert self.written({"a": (x for x in ())}) == '{\n  "a": []\n}'
+        assert self.written({"a": lambda pad: ()}) == '{\n  "a": []\n}'
+        assert self.written([lambda pad: [repr(pad)]]) \
+            == "[\n  [\n    '    '\n  ]\n]"
 
     @pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, [1, Fraction(3)],
                                      {"coeff": 1.0}, {1: "int key"}])
@@ -820,10 +783,11 @@ class TestJsonWriter:
 
     def test_table_is_written_in_few_batches(self, monkeypatch):
         class CountingStdout(io.StringIO):
-            writes = 0
+            writes = largest = 0
 
             def write(self, text):
                 self.writes += 1
+                self.largest = max(self.largest, len(text))
                 return super().write(text)
 
         out = CountingStdout()
@@ -832,6 +796,26 @@ class TestJsonWriter:
                      "--quiet"]) == 0
         assert len(out.getvalue()) > 5_000_000
         assert out.writes <= 200
+        assert out.largest <= 256 * 1024
+
+    def test_each_basis_text_is_encoded_once(self, monkeypatch):
+        encoded = []
+        encode = cli._encoded
+
+        def counted(obj, pad):
+            encoded.append((json.dumps(obj), pad))
+            return encode(obj, pad)
+
+        monkeypatch.setattr(cli, "_encoded", counted)
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["table", "--n", "2", "--kind", "lie", "--bound", "2",
+                     "--quiet"]) == 0
+        # each basis element at most once at each of its two indents, and
+        # the results reach past the box
+        assert len(encoded) == len(set(encoded)) > 2 * 9 * 4
+        assert {pad for _, pad in encoded} == {" " * 6, " " * 10}
+        assert out.getvalue().count('"alpha"') > 10 * len(encoded)
 
     def test_table_is_written_while_its_entries_are_made(self, monkeypatch):
         finished = []  # set once the entry generator is exhausted
@@ -875,6 +859,23 @@ class TestJsonWriter:
         r = subprocess.run([sys.executable, "-c", code], check=True,
                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         assert int(r.stderr) < 40 * 1024  # kB
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["lie", "leibniz"])
+@pytest.mark.parametrize("verify", [(), ("--verify",)],
+                         ids=["plain", "verify"])
+def test_table_layout_is_json_dumps(capsys, n, kind, verify):
+    # the entries are written from texts made once per basis element; the
+    # whole document must still be laid out as the standard encoder would
+    for bound in range(4):
+        code, out, _ = run_cli(capsys, "table", "--n", str(n), "--kind", kind,
+                               "--bound", str(bound), *verify, "--quiet")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["entries"]) == (
+            len(cli.table_patterns(n, kind)) * (bound + 1) ** (2 * n))
+        assert out == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def _generators(obj):

@@ -8,7 +8,7 @@ import pytest
 from oracles import witt_prec
 from perm_tensor import PermTensorElem, euler_derivation, perm_product
 from permdiff import witt
-from permdiff.algebra import BRACKETS, AlgebraError, FrozenDoc
+from permdiff.algebra import BRACKETS, AlgebraError
 from permdiff.witt import (
     WittElement,
     leibniz_bracket,
@@ -190,18 +190,23 @@ class TestKernelRules:
     @pytest.mark.parametrize("n, kind", [
         (1, "lie"), (1, "leibniz"), (2, "lie"), (2, "leibniz")])
     def test_table_entries_match_the_per_point_loop(self, n, kind):
-        slot = {"x": 1, "y": 2, "1": 1}
-        for entry in structure_table(n, kind, 2)["entries"]:
-            v, w = (E(n, tuple(d["e"]), slot[d["alpha"]], slot[d["i"]])
-                    for d in (entry["left"], entry["right"]))
-            want = _point_bracket(kind, v, w)
-            assert [(r["coeff"], r["basis"]["e"]) for r in entry["result"]] \
-                == [(str(c), list(b.e)) for b, c in sorted(want.terms.items())]
+        # every point of the boxes at bounds 0..3: the closed-form rows
+        # against the kernel rule at that point and the per-point loop
+        for bound in range(4):
+            entries = list(structure_table(n, kind, bound)["entries"])
+            assert len(entries) == (len(witt.table_patterns(n, kind))
+                                    * (bound + 1) ** (2 * n))
+            for left, right, result in entries:
+                rule = witt._kernel(kind, n, left[1:], right[1:])
+                want = _point_bracket(kind, E(n, *left), E(n, *right))
+                assert result == sorted(want.terms.items()) \
+                    == sorted(rule.expected_terms(left.e, right.e).items())
+                assert all(type(c) is int and c for _, c in result)
 
     def test_verify_tables_reads_the_kernel_rules(self):
         for n, rule in _all_rules():
             kernel = witt._kernel(rule.table, n, rule.left, rule.right)
-            assert witt._forms(kernel) == witt._forms(rule)
+            assert kernel.forms == rule.forms
             assert kernel is witt._kernel(rule.table, n, rule.left, rule.right)
 
     def test_largest_cli_bound_compares_data(self):
@@ -310,29 +315,26 @@ class TestStructureTable:
     def test_rank_one_table_matches_rule(self):
         entries = list(structure_table(1, "lie", 3)["entries"])
         assert len(entries) == 16
-        for entry in entries:
-            m = entry["left"]["e"][0]
-            p = entry["right"]["e"][0]
+        for left, right, result in entries:
+            (m,), (p,) = left.e, right.e
             if m == p:
-                assert entry["result"] == []
+                assert result == []
             else:
-                res, = entry["result"]
-                assert int(res["coeff"]) == p - m
-                assert res["basis"]["e"] == [m + p + 1]
+                (basis, coeff), = result
+                assert coeff == p - m
+                assert basis.e == (m + p + 1,)
 
     def test_rank_two_lie_covers_all_16_combinations(self):
         entries = list(structure_table(2, "lie", 1)["entries"])
-        combos = {(e["left"]["alpha"], e["left"]["i"],
-                   e["right"]["alpha"], e["right"]["i"])
-                  for e in entries}
+        combos = {(left.alpha, left.i, right.alpha, right.i)
+                  for left, right, _ in entries}
         assert len(combos) == 16
         assert len(entries) == 16 * 16
 
     def test_rank_two_leibniz_covers_all_16_combinations(self):
         doc = structure_table(2, "leibniz", 1)
-        combos = {(e["left"]["alpha"], e["left"]["i"],
-                   e["right"]["alpha"], e["right"]["i"])
-                  for e in doc["entries"]}
+        combos = {(left.alpha, left.i, right.alpha, right.i)
+                  for left, right, _ in doc["entries"]}
         assert len(combos) == 16
 
     @pytest.mark.parametrize("n, kind, bound", [
@@ -343,16 +345,6 @@ class TestStructureTable:
         assert sum(1 for _ in entries) == (len(witt.table_patterns(n, kind))
                                            * (bound + 1) ** (2 * n))
         assert list(entries) == []
-
-    def test_one_read_only_doc_per_basis_element(self):
-        docs = {}
-        for entry in structure_table(2, "lie", 2)["entries"]:
-            for d in [entry["left"], entry["right"],
-                      *(r["basis"] for r in entry["result"])]:
-                assert type(d) is FrozenDoc
-                key = (tuple(d["e"]), d["alpha"], d["i"])
-                assert docs.setdefault(key, d) is d
-        assert len(docs) > 2 * 9 * 4  # results reach past the box
 
     def test_unsupported_n(self):
         with pytest.raises(AlgebraError):
@@ -587,9 +579,12 @@ def _off_by_one(rule):
 
 
 def _patterns(table):
-    """(left, right) slot patterns of a table's entries, one per entry."""
-    return [((e["left"]["alpha"], e["left"]["i"]),
-             (e["right"]["alpha"], e["right"]["i"])) for e in table["entries"]]
+    """(left, right) slot patterns of a table's entries, one per entry, by
+    slot name."""
+    n = table["n"]
+    return [tuple((witt._slot_name(n, b.alpha), witt._slot_name(n, b.i))
+                  for b in (left, right))
+            for left, right, _ in table["entries"]]
 
 
 class TestTableOrder:
@@ -663,8 +658,8 @@ class TestTableOrder:
         table["entries"] = list(table["entries"])
         per_block = 2 ** (2 * n)
         assert _patterns(table) == [b for b in blocks for _ in range(per_block)]
-        exps = [tuple(e["left"]["e"] + e["right"]["e"])
-                for e in table["entries"][:per_block]]
+        exps = [left.e + right.e
+                for left, right, _ in table["entries"][:per_block]]
         assert exps == list(itertools.product(range(2), repeat=2 * n))
 
     def test_rule_order(self):
@@ -674,8 +669,8 @@ class TestTableOrder:
 
     def test_rank_one_leibniz_table_values(self):
         table = structure_table(1, "leibniz", 1)
-        for entry in table["entries"]:
-            (m,), (p,) = entry["left"]["e"], entry["right"]["e"]
+        for left, right, result in table["entries"]:
+            (m,), (p,) = left.e, right.e
             want = leibniz_bracket(E(1, (m,), 1, 1), E(1, (p,), 1, 1))
-            assert [(r["coeff"], r["basis"]["e"]) for r in entry["result"]] \
-                == [(str(c), list(b.e)) for b, c in sorted(want.terms.items())]
+            assert [(str(c), b.e) for b, c in result] \
+                == [(str(c), b.e) for b, c in sorted(want.terms.items())]

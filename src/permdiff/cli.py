@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from types import GeneratorType
 
 from .algebra import (
     AlgebraError,
@@ -65,12 +64,11 @@ def write_json(obj, write) -> None:
 
     Scalars are of the exact types ``str``, ``int``, ``bool`` and ``None``,
     containers lists, tuples and dicts with ``str`` keys; anything else
-    raises ``TypeError``.  A generator is written as the list it yields,
-    read in a single pass as it is written, so a long one need never be
-    held whole.  A callable is written as the list of the texts it yields
-    when called with the indent of its items, each encoded whole (see
-    ``_entry_texts``).  The standard encoder runs in pure Python when it
-    indents; this writer makes one call per container, not per value.
+    raises ``TypeError``.  A callable is written as the list of the texts it
+    yields when called with the indent of its items, each encoded whole
+    (see ``_entry_texts``), so a long list need never be held whole.  The
+    standard encoder runs in pure Python when it indents; this writer makes
+    one call per container, not per value.
     """
     out: list[str] = []
     size = 0
@@ -101,7 +99,7 @@ def write_json(obj, write) -> None:
                     put(head + text(item))
                 sep = ",\n" + inner
             put("\n" + pad + "}")
-        elif isinstance(o, (list, tuple, GeneratorType)) or callable(o):
+        elif isinstance(o, (list, tuple)) or callable(o):
             inner = pad + "  "
             sep = first = "[\n" + inner
             if callable(o):
@@ -145,14 +143,18 @@ def _entry_texts(n: int, entries, pad: str):
     time it is met at each of its two indents and kept for the table: the
     results reach exponents up to 2 * bound + 1, so a few thousand texts."""
     p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
-    side = functools.cache(lambda b: _encoded(basis_doc(n, b), p1))
-    term = functools.cache(lambda b: _encoded(basis_doc(n, b), p3))
+    sides, terms = {}, {}  # the texts at indents p1 and p3
+    def new(texts: dict, b, indent: str) -> str:
+        texts[b] = text = _encoded(basis_doc(n, b), indent)
+        return text
     for left, right, result in entries:
         items = [f'{{\n{p3}"coeff": "{c}",\n{p3}"basis": '
-                 f'{term(b)}\n{p2}}}' for b, c in result]
+                 f'{terms.get(b) or new(terms, b, p3)}\n{p2}}}'
+                 for b, c in result]
         items = (f"[\n{p2}" + f",\n{p2}".join(items) + f"\n{p1}]"
                  if items else "[]")
-        yield (f'{{\n{p1}"left": {side(left)},\n{p1}"right": {side(right)}'
+        yield (f'{{\n{p1}"left": {sides.get(left) or new(sides, left, p1)}'
+               f',\n{p1}"right": {sides.get(right) or new(sides, right, p1)}'
                f',\n{p1}"result": {items}\n{pad}}}')
 
 

@@ -836,30 +836,29 @@ def standard_identity(tag: str, n: int) -> Expr:
 def _w_formal_case(kind: str) -> Verdict:
     """Left Leibniz law or pre-Lie associator symmetry for formal vector
     fields with free-generator coefficients, over all 27 derivation-index
-    triples in a three-derivation context."""
+    triples in a three-derivation context.  That algebra maps to P_n with
+    D_1..D_3 sent to any Euler derivations, so these are the laws of the
+    Witt algebras of ``witt`` for every n."""
     ctx = Context(3, False)
     a = DiffPermPoly.generator(1, (0, 0, 0), ctx)
     b = DiffPermPoly.generator(2, (0, 0, 0), ctx)
     c = DiffPermPoly.generator(3, (0, 0, 0), ctx)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                X = FormalVectorField.make([(a, i)], ctx)
-                Y = FormalVectorField.make([(b, j)], ctx)
-                Z = FormalVectorField.make([(c, k)], ctx)
-                if kind == "leibniz":
-                    lhs = vf_leibniz_bracket(vf_leibniz_bracket(X, Y), Z)
-                    rhs = (vf_leibniz_bracket(X, vf_leibniz_bracket(Y, Z))
-                           - vf_leibniz_bracket(Y, vf_leibniz_bracket(X, Z)))
-                else:
-                    axy = vf_prec(vf_prec(X, Y), Z) - vf_prec(X, vf_prec(Y, Z))
-                    ayx = vf_prec(vf_prec(Y, X), Z) - vf_prec(Y, vf_prec(X, Z))
-                    lhs, rhs = axy, ayx
-                diff = lhs - rhs
-                if not diff.is_zero():
-                    # witness: the least term at the lowest nonzero slot
-                    least = diff.terms[min(diff.terms)].sorted_terms()[0]
-                    return Verdict(False, least)
+    for i, j, k in itertools.product((1, 2, 3), repeat=3):
+        X = FormalVectorField.make([(a, i)], ctx)
+        Y = FormalVectorField.make([(b, j)], ctx)
+        Z = FormalVectorField.make([(c, k)], ctx)
+        if kind == "leibniz":
+            lhs = vf_leibniz_bracket(vf_leibniz_bracket(X, Y), Z)
+            rhs = (vf_leibniz_bracket(X, vf_leibniz_bracket(Y, Z))
+                   - vf_leibniz_bracket(Y, vf_leibniz_bracket(X, Z)))
+        else:  # the associators of (X, Y, Z) and (Y, X, Z)
+            lhs = vf_prec(vf_prec(X, Y), Z) - vf_prec(X, vf_prec(Y, Z))
+            rhs = vf_prec(vf_prec(Y, X), Z) - vf_prec(Y, vf_prec(X, Z))
+        diff = lhs - rhs
+        if not diff.is_zero():
+            # witness: the least term at the lowest nonzero slot
+            least = diff.terms[min(diff.terms)].sorted_terms()[0]
+            return Verdict(False, least)
     return Verdict(True, None)
 
 

@@ -34,7 +34,6 @@ from .algebra import (
     Rational,
     Symbol,
     derived_product,
-    format_poly,  # not used here; the tracer test reads spans.format_poly
     is_multilinear,
     monomial_key,
 )

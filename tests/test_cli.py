@@ -762,21 +762,14 @@ class TestJsonWriter:
         assert self.written(obj) == json.dumps(obj, indent=2,
                                                ensure_ascii=False)
 
-    @given(_json_values)
-    @settings(max_examples=300)
-    def test_generators_are_written_as_lists(self, obj):
-        assert self.written(_generators(obj)) == json.dumps(
-            obj, indent=2, ensure_ascii=False)
-
     def test_empty_generator(self):
-        assert self.written(x for x in ()) == "[]"
-        assert self.written({"a": (x for x in ())}) == '{\n  "a": []\n}'
         assert self.written({"a": lambda pad: ()}) == '{\n  "a": []\n}'
         assert self.written([lambda pad: [repr(pad)]]) \
             == "[\n  [\n    '    '\n  ]\n]"
 
     @pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, [1, Fraction(3)],
-                                     {"coeff": 1.0}, {1: "int key"}])
+                                     {"coeff": 1.0}, {1: "int key"},
+                                     (x for x in ())])
     def test_other_values_are_type_errors(self, obj):
         with pytest.raises(TypeError):
             self.written(obj)
@@ -876,15 +869,6 @@ def test_table_layout_is_json_dumps(capsys, n, kind, verify):
         assert len(doc["entries"]) == (
             len(cli.table_patterns(n, kind)) * (bound + 1) ** (2 * n))
         assert out == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def _generators(obj):
-    """``obj`` with every list and tuple in it replaced by a generator."""
-    if isinstance(obj, dict):
-        return {k: _generators(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return (_generators(v) for v in obj)
-    return obj
 
 
 # sha256 of stdout, recorded when tables were still built whole before

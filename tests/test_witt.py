@@ -9,6 +9,7 @@ from oracles import witt_prec
 from perm_tensor import PermTensorElem, euler_derivation, perm_product
 from permdiff import witt
 from permdiff.algebra import BRACKETS, AlgebraError
+from permdiff.exprs import run_suite
 from permdiff.witt import (
     WittElement,
     leibniz_bracket,
@@ -24,11 +25,6 @@ def T(n, e, a):
 
 def E(n, e, a, i):
     return WittElement.basis(n, e, a, i)
-
-
-def tensor_box(n, bound):
-    exps = itertools.product(range(bound + 1), repeat=n)
-    return [T(n, e, a) for e in exps for a in range(1, n + 1)]
 
 
 def witt_box(n, bound):
@@ -49,13 +45,6 @@ class TestPermProduct:
                            perm_product(T(3, (0, 0, 0), 2), T(3, (0, 0, 0), 3)))
         assert lhs == rhs
 
-    def test_perm_law_and_associativity_exhaustive(self):
-        box = tensor_box(2, 2)
-        for a, b, c in itertools.product(box, repeat=3):
-            ab_c = perm_product(perm_product(a, b), c)
-            assert ab_c == perm_product(perm_product(b, a), c)
-            assert ab_c == perm_product(a, perm_product(b, c))
-
     def test_dimension_mismatch(self):
         with pytest.raises(AlgebraError):
             perm_product(T(1, (0,), 1), T(2, (0, 0), 1))
@@ -71,21 +60,6 @@ class TestEulerDerivation:
 
     def test_kills_constant_cross_direction(self):
         assert euler_derivation(2, T(2, (0, 0), 1)).is_zero()
-
-    def test_leibniz_rule_exhaustive(self):
-        box = tensor_box(2, 3)
-        for i in (1, 2):
-            for a, b in itertools.product(box, repeat=2):
-                lhs = euler_derivation(i, perm_product(a, b))
-                rhs = (perm_product(euler_derivation(i, a), b)
-                       + perm_product(a, euler_derivation(i, b)))
-                assert lhs == rhs
-
-    def test_derivations_commute_exhaustive(self):
-        for a in tensor_box(2, 3):
-            for i, j in itertools.product((1, 2), repeat=2):
-                assert euler_derivation(i, euler_derivation(j, a)) == \
-                    euler_derivation(j, euler_derivation(i, a))
 
     def test_index_out_of_range(self):
         with pytest.raises(AlgebraError):
@@ -109,23 +83,6 @@ class TestLieBracket:
         v = E(2, (1, 2), 1, 2) + E(2, (0, 1), 2, 1).scale(3)
         assert lie_bracket(v, v).is_zero()
 
-    def test_jacobi_exhaustive_box2(self):
-        box = witt_box(2, 2)
-        for a, b, c in itertools.product(box, repeat=3):
-            acc = lie_bracket(lie_bracket(a, b), c)
-            acc = acc + lie_bracket(lie_bracket(b, c), a)
-            acc = acc + lie_bracket(lie_bracket(c, a), b)
-            assert acc.is_zero()
-
-    def test_pre_lie_associator_symmetry_exhaustive_box2(self):
-        box = witt_box(2, 2)
-        for a, b, c in itertools.product(box, repeat=3):
-            axy = (witt_prec(witt_prec(a, b), c)
-                   - witt_prec(a, witt_prec(b, c)))
-            ayx = (witt_prec(witt_prec(b, a), c)
-                   - witt_prec(b, witt_prec(a, c)))
-            assert axy == ayx
-
 
 class TestLeibnizBracket:
     def test_block_a_first_entry(self):
@@ -141,14 +98,6 @@ class TestLeibnizBracket:
         v = E(2, (1, 0), 1, 2) + E(2, (0, 0), 2, 1)
         sq = leibniz_bracket(v, v)
         assert not sq.is_zero()
-
-    def test_left_leibniz_law_exhaustive_box2(self):
-        box = witt_box(2, 2)
-        for a, b, c in itertools.product(box, repeat=3):
-            lhs = leibniz_bracket(leibniz_bracket(a, b), c)
-            rhs = (leibniz_bracket(a, leibniz_bracket(b, c))
-                   - leibniz_bracket(b, leibniz_bracket(a, c)))
-            assert lhs == rhs
 
 
 class TestBasis:
@@ -222,11 +171,7 @@ class TestKernelRules:
         # the constant terms agree, so the one point of the box at bound 0
         # cannot tell; at bound 1 the mismatches are the per-point loop's
         rules = getattr(witt, attr)
-        (form, *target), *rest = rules[0].targets
-        form = list(form)
-        form[at] += 1
-        bad = dataclasses.replace(rules[0], targets=(
-            (tuple(form), *target), *rest))
+        bad = _off_by_one(rules[0], at)
         monkeypatch.setattr(witt, attr, (bad,) + rules[1:])
         ver = verify_tables(0)
         assert ver.ok and ver.total_checks == 33
@@ -247,38 +192,134 @@ class TestKernelRules:
         assert chk.mismatches == slow
 
 
-class TestFusedFormulasMatchTheDefinition:
-    """The brackets are computed by fused coefficient rules; here each one is
-    rebuilt from ``perm_product`` and ``euler_derivation`` on every basis
-    pair, 16 for n=1 (exponents up to 3) and 1296 for n=2 (up to 2)."""
+def _units(k):
+    """The zero point and the k unit points of Z^k: an affine function of k
+    variables that vanishes there vanishes everywhere."""
+    return [tuple(int(m == d) for m in range(k)) for d in range(-1, k)]
 
-    @staticmethod
-    def _slot(t, i):
-        """The tensor element t placed in derivation slot i: t D_i."""
-        return WittElement(t.n, {witt.WBasis(e, alpha, i): c
-                                 for (e, alpha), c in t.terms.items()})
 
-    def test_brackets_are_built_from_the_perm_product_and_derivations(self):
-        pairs = 0
-        for n, bound in ((1, 3), (2, 2)):
-            box = witt_box(n, bound)
-            for v, w in itertools.product(box, repeat=2):
-                (e, alpha, i), = v.terms
-                (f, beta, j), = w.terms
-                a, b = T(n, e, alpha), T(n, f, beta)
-                a_dib = self._slot(perm_product(a, euler_derivation(i, b)), j)
-                dja_b = self._slot(perm_product(euler_derivation(j, a), b), i)
-                b_dja = self._slot(perm_product(b, euler_derivation(j, a)), i)
-                assert witt_prec(v, w) == a_dib
-                assert leibniz_bracket(v, w) == dja_b - a_dib
-                assert lie_bracket(v, w) == a_dib - b_dja
-                pairs += 1
-        assert pairs == 1312
+def _perm_algebra_failures(n):
+    """(law, exponents, slots) wherever P_n is not a perm algebra with
+    commuting derivations D_1..D_n."""
+    slots, bad = range(1, n + 1), []
+    # perm law and associativity: each side of a basis triple is x^(e + f +
+    # g + s) (x) x_gamma with coefficient 1, s fixed by the slots, so the
+    # zero and unit points decide
+    for p, sl in itertools.product(_units(3 * n),
+                                   itertools.product(slots, repeat=3)):
+        a, b, c = (T(n, p[k * n:k * n + n], s) for k, s in enumerate(sl))
+        ab_c = perm_product(perm_product(a, b), c)
+        if not (ab_c == perm_product(perm_product(b, a), c)
+                == perm_product(a, perm_product(b, c))):
+            bad.append(("perm", p, sl))
+    # D_i(ab) = D_i(a) b + a D_i(b): both sides are x^(e + f + unit(alpha))
+    # (x) x_beta times a coefficient affine in (e, f), as D_i scales x^e (x)
+    # x_alpha by e_i + [alpha = i]
+    for p, (i, alpha, beta) in itertools.product(
+            _units(2 * n), itertools.product(slots, repeat=3)):
+        a, b = T(n, p[:n], alpha), T(n, p[n:], beta)
+        if euler_derivation(i, perm_product(a, b)) != (
+                perm_product(euler_derivation(i, a), b)
+                + perm_product(a, euler_derivation(i, b))):
+            bad.append(("derivation", p, (i, alpha, beta)))
+    # D_i D_j = D_j D_i for i < j: both scale x^e (x) x_alpha by (e_i +
+    # [alpha = i]) (e_j + [alpha = j]), of degree at most 1 in each
+    # exponent, so the box {0, 1}^n decides
+    for e, alpha, (i, j) in itertools.product(
+            itertools.product(range(2), repeat=n), slots,
+            itertools.combinations(slots, 2)):
+        a = T(n, e, alpha)
+        if euler_derivation(i, euler_derivation(j, a)) != \
+                euler_derivation(j, euler_derivation(i, a)):
+            bad.append(("commute", e, (alpha, i, j)))
+    return bad
+
+
+def _defined(kind, n, e1, left, e2, right):
+    """The bracket ``kind`` of (x^e1 (x) x_alpha) D_i and (x^e2 (x) x_beta)
+    D_j in P_n, from its summands in ``BRACKETS`` read as suites g and h
+    read them."""
+    (alpha, i), (beta, j) = left, right
+    a, b = T(n, e1, alpha), T(n, e2, beta)
+    terms = {}
+    for sign, v_left, v_derived in BRACKETS[kind]:
+        u, t = ((euler_derivation(j, a), b) if v_derived
+                else (a, euler_derivation(i, b)))
+        prod = perm_product(u, t) if v_left else perm_product(t, u)
+        for (e, gamma), c in prod.terms.items():
+            key = witt.WBasis(e, gamma, i if v_derived else j)
+            terms[key] = terms.get(key, 0) + sign * c
+    return WittElement(n, terms)
+
+
+def _kernel_mismatches(n):
+    """(kind, left, right, exponents) wherever the bracket ``kind`` of
+    ``witt`` differs from ``_defined`` on P_n."""
+    slots = list(itertools.product(range(1, n + 1), repeat=2))
+    # target (d, gamma, k) of either side reaches x^(e1 + e2 + unit(d)) (x)
+    # x_gamma D_k, so distinct targets reach distinct basis elements; its
+    # coefficient is the kernel's summed forms, or a sum of signed Euler
+    # scales, affine in (e1, e2) both; so the zero and unit points decide
+    return [(kind, left, right, p)
+            for kind, left, right in itertools.product(BRACKETS, slots, slots)
+            for p in _units(2 * n)
+            if witt._bracket(kind, E(n, p[:n], *left), E(n, p[n:], *right))
+            != _defined(kind, n, p[:n], left, p[n:], right)]
+
+
+class TestWittLawsForEveryN:
+    """Left Leibniz and the symmetry of the pre-Lie associator hold in the
+    Witt algebra over P_n for every n, and so Jacobi does.
+
+    Suites g and h check both laws, with the brackets read from
+    ``BRACKETS``, for vector fields a D_1, b D_2, c D_3 (and the other 26
+    index triples) over the free differential perm algebra with three
+    commuting derivations and free generators a, b, c.  If P_n is a perm
+    algebra with commuting derivations, that algebra has a homomorphism to
+    P_n sending a, b, c to any u, v, w and D_1, D_2, D_3 to any D_i, D_j,
+    D_k.  If the Witt kernel is the ``BRACKETS`` formula on P_n, it carries
+    the laws to u D_i, v D_j, w D_k: they hold on every basis triple, so,
+    trilinear, everywhere.  The Lie bracket is the commutator of prec
+    (``test_lie_is_commutator_of_prec``), so Jacobi follows.
+
+    The test checks the suites and, for n = 1..4, both premises: on every
+    slot pattern, for prec, lie and leibniz, at the exponents that decide.
+    That covers every n: a premise names at most four indices, both sides
+    treat the indices alike, and an index it does not name only adds its
+    exponents to the target's.
+    """
+
+    def test_the_laws_hold_for_every_n(self):
+        assert [(r.name, r.verdict.is_identity)
+                for sid in "gh" for r in run_suite(sid)] == [
+            ("formal-W-leibniz", True), ("formal-W-pre-lie", True)]
+        for n in range(1, 5):
+            assert _perm_algebra_failures(n) == []
+            assert _kernel_mismatches(n) == []
+
+    @pytest.mark.parametrize("at, points", [
+        (0, _units(6)),         # the constant: every point
+        (1, _units(6)[1:2]),    # the coefficient of e1_1: its unit point
+        (-1, _units(6)[-1:]),   # the coefficient of e2_3: its unit point
+    ], ids=["constant", "e1_1", "e2_3"])
+    def test_a_kernel_off_in_one_coefficient_fails(self, monkeypatch, at,
+                                                    points):
+        kernel = witt._kernel
+
+        def perturbed(kind, n, left, right):
+            rule = kernel(kind, n, left, right)
+            if (kind, left, right) == ("leibniz", (1, 2), (3, 1)):
+                return _off_by_one(rule, at)
+            return rule
+
+        monkeypatch.setattr(witt, "_kernel", perturbed)
+        assert _kernel_mismatches(3) == [
+            ("leibniz", (1, 2), (3, 1), p) for p in points]
 
 
 class TestRankThree:
     """No reference table exists beyond rank two, but the brackets work for
-    any rank; spot-check the defining laws at rank three."""
+    any rank; spot-check them at rank three."""
 
     def _sample(self):
         return [E(3, (1, 0, 2), 2, 3), E(3, (0, 1, 0), 1, 2),
@@ -289,18 +330,6 @@ class TestRankThree:
         box = self._sample()
         for a, b in itertools.product(box, repeat=2):
             assert lie_bracket(a, b) == witt_prec(a, b) - witt_prec(b, a)
-
-    def test_jacobi_and_left_leibniz(self):
-        box = self._sample()
-        for a, b, c in itertools.product(box, repeat=3):
-            jac = (lie_bracket(lie_bracket(a, b), c)
-                   + lie_bracket(lie_bracket(b, c), a)
-                   + lie_bracket(lie_bracket(c, a), b))
-            assert jac.is_zero()
-            lhs = leibniz_bracket(leibniz_bracket(a, b), c)
-            rhs = (leibniz_bracket(a, leibniz_bracket(b, c))
-                   - leibniz_bracket(b, leibniz_bracket(a, c)))
-            assert lhs == rhs
 
     def test_brackets_are_bilinear(self):
         a, b, c = self._sample()[:3]
@@ -571,11 +600,13 @@ def _point_bracket(kind, v, w):
     return WittElement(v.n, acc)
 
 
-def _off_by_one(rule):
-    """The rule with one more in the constant of its first coefficient."""
-    (form, direction, alpha, i), *rest = rule.targets
-    return dataclasses.replace(rule, targets=(
-        ((form[0] + 1, *form[1:]), direction, alpha, i), *rest))
+def _off_by_one(rule, at=0):
+    """The rule with one more at place ``at`` of its first form, by default
+    in the constant."""
+    (form, *target), *rest = rule.targets
+    form = list(form)
+    form[at] += 1
+    return dataclasses.replace(rule, targets=((tuple(form), *target), *rest))
 
 
 def _patterns(table):

@@ -27,6 +27,11 @@ def E(n, e, a, i):
     return WittElement.basis(n, e, a, i)
 
 
+def tensor_box(n, bound):
+    exps = itertools.product(range(bound + 1), repeat=n)
+    return [T(n, e, a) for e in exps for a in range(1, n + 1)]
+
+
 def witt_box(n, bound):
     exps = itertools.product(range(bound + 1), repeat=n)
     return [E(n, e, a, i) for e in exps
@@ -45,6 +50,13 @@ class TestPermProduct:
                            perm_product(T(3, (0, 0, 0), 2), T(3, (0, 0, 0), 3)))
         assert lhs == rhs
 
+    def test_perm_law_and_associativity_exhaustive(self):
+        box = tensor_box(2, 2)
+        for a, b, c in itertools.product(box, repeat=3):
+            ab_c = perm_product(perm_product(a, b), c)
+            assert ab_c == perm_product(perm_product(b, a), c)
+            assert ab_c == perm_product(a, perm_product(b, c))
+
     def test_dimension_mismatch(self):
         with pytest.raises(AlgebraError):
             perm_product(T(1, (0,), 1), T(2, (0, 0), 1))
@@ -60,6 +72,21 @@ class TestEulerDerivation:
 
     def test_kills_constant_cross_direction(self):
         assert euler_derivation(2, T(2, (0, 0), 1)).is_zero()
+
+    def test_leibniz_rule_exhaustive(self):
+        box = tensor_box(2, 3)
+        for i in (1, 2):
+            for a, b in itertools.product(box, repeat=2):
+                lhs = euler_derivation(i, perm_product(a, b))
+                rhs = (perm_product(euler_derivation(i, a), b)
+                       + perm_product(a, euler_derivation(i, b)))
+                assert lhs == rhs
+
+    def test_derivations_commute_exhaustive(self):
+        for a in tensor_box(2, 3):
+            for i, j in itertools.product((1, 2), repeat=2):
+                assert euler_derivation(i, euler_derivation(j, a)) == \
+                    euler_derivation(j, euler_derivation(i, a))
 
     def test_index_out_of_range(self):
         with pytest.raises(AlgebraError):
@@ -265,6 +292,35 @@ def _kernel_mismatches(n):
             for p in _units(2 * n)
             if witt._bracket(kind, E(n, p[:n], *left), E(n, p[n:], *right))
             != _defined(kind, n, p[:n], left, p[n:], right)]
+
+
+class TestFusedFormulasMatchTheDefinition:
+    """The brackets are computed by fused coefficient rules; here each one is
+    rebuilt from ``perm_product`` and ``euler_derivation`` on every basis
+    pair, 16 for n=1 (exponents up to 3) and 1296 for n=2 (up to 2)."""
+
+    @staticmethod
+    def _slot(t, i):
+        """The tensor element t placed in derivation slot i: t D_i."""
+        return WittElement(t.n, {witt.WBasis(e, alpha, i): c
+                                 for (e, alpha), c in t.terms.items()})
+
+    def test_brackets_are_built_from_the_perm_product_and_derivations(self):
+        pairs = 0
+        for n, bound in ((1, 3), (2, 2)):
+            box = witt_box(n, bound)
+            for v, w in itertools.product(box, repeat=2):
+                (e, alpha, i), = v.terms
+                (f, beta, j), = w.terms
+                a, b = T(n, e, alpha), T(n, f, beta)
+                a_dib = self._slot(perm_product(a, euler_derivation(i, b)), j)
+                dja_b = self._slot(perm_product(euler_derivation(j, a), b), i)
+                b_dja = self._slot(perm_product(b, euler_derivation(j, a)), i)
+                assert witt_prec(v, w) == a_dib
+                assert leibniz_bracket(v, w) == dja_b - a_dib
+                assert lie_bracket(v, w) == a_dib - b_dja
+                pairs += 1
+        assert pairs == 1312
 
 
 class TestWittLawsForEveryN:

@@ -47,6 +47,11 @@ CTX_Q = Context(1, False)
 CTX_DELTA = Context(1, True)
 
 
+def _frozen(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of an immutable value."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class DeltaPoly:
     """A univariate polynomial in the formal parameter delta over Q.
 
@@ -61,6 +66,12 @@ class DeltaPoly:
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        # copies and unpickled values are made again, not assigned to
+        return DeltaPoly, (self.coeffs,)
 
     # -- construction helpers
 

@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .algebra import (
     AlgebraError,
@@ -250,7 +249,7 @@ def _cmd_table(args) -> int:
     if args.verify:
         ver = verify_tables(args.bound if args.bound >= 3 else 3)
         doc["verification"] = {"ok": ver.ok,
-                               "rules": [asdict(r) for r in ver.rules]}
+                               "rules": [r._asdict() for r in ver.rules]}
         summary.append(f"verification: {ver.total_checks} instantiations, "
                        f"{'all match' if ver.ok else 'MISMATCHES FOUND'}")
         code = 0 if ver.ok else 1

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import itertools
 import re
-import string
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
-from typing import Callable, Mapping, Union
+from operator import attrgetter
+from typing import Callable, Mapping, NamedTuple
 
 from .algebra import (
     CTX_DELTA,
@@ -61,6 +60,7 @@ from .algebra import (
     Rational,
     Scalar,
     _coerce_scalar,
+    _frozen,
     format_scalar,
 )
 
@@ -74,25 +74,55 @@ class NonMultilinearError(AlgebraError):
 # ---------------------------------------------------------------------------
 
 
+_set = object.__setattr__  # a node's own __setattr__ refuses
+
+
 class Expr:
     """Base node; arithmetic operators build trees, nothing is evaluated.
 
-    A node's hash is computed from its fields when the node is made and kept
-    in the ``_hash`` slot, which is not a field.  Its operands are made
-    first, so hashing a node reads their slots and never walks its subtree,
-    however deep a tree is built."""
+    A node is immutable.  Its class names its fields, its slots, in
+    ``_fields``; a node is made from their values in that order and equals
+    a node of the same class with equal fields.  Its hash is computed from
+    its fields when it is made and kept in the ``_hash`` slot, which is not
+    a field.  Its operands are made first, so hashing a node reads their
+    slots and never walks its subtree, however deep a tree is built."""
 
     __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", self._field_hash())
+    def __init__(self, *values):
+        fields = self._fields
+        i = len(values)
+        if i != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields")
+        _set(self, "_hash", hash(values))
+        while i:  # a while loop makes no iterator: nodes are made often
+            i -= 1
+            _set(self, fields[i], values[i])
+
+    __setattr__ = __delattr__ = _frozen
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)  # one field: its value alone
+
+    def __eq__(self, other):
+        if self is other:  # a shared operand is equal without a walk
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __repr__(self) -> str:
+        return (type(self).__name__ + "(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")")
+
     def __reduce__(self):
         # copied and unpickled nodes are made again, so they hash too
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __add__(self, other: "Expr") -> "Expr":
         terms = []
@@ -110,67 +140,45 @@ class Expr:
         return Scale(-1, self)
 
 
-def _node(cls):
-    """A frozen, slotted dataclass node whose hash is cached by ``Expr``."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls._field_hash = cls.__hash__
-    cls.__hash__ = Expr.__hash__
-    return cls
-
-
-@_node
 class Var(Expr):
-    index: int
+    __slots__ = _fields = ("index",)
 
 
-@_node
 class Mul(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = _fields = ("lhs", "rhs")
 
 
-@_node
 class Der(Expr):
-    body: Expr
+    __slots__ = _fields = ("body",)
 
 
-@_node
 class DerOp(Expr):
-    tag: str
-    lhs: Expr
-    rhs: Expr
+    __slots__ = _fields = ("tag", "lhs", "rhs")
 
 
-@_node
 class Star(Expr):
-    body: Expr
+    __slots__ = _fields = ("body",)
 
 
-@_node
 class Scale(Expr):
-    coeff: Union[int, Fraction, DeltaPoly]
-    body: Expr
+    __slots__ = _fields = ("coeff", "body")  # coeff: int, Fraction, DeltaPoly
 
 
-@_node
 class Sum(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = _fields = ("terms",)  # a tuple of nodes
 
 
-@_node
 class Assoc(Expr):
     """Associator (a, b, c) = (a · b) · c - a · (b · c) of a derived product."""
 
-    tag: str
-    a: Expr
-    b: Expr
-    c: Expr
+    __slots__ = _fields = ("tag", "a", "b", "c")
 
 
-@_node
 class Bracket(DerOp):
     """Readability alias for a bracket-like derived product: it evaluates as
     the ``DerOp`` it extends and differs from it only in how it prints."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +198,7 @@ class ParseError(Exception):
 _TOKEN = re.compile(r"[ \t]*([0-9]+(?:/[0-9]+)?|[A-Za-z][A-Za-z0-9_]*"
                     r"|[-+*(),]|\Z|.)", re.S)
 _DIGITS = frozenset("0123456789")
-_LETTERS = frozenset(string.ascii_letters)
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _STARTS = _DIGITS | _LETTERS | frozenset("+-*(),")  # first chars of tokens
 
 # The call forms of the grammar: name -> (node class, operand count).  A
@@ -398,7 +406,7 @@ def parse_expr(text: str, product: str | None = None, line: int = 1) -> Expr:
 # fields).  A DerOp prints as its tag.
 _PRINTED_FORMS = {
     cls: (None if cls is DerOp else name,
-          [f.name for f in fields(cls) if f.name != "tag"][:arity])
+          [f for f in cls._fields if f != "tag"][:arity])
     for name, (cls, arity) in CALL_FORMS.items()}
 
 
@@ -680,8 +688,7 @@ def eval_delta(e: Expr, subst: Mapping[int, DiffPermPoly],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of an identity check; a surviving term witnesses failure."""
 
     is_identity: bool
@@ -862,8 +869,7 @@ def _w_formal_case(kind: str) -> Verdict:
     return Verdict(True, None)
 
 
-@dataclass(frozen=True)
-class SuiteCase:
+class SuiteCase(NamedTuple):
     name: str
     expected: bool
     expr: Expr | None = None
@@ -876,8 +882,7 @@ class SuiteCase:
         return check_identity(self.expr, ctx=self.ctx)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     expected: bool
     verdict: Verdict

@@ -34,9 +34,9 @@ split of the paper, ``decompose`` in ``tests/oracles.py``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import count
 from math import comb
+from typing import NamedTuple
 from .algebra import (
     CTX_Q,
     AlgebraError,
@@ -139,19 +139,17 @@ def _lower(h: DiffPermPoly, t: int, roles: tuple[int, ...]) -> DiffPermPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     name: str
     rule: dict
     poly: DiffPermPoly
 
 
-@dataclass
-class ReductionResult:
+class ReductionResult(NamedTuple):
     outcome: str
     m: int | None
     certificate: DiffPermPoly | None
-    trace: list[TraceStep] = field(default_factory=list)
+    trace: list[TraceStep]
 
 
 def _strip_factors(poly: DiffPermPoly, strip: list[Symbol], last_var: int

@@ -19,11 +19,10 @@ x1..xk, so only those are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import (
     CTX_Q,
@@ -350,8 +349,7 @@ def generate_closure(tag: str, n: int) -> list[DiffPermPoly]:
     return comps.canonical[n]
 
 
-@dataclass
-class DimensionReport:
+class DimensionReport(NamedTuple):
     """Outcome of the dimension proof in degree n for one variant: the
     proved dimension, or the check that failed and no dimension."""
 

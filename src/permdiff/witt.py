@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from operator import add, mul
 from typing import NamedTuple
 
-from .algebra import BRACKETS, AlgebraError, LinearCombination, Rational
+from .algebra import (BRACKETS, AlgebraError, LinearCombination, Rational,
+                      _frozen)
 
 
 class WBasis(NamedTuple):
@@ -99,37 +99,43 @@ def _is_slot(k, n: int) -> bool:
     return type(k) is int and 1 <= k <= n
 
 
-@dataclass(frozen=True)
 class BracketRule:
-    n: int
-    table: str          # "lie" or "leibniz" ("prec" only in a kernel rule)
-    block: str
-    left: tuple[int, int]      # (alpha, i) of the left basis element
-    right: tuple[int, int]     # (beta, j) of the right basis element
-    targets: tuple             # ((form, direction, alpha, i), ...)
+    """Block ``block`` of table ``table`` ("lie" or "leibniz"; "prec" only
+    in a kernel rule) in rank ``n``: the bracket on the slot pattern
+    (alpha, i) = ``left``, (beta, j) = ``right`` as ``targets`` ((form,
+    direction, alpha, i), ...).  Immutable; ``replace`` makes a copy,
+    checked as a new rule is.  ``forms`` sums the forms per target
+    (direction, alpha, i), zero sums dropped: distinct targets reach
+    distinct basis elements, so two rules with equal sums give equal
+    brackets at every exponent."""
 
-    def __post_init__(self):
+    __slots__ = ("n", "table", "block", "left", "right", "targets", "forms")
+
+    def __init__(self, n: int, table: str, block: str, left: tuple[int, int],
+                 right: tuple[int, int], targets: tuple):
         """Accept only integer forms on slots 1..n, so each one is affine."""
-        n = self.n
-        if not (type(n) is int and type(self.targets) is tuple
-                and all(_is_slot(k, n) for k in (*self.left, *self.right))
+        if not (type(n) is int and type(targets) is tuple
+                and all(_is_slot(k, n) for k in (*left, *right))
                 and all(type(t) is tuple and len(t) == 4
                         and type(t[0]) is tuple and len(t[0]) == 1 + 2 * n
                         and all(type(c) is int for c in t[0])
                         and all(_is_slot(k, n) for k in t[1:])
-                        for t in self.targets)):
+                        for t in targets)):
             raise AlgebraError("bad Witt basis data")
-
-    @functools.cached_property
-    def forms(self) -> dict[tuple, tuple]:
-        """The forms summed per target (direction, alpha, i), zero sums
-        dropped.  Distinct targets reach distinct basis elements, so two
-        rules with equal sums give equal brackets at every exponent."""
         acc: dict[tuple, tuple] = {}
-        for form, *target in self.targets:
+        for form, *target in targets:
             key = tuple(target)
             acc[key] = tuple(map(add, acc.get(key, (0,) * len(form)), form))
-        return {k: f for k, f in acc.items() if any(f)}
+        forms = {k: f for k, f in acc.items() if any(f)}
+        for name, value in zip(self.__slots__, (n, table, block, left, right,
+                                                targets, forms)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def replace(self, **changes) -> "BracketRule":
+        return BracketRule(**{f: getattr(self, f) for f in self.__slots__[:-1]}
+                           | changes)
 
     def expected_terms(self, e1: tuple[int, ...],
                        e2: tuple[int, ...]) -> dict[WBasis, Rational]:
@@ -338,22 +344,20 @@ def _table_entries(n: int, kind: str, patterns, bound: int):
                                              if c[k]]
 
 
-@dataclass
-class RuleCheck:
+class RuleCheck(NamedTuple):
     table: str
     block: str
     left: str
     right: str
-    checked: int = 0
-    mismatches: list[dict] = field(default_factory=list)
+    checked: int
+    mismatches: list[dict]
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
 
 
-@dataclass
-class TableVerification:
+class TableVerification(NamedTuple):
     bound: int
     rules: list[RuleCheck]
 
@@ -387,7 +391,7 @@ def verify_tables(bound: int = 3) -> TableVerification:
         kernel = _kernel(rule.table, n, rule.left, rule.right)
         chk = RuleCheck(rule.table, rule.block, _name(n, left_exps, *rule.left),
                         _name(n, right_exps, *rule.right),
-                        (bound + 1) ** (2 * n))
+                        (bound + 1) ** (2 * n), [])
         if rule.forms != kernel.forms:
             box = list(itertools.product(range(bound + 1), repeat=n))
             for e1, e2 in itertools.product(box, box):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -454,6 +456,23 @@ class TestScalars:
         assert str(DELTA + 1) == "δ + 1"
         assert (DELTA - DELTA) == 0
         assert DeltaPoly((Fraction(1, 2),)) + DeltaPoly((Fraction(1, 2),)) == 1
+
+    @pytest.mark.parametrize("poly", [DeltaPoly((1, Fraction(1, 2))), DELTA],
+                             ids=["made", "DELTA"])
+    def test_delta_poly_refuses_assignment(self, poly):
+        # a key stays findable: assignment and deletion raise and change
+        # nothing, the shared DELTA included
+        table, before = {poly: 1}, poly.coeffs
+        with pytest.raises(AttributeError, match="cannot assign"):
+            poly.coeffs = (5,)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            del poly.coeffs
+        assert poly.coeffs == before and poly in table
+        assert DELTA == DeltaPoly((0, 1))
+        for copy_of in (copy.copy, copy.deepcopy,
+                        lambda p: pickle.loads(pickle.dumps(p))):
+            got = copy_of(poly)
+            assert got == poly and hash(got) == hash(poly) and got in table
 
     def test_delta_subs(self):
         assert subs((DELTA + 1) * DELTA, 2) == 6

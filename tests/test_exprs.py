@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import itertools
 import operator
@@ -63,8 +62,8 @@ def variables(e):
     if isinstance(e, Var):
         return {e.index}
     out = set()
-    for f in dataclasses.fields(e):
-        val = getattr(e, f.name)
+    for f in e._fields:
+        val = getattr(e, f)
         for sub in val if isinstance(val, tuple) else (val,):
             if isinstance(sub, Expr):
                 out |= variables(sub)
@@ -95,8 +94,10 @@ def desugar(e):
         return e
     if isinstance(e, Sum):
         return Sum(tuple(desugar(t) for t in e.terms))
-    if isinstance(e, (Der, Star, Scale)):
-        return dataclasses.replace(e, body=desugar(e.body))
+    if isinstance(e, Scale):
+        return Scale(e.coeff, desugar(e.body))
+    if isinstance(e, (Der, Star)):
+        return type(e)(desugar(e.body))
     return Mul(desugar(e.lhs), desugar(e.rhs))
 
 
@@ -214,6 +215,89 @@ class TestEval:
             eval_delta(DerOp("wedge", a, b), sub)
 
 
+# The fields of one node of every class, of each kind a field can hold: an
+# index, operands, a tag, a δ-polynomial coefficient and a tuple of terms.
+NODE_FIELDS = {
+    Var: (3,),
+    Mul: (v(1), Der(v(2))),
+    Der: (v(1),),
+    DerOp: ("loz", v(1), Der(v(2))),
+    Bracket: ("loz", v(1), Der(v(2))),
+    Star: (Mul(v(1), v(2)),),
+    Scale: (DELTA + 1, v(1)),
+    Sum: ((v(1), Scale(Fraction(-1, 2), v(2))),),
+    Assoc: ("diamond", v(1), v(2), v(3)),
+}
+_BY_CLASS = pytest.mark.parametrize("cls", NODE_FIELDS,
+                                    ids=lambda cls: cls.__name__)
+
+
+class TestNodeContract:
+    def test_every_node_class_is_listed(self):
+        assert set(NODE_FIELDS) == {
+            cls for cls in vars(exprs).values()
+            if isinstance(cls, type) and issubclass(cls, Expr)
+            and cls is not Expr}
+
+    @_BY_CLASS
+    def test_equal_fields_give_equal_nodes(self, cls):
+        fields = NODE_FIELDS[cls]
+        a, b = cls(*fields), cls(*copy.deepcopy(fields))
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert tuple(getattr(a, f) for f in cls._fields) == fields
+        assert len({a, b}) == 1
+
+    @_BY_CLASS
+    def test_a_changed_field_gives_another_node(self, cls):
+        fields = NODE_FIELDS[cls]
+        for k in range(len(fields)):
+            other = (*fields[:k], 9 if cls is Var else Var(9),
+                     *fields[k + 1:])
+            assert cls(*fields) != cls(*other), k
+
+    def test_a_bracket_is_not_the_derop_it_extends(self):
+        # equal fields of another class: not equal either way, and two keys
+        fields = NODE_FIELDS[DerOp]
+        assert Bracket(*fields) != DerOp(*fields)
+        assert DerOp(*fields) != Bracket(*fields)
+        assert len({Bracket(*fields), DerOp(*fields)}) == 2
+        assert Der(v(1)) != Star(v(1))
+
+    @_BY_CLASS
+    def test_assignment_raises_and_leaves_the_node_as_it_was(self, cls):
+        fields = NODE_FIELDS[cls]
+        node = cls(*fields)
+        for name in (*cls._fields, "_hash", "other"):
+            before = getattr(node, name, None)
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(node, name, Var(9))
+            with pytest.raises(AttributeError, match="cannot assign"):
+                delattr(node, name)
+            assert getattr(node, name, None) is before, name
+        assert node == cls(*fields) and hash(node) == hash(cls(*fields))
+
+    @_BY_CLASS
+    def test_copy_deepcopy_and_pickle_round_trip(self, cls):
+        node = cls(*NODE_FIELDS[cls])
+        for copy_of in (copy.copy, copy.deepcopy,
+                        lambda t: pickle.loads(pickle.dumps(t))):
+            got = copy_of(node)
+            assert type(got) is cls
+            assert got == node and hash(got) == hash(node)
+
+    def test_repr_names_the_class_and_each_field(self):
+        assert repr(Scale(-1, Bracket("loz", v(1), v(2)))) == (
+            "Scale(coeff=-1, body=Bracket(tag='loz', lhs=Var(index=1), "
+            "rhs=Var(index=2)))")
+
+    @pytest.mark.parametrize("fields", [(), (v(1),), (v(1), v(2), v(3))],
+                             ids=["none", "one", "three"])
+    def test_a_wrong_number_of_fields_is_a_type_error(self, fields):
+        with pytest.raises(TypeError, match="Mul takes 2 fields"):
+            Mul(*fields)
+
+
 def _tree_strategy(max_depth=3, nvars=3):
     leaf = st.integers(1, nvars).map(Var)
     return st.recursive(
@@ -269,8 +353,8 @@ def _clone(e, delta=None):
             and isinstance(e.coeff, DeltaPoly)):
         return Scale(subs(e.coeff, delta), _clone(e.body, delta))
     parts = []
-    for f in dataclasses.fields(e):
-        val = getattr(e, f.name)
+    for f in e._fields:
+        val = getattr(e, f)
         if isinstance(val, Expr):
             val = _clone(val, delta)
         elif isinstance(val, tuple):

@@ -9,6 +9,9 @@ in its own module outside its own definition, or wrapped by
 imported from the modules that define them."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -70,3 +73,14 @@ def test_package_root_binds_only_its_version():
              if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert names == set()
     assert isinstance(permdiff.__version__, str)
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    # every command imports the CLI first; run with no site-packages, that
+    # import loads neither module
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = ("import sys, permdiff.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

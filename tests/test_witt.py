@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import types
 from fractions import Fraction
@@ -505,10 +504,12 @@ class TestVerifyTables:
         good = witt.W2_LIE_RULES[0]
         (form, direction, _, i), = good.targets
         bad = ((edit(form), direction, alpha, i),)
+        before = good.targets
         with pytest.raises(AlgebraError, match="bad Witt basis data"):
-            dataclasses.replace(good, targets=bad)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+            good.replace(targets=bad)
+        with pytest.raises(AttributeError, match="cannot assign"):
             good.targets = bad
+        assert good.targets is before
         assert good.expected_terms((0, 0), (1, 0)) == {
             witt.WBasis((2, 0), 1, 1): 1}
 
@@ -662,7 +663,7 @@ def _off_by_one(rule, at=0):
     (form, *target), *rest = rule.targets
     form = list(form)
     form[at] += 1
-    return dataclasses.replace(rule, targets=((tuple(form), *target), *rest))
+    return rule.replace(targets=((tuple(form), *target), *rest))
 
 
 def _patterns(table):

@@ -709,15 +709,10 @@ def rename_vars(p: DiffPermPoly, mapping: Mapping[int, int]) -> DiffPermPoly:
     return DiffPermPoly(p.ctx, acc)
 
 
-def is_multilinear(p: DiffPermPoly, k: int | None = None) -> bool:
-    """True when every monomial contains each variable exactly once.
-
-    With ``k`` given the variable set must be exactly 1..k; otherwise the
-    common variable set of the first monomial is used.
-    """
-    if p.is_zero():
-        return True
-    want: tuple[int, ...] | None = tuple(range(1, k + 1)) if k else None
+def is_multilinear(p: DiffPermPoly) -> bool:
+    """True when every monomial contains each variable of the first monomial
+    exactly once, and no other."""
+    want: tuple[int, ...] | None = None
     for m in p.terms:
         vs = tuple(sorted(s.var for s in m.factors))
         if want is None:

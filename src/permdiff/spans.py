@@ -8,6 +8,8 @@ multilinear degree-n component, of dimension C(2n-3, n-1), respectively
 n * C(2n-3, n-1), by the product factorisations a•b = (ab)' and, when
 a* = a' and b* = b', a⧫b = (ab)*: the closure is d, resp. star, of the span
 of plain products, whose rank modulo a prime bounds its rank from below.
+A product's row is summed from integer codes of its operands' terms, with
+one digit per variable, so no product polynomial is formed.
 The checks the proof rests on are spelled out at ``verify_dimension``,
 which returns one report per degree; each check raises where it fails, and
 the report names it.  ``generate_closure`` saturates the component exactly,
@@ -22,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import (
@@ -33,7 +36,6 @@ from .algebra import (
     Rational,
     Symbol,
     derived_product,
-    is_multilinear,
     monomial_key,
 )
 
@@ -201,9 +203,9 @@ def _variant_tag(variant: str) -> str:
 
 
 #: the highest degree the ``dim`` command proves; star degree 12 already has
-#: 352716 columns, while star degree 9, with 6435, takes about 5 s on a
-#: 2-core VM and builds 32076 of its 107928 product rows, and star degree
-#: 10, with 24310, about 55 s
+#: 352716 columns, while on a 2-core VM star 2..9, with 6435, takes about
+#: 7 s at an 82 MB peak, building 32076 of its 107928 product rows, and
+#: star 2..10, with 24310, about 86 s at 290 MB
 MAX_DIM_DEGREE = 12
 
 
@@ -260,20 +262,14 @@ def _comparison_family(monos: list[Monomial],
     return out
 
 
-def _relabel(p: DiffPermPoly, subset: tuple[int, ...],
-             images: dict[tuple[Symbol, int], Symbol]) -> DiffPermPoly:
+def _relabel(p: DiffPermPoly, subset: tuple[int, ...]) -> DiffPermPoly:
     """Move p from x1..xk onto the variables of ``subset`` by xi -> x_subset[i-1].
 
     The map is strictly increasing, so sorted left factors stay sorted and
-    distinct monomials stay distinct.  ``images`` interns the image symbols,
-    one per (symbol, image variable) pair, across calls.
+    distinct monomials stay distinct.
     """
     def image(s: Symbol) -> Symbol:
-        key = (s, subset[s.var - 1])
-        got = images.get(key)
-        if got is None:
-            got = images[key] = Symbol(key[1], s.dord)
-        return got
+        return Symbol(subset[s.var - 1], s.dord)
 
     return DiffPermPoly(p.ctx, {Monomial(tuple(map(image, m.left)),
                                          image(m.last)): c
@@ -284,44 +280,40 @@ class _Components:
     """Spanning lists of the closure components on x1..xk for k = 1, 2, ...,
     and their images on other variable sets.
 
-    ``canonical[k]`` spans the component on x1..xk; the one on any other
-    k-subset is its image under the increasing relabelling (see
-    ``generate_closure``), built once per subset.
+    ``canonical[k]`` spans the component on x1..xk; the one on a k-subset
+    is its image under the increasing relabelling (see
+    ``generate_closure``), built once per subset.  ``coded[k]`` holds the
+    ``_digits`` of ``canonical[k]`` once the dimension proof has checked it.
     """
 
     def __init__(self):
         self.canonical: list[list[DiffPermPoly]] = [
             [], [DiffPermPoly.generator(1, 0, CTX_Q)]]
-        self._images: dict[tuple[Symbol, int], Symbol] = {}
+        self.coded: dict[int, list] = {}
         self._relabelled: dict[tuple[int, ...], list[DiffPermPoly]] = {}
 
     def on(self, subset: tuple[int, ...]) -> list[DiffPermPoly]:
-        k = len(subset)
-        if subset[-1] == k:
-            return self.canonical[k]
         got = self._relabelled.get(subset)
         if got is None:
             got = self._relabelled[subset] = [
-                _relabel(p, subset, self._images) for p in self.canonical[k]]
+                _relabel(p, subset) for p in self.canonical[len(subset)]]
         return got
 
-    def products(self, tag: str, smaller: int | None = None
-                 ) -> Iterator[tuple[DiffPermPoly, DiffPermPoly]]:
-        """Every pair (a, b) of elements of the components on two
-        complementary pieces of x1..xk, k = len(canonical), the smaller
-        piece of size ``smaller`` if given: over all sizes, their tagged
-        products span the component on x1..xk."""
-        allvars = tuple(range(1, len(self.canonical) + 1))
-        for lsize in range(1, len(allvars)):
-            if smaller not in (None, min(lsize, len(allvars) - lsize)):
-                continue
-            for left in combinations(allvars, lsize):
-                if tag == "loz" and left[0] != 1:
-                    continue  # symmetric product: one order is enough
-                right = tuple(v for v in allvars if v not in left)
-                for a in self.on(left):
-                    for b in self.on(right):
-                        yield a, b
+
+def _splits(k: int, tag: str, smaller: int | None = None
+            ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every split (left, right) of x1..xk into complementary nonempty
+    pieces, the smaller of size ``smaller`` if given: over all sizes, the
+    tagged products of the components on the two pieces span the component
+    on x1..xk."""
+    allvars = tuple(range(1, k + 1))
+    for lsize in range(1, k):
+        if smaller not in (None, min(lsize, k - lsize)):
+            continue
+        for left in combinations(allvars, lsize):
+            if tag == "loz" and left[0] != 1:
+                continue  # symmetric product: one order is enough
+            yield left, tuple(v for v in allvars if v not in left)
 
 
 def generate_closure(tag: str, n: int) -> list[DiffPermPoly]:
@@ -341,10 +333,12 @@ def generate_closure(tag: str, n: int) -> list[DiffPermPoly]:
     if n < 1:
         raise AlgebraError("degree must be >= 1")
     comps = _Components()
-    for _ in range(2, n + 1):
+    for k in range(2, n + 1):
         basis = SpanBasis(CTX_Q)
-        for a, b in comps.products(tag):
-            basis.add(derived_product(tag, a, b))
+        for left, right in _splits(k, tag):
+            for a in comps.on(left):
+                for b in comps.on(right):
+                    basis.add(derived_product(tag, a, b))
         comps.canonical.append(basis.elements)
     return comps.canonical[n]
 
@@ -384,6 +378,43 @@ class _Failed(Exception):
     """A step of the dimension proof failed; the message names it."""
 
 
+def _digits(family: list[DiffPermPoly], j: int, radix: int
+            ) -> list[list[tuple[list[int], int, Rational]]]:
+    """Check 1 on ``family``, the operands of level j + 1 on x1..xj: the
+    terms of each element as (digits, last variable, coefficient),
+    digits[i - 1] being the derivative order + 1 of xi.  Raises ``_Failed``
+    when a term is not multilinear on exactly x1..xj, is not of weight -1
+    or has a digit outside 1..radix-1."""
+    failed = _Failed(f"degree {j + 1}: check 1")
+    out = []
+    for p in family:
+        terms = []
+        for m, c in p.terms.items():
+            digits = [0] * j
+            for s in m.factors:
+                d = s.order + 1
+                if not (0 < s.var <= j and 0 < d < radix) or digits[s.var - 1]:
+                    raise failed
+                digits[s.var - 1] = d
+            if len(m.factors) != j or sum(digits) != 2 * j - 1:
+                raise failed
+            terms.append((digits, m.last.var, c))
+        out.append(terms)
+    return out
+
+
+def _moved(family: list[list[tuple[list[int], int, Rational]]],
+           subset: tuple[int, ...], radix: int, top: int
+           ) -> list[list[tuple[int, Rational]]]:
+    """The ``_digits`` of a family on x1..xj moved onto the variables of
+    ``subset`` by xi -> x_subset[i-1]: each term as (code, coefficient), the
+    code being the digits in base ``radix`` at the subset's places plus
+    ``top`` times the last variable."""
+    place = [radix ** (v - 1) for v in subset]
+    return [[(sum(map(mul, digits, place)) + top * subset[last - 1], c)
+             for digits, last, c in terms] for terms in family]
+
+
 def _level(k: int, variant: str, comps: _Components) -> list[DiffPermPoly]:
     """The family ``generate_S(k, variant)`` once the factorisation proof
     (see ``verify_dimension``) shows it is a basis of the closure component
@@ -394,49 +425,55 @@ def _level(k: int, variant: str, comps: _Components) -> list[DiffPermPoly]:
     tag = _variant_tag(variant)
     star = variant == "star"
     image = DiffPermPoly.star if star else DiffPermPoly.derive
-    column = (lambda m: tuple(sorted(m.factors))) if star else (lambda m: m)
     failed = f"degree {k}: check "
+    radix, top = k, 0 if star else k ** k  # codes: see ``verify_dimension``
     # checks 1 and 5 on this level's operands: the last level's family,
     # or x1; their relabellings onto other variables are graded alike
-    if not all(is_multilinear(s, k - 1) and set(s.weights()) <= {-1}
-               for s in comps.canonical[-1]):
-        raise _Failed(failed + "1")
+    comps.coded[k - 1] = _digits(comps.canonical[-1], k - 1, radix)
     if star and any(s.star() != s.derive() for s in comps.canonical[-1]):
         raise _Failed(failed + "5")
-    # the column of each weight -2 monomial, keyed by the monomial
-    cols, ids = {}, {}
+    cols: dict[int, int] = {}  # column ids, keyed by the columns' codes
     for m in (monos := weight_minus2_monomials(k)):
-        cols[m] = ids.setdefault(column(m), len(ids))
+        code = sum((s.order + 1) * radix ** (s.var - 1) for s in m.factors)
+        cols.setdefault(code + top * m.last.var, len(cols))
     family = _comparison_family(monos, variant)
-    if len(family) != len(ids):
+    if len(family) != len(cols):
         raise _Failed(failed + "2")
     if not all(family) or len(set(leads := _leads(family))) != len(leads):
         raise _Failed(failed + "3")
+    columns = set(monos)
     for p, lead in zip(family, leads):
         if not lead.last.order:
             raise _Failed(failed + "4")
         u = Monomial(lead.left, lead.last.derived(0, -1))
         img = image(DiffPermPoly(CTX_Q, {u: 1}))
         a, b = p.terms[lead], img.terms[lead]  # p = (a / b) img
-        if u not in cols or img.scale(a).terms != p.scale(b).terms:
+        if u not in columns or img.scale(a).terms != p.scale(b).terms:
             raise _Failed(failed + "4")
 
     def rows() -> Iterator[dict[int, Rational]]:
         # in stages by the smaller side's size, each built only when the
-        # rank reads it, sparse rows first to keep the pivots sparse; a row
-        # that misses a column fails check 1 through ``modular_rank``
+        # rank reads it, sparse rows first to keep the pivots sparse; the
+        # code of a term of ab is the sum of its factors' codes, and a code
+        # that is not a column fails check 1 through ``modular_rank``
         for smaller in range(1, k // 2 + 1):
             stage = []
-            for a, b in comps.products(tag, smaller):
-                row: dict[int, Rational] = {}
-                for m, c in (a * b).terms.items():
-                    col = cols.get(m)
-                    if col is None:
-                        raise _Failed(failed + "1")
-                    row[col] = row.get(col, 0) + c
-                # a star column sums a factor multiset's terms, which may
-                # cancel
-                stage.append({col: c for col, c in row.items() if c})
+            for left, right in _splits(k, tag, smaller):
+                rights = _moved(comps.coded[len(right)], right, radix, top)
+                for a in _moved(comps.coded[len(left)], left, radix, 0):
+                    for b in rights:
+                        acc: dict[int, Rational] = {}
+                        get = acc.get
+                        for ca, va in a:
+                            for cb, vb in b:
+                                acc[ca + cb] = get(ca + cb, 0) + va * vb
+                        try:
+                            # a star column sums a factor multiset's terms,
+                            # which may cancel
+                            stage.append({cols[code]: c
+                                          for code, c in acc.items() if c})
+                        except KeyError:
+                            raise _Failed(failed + "1") from None
             stage.sort(key=len)
             yield from stage
 
@@ -456,15 +493,18 @@ def verify_dimension(n: int, variant: str) -> list[DimensionReport]:
     spanned by the products of elements a, b of the components on
     complementary pieces, each a lower-degree family (or x1) relabelled.  As
     a•b = (ab)', and a⧫b = (ab)* when a* = a' and b* = b', the component is
-    d (resp. star) of the span of the rows ab, read in monomials (resp. in
-    factor multisets, coefficients summed, all that star sees).  The proof
-    checks:
+    d (resp. star) of the span of the rows ab over the monomials (resp. the
+    factor multisets, all that star sees).  A multilinear monomial on x1..xk
+    is coded in base k by one digit per variable, its derivative order + 1,
+    and by its last variable (resp. not), so a term of ab has the sum of the
+    codes its factors have in a and b, and a row is read from integer codes
+    with no product formed.  The proof checks:
 
     1. every operand of level k, the family S_(k-1) or x1, is multilinear
-       in its variables and of weight -1, so every product ab is a sum of
-       weight -2 monomials on x1..xk: of columns (resp. of monomials whose
-       factor multiset is one), and the component lies in d (resp. star)
-       of their span; a row that is built and still misses a column fails
+       in its variables and of weight -1, with every digit below k, so every
+       term of a product ab is a weight -2 monomial on x1..xk, whose code is
+       a column's, and the component lies in d (resp. star) of the columns'
+       span; a row that is built and still has a code off the columns fails
        this check too;
     2. the family S_k has one element per column;
     3. the leads of S_k are pairwise distinct, so S_k is independent;

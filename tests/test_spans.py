@@ -17,6 +17,7 @@ from permdiff.algebra import (
     CTX_Q,
     AlgebraError,
     DiffPermPoly,
+    Symbol,
     derived_product,
     format_poly,
     monomial_key,
@@ -317,7 +318,7 @@ class TestRelabelledComponents:
         direct = direct_components(tag, 5, 4)
         canonical = {k: generate_closure(tag, k) for k in range(1, 5)}
         for subset, want in direct.items():
-            got = [_relabel(p, subset, {}) for p in canonical[len(subset)]]
+            got = [_relabel(p, subset) for p in canonical[len(subset)]]
             assert [list(p.terms.items()) for p in got] == \
                 [list(p.terms.items()) for p in want], subset
 
@@ -640,17 +641,46 @@ class TestCoordinateProof:
         assert r.ok and exact.ok and r.dim == exact.rank_closure
 
 
-def count_products(monkeypatch):
-    """A list whose length counts the ``DiffPermPoly`` products made from
-    now on."""
-    calls, real = [], DiffPermPoly.__mul__
+def slow_rows(k, variant, comps):
+    """Every product row of degree k, stage by stage, each from the
+    polynomial product a * b through the map from monomials to columns: the
+    reference for the coded rows of ``spans._level``."""
+    tag = spans._variant_tag(variant)
+    column = (lambda m: tuple(sorted(m.factors))) if variant == "star" \
+        else (lambda m: m)
+    cols, ids = {}, {}
+    for m in weight_minus2_monomials(k):
+        cols[m] = ids.setdefault(column(m), len(ids))
+    out = []
+    for smaller in range(1, k // 2 + 1):
+        stage = []
+        for left, right in spans._splits(k, tag, smaller):
+            for a in comps.on(left):
+                for b in comps.on(right):
+                    row = {}
+                    for m, c in (a * b).terms.items():
+                        row[cols[m]] = row.get(cols[m], 0) + c
+                    stage.append({col: c for col, c in row.items() if c})
+        out += sorted(stage, key=len)
+    return out
 
-    def counting(self, other):
-        calls.append(None)
-        return real(self, other)
 
-    monkeypatch.setattr(DiffPermPoly, "__mul__", counting)
-    return calls
+def refuse_rank(monkeypatch):
+    """Fail the test if the proof calls the rank: a check must refuse the
+    operands before any row is read."""
+    def ranked(rows, stop=None):
+        raise AssertionError("the rank was called")
+    monkeypatch.setattr(spans, "modular_rank", ranked)
+
+
+def every_row(log):
+    """``modular_rank`` that reads every row it is given, past the rank it
+    stops at, and logs them as lists of items."""
+    def ranked(rows, stop=None):
+        rows = list(rows)
+        log.append([list(row.items()) for row in rows])
+        return modular_rank(rows, stop)
+    return ranked
 
 
 class TestStagedRows:
@@ -662,19 +692,66 @@ class TestStagedRows:
     def test_every_product_row_lies_in_the_columns(self, variant, n):
         # the check the grading check replaced, with every row built: each
         # monomial of each product is a weight -2 monomial on x1..xk; the
-        # stages by the smaller side's size are all the pairs
+        # stages by the smaller side's size are all the splits
         tag = spans._variant_tag(variant)
-        ids = lambda pair: tuple(map(id, pair))
         comps = spans._Components()
         for k in range(2, n + 1):
             cols = set(weight_minus2_monomials(k))
-            pairs = list(comps.products(tag))
-            staged = [pair for smaller in range(1, k // 2 + 1)
-                      for pair in comps.products(tag, smaller)]
-            assert sorted(map(ids, staged)) == sorted(map(ids, pairs))
-            for a, b in pairs:
-                assert set((a * b).terms) <= cols, (k, a, b)
+            splits = list(spans._splits(k, tag))
+            staged = [split for smaller in range(1, k // 2 + 1)
+                      for split in spans._splits(k, tag, smaller)]
+            assert sorted(staged) == sorted(splits)
+            for left, right in splits:
+                for a in comps.on(left):
+                    for b in comps.on(right):
+                        assert set((a * b).terms) <= cols, (k, a, b)
             comps.canonical.append(generate_S(k, variant))
+
+    @pytest.mark.parametrize("variant,n", [("star", 6), ("prime", 6)])
+    def test_coded_rows_are_the_product_rows(self, monkeypatch, variant, n):
+        # the fast path against the slow one: each row summed from codes is
+        # the row of the polynomial product, entry for entry and in the
+        # same order, and so is the order of the rows
+        log = []
+        monkeypatch.setattr(spans, "modular_rank", every_row(log))
+        assert all(r.ok for r in verify_dimension(n, variant))
+        comps = spans._Components()
+        for k, coded in zip(range(2, n + 1), log):
+            assert coded == [list(row.items())
+                             for row in slow_rows(k, variant, comps)], k
+            comps.canonical.append(generate_S(k, variant))
+
+    @pytest.mark.parametrize("variant", ["star", "prime"])
+    @pytest.mark.parametrize("bad", [
+        x(1) * x(1, 1),                     # x1 twice, x2 missing
+        x(1),                               # x2 missing
+        x(1) * x(3, 1),                     # x3 outside x1, x2
+        # an order at the radix 3 of degree 3: of weight -1 only with a
+        # negative order beside it, whose digit 0 is off the code too
+        DiffPermPoly.monomial([Symbol(2, (-1,)), Symbol(1, (2,))]),
+    ])
+    def test_operand_term_off_the_code_fails_check_1(self, monkeypatch,
+                                                     variant, bad):
+        # every bad term is of weight -1; in an operand of the degree-3
+        # proof it fails check 1 before any row is read, so none of its
+        # codes is taken for a column's
+        good = generate_S(2, variant)
+        assert spans._digits(good, 2, 3)
+        with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
+            spans._digits([good[0] + bad], 2, 3)
+        comps = spans._Components()
+        comps.canonical += [good, [good[0] + bad] + good[1:]]
+        refuse_rank(monkeypatch)
+        with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
+            spans._level(3, variant, comps)
+
+    def test_digits_below_the_radix(self):
+        # x1' x2 has the digits 2 and 1: below the radix 3 of degree 3, not
+        # below a radix of 2
+        family = [x(1, 1) * x(2)]
+        assert spans._digits(family, 2, 3) == [[([2, 1], 2, 1)]]
+        with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
+            spans._digits(family, 2, 2)
 
     @pytest.mark.parametrize("variant", ["star", "prime"])
     @pytest.mark.parametrize("bad", [
@@ -685,7 +762,7 @@ class TestStagedRows:
     def test_grading_check_refuses_a_bad_operand(self, monkeypatch, variant,
                                                  bad):
         # the operand of degree 2 is x1; a hand-built one in its place is
-        # refused before any product row is built
+        # refused before any product row is read
         init = spans._Components.__init__
 
         def with_bad_x1(comps):
@@ -693,19 +770,18 @@ class TestStagedRows:
             comps.canonical[1] = [bad]
 
         monkeypatch.setattr(spans._Components, "__init__", with_bad_x1)
-        products = count_products(monkeypatch)
+        refuse_rank(monkeypatch)
         assert_fails(3, variant, "degree 2: check 1")
-        assert not products
 
     @pytest.mark.parametrize("variant", ["star", "prime"])
     def test_relabelling_that_moves_a_variable_fails_check_1(
             self, monkeypatch, capsys, variant):
-        # a product row that is built and misses a column is a failed
-        # check, not an internal error
-        real = spans._relabel
-        monkeypatch.setattr(spans, "_relabel", lambda p, subset, images: (
-            rename_vars(real(p, subset, images),
-                        {subset[-1]: subset[-1] + 1})))
+        # a product row that is built and has a code off the columns is a
+        # failed check, not an internal error; the moved variable keeps its
+        # digit, order + 1, so its code does not lose it
+        real = spans._moved
+        monkeypatch.setattr(spans, "_moved", lambda family, subset, *rest: (
+            real(family, subset[:-1] + (subset[-1] + 1,), *rest)))
         assert_fails(4, variant, "degree 2: check 1")
         assert main(["dim", "--variant", variant, "--n", "2..4",
                      "--quiet"]) == 1
@@ -713,11 +789,16 @@ class TestStagedRows:
         assert [r["failed"] for r in recs] == ["degree 2: check 1"] * 3
 
     def test_rows_are_built_lazily(self, monkeypatch):
-        # the rank reaches |S_k| before every stage is built
+        # the rank reaches |S_k| before it reads every row: it reads the
+        # same rows per degree as it did from polynomial products
         comps, pairs = spans._Components(), 0
         for k in range(2, 8):
-            pairs += sum(1 for _ in comps.products("loz"))
+            pairs += sum(len(comps.on(left)) * len(comps.on(right))
+                         for left, right in spans._splits(k, "loz"))
             comps.canonical.append(generate_S(k, "star"))
-        products = count_products(monkeypatch)
+        log = []
+        monkeypatch.setattr(spans, "modular_rank", counting(modular_rank, log))
         assert verify_dimension(7, "star")[-1].ok
-        assert 0 < len(products) < pairs
+        assert log == [(1, 1), (3, 3), (10, 13), (35, 51), (126, 212),
+                       (462, 888)]
+        assert 0 < sum(read for _, read in log) < pairs

@@ -627,20 +627,15 @@ def derived_product(tag: str, a: DiffPermPoly, b: DiffPermPoly) -> DiffPermPoly:
 
 def multiset_normal_form(p: DiffPermPoly) -> DiffPermPoly:
     """Representative of p modulo the right annihilator: every monomial is
-    replaced by the fully sorted monomial on the same factor multiset."""
+    replaced by the fully sorted monomial on the same factor multiset.  So
+    p lies in the right annihilator (p q = 0 for every q) iff this is zero:
+    a right product sorts every factor of p into its left part."""
     acc: dict[Monomial, Scalar] = {}
     for m, c in p.terms.items():
         fs = sorted(m.factors)
         key = Monomial(tuple(fs[:-1]), fs[-1])
         acc[key] = acc.get(key, 0) + c
     return DiffPermPoly(p.ctx, acc)
-
-
-def annihilator_test(p: DiffPermPoly) -> bool:
-    """Right-annihilator membership: p q = 0 for every q iff the multiset
-    normal form of p is zero, since a right product sorts every factor of p
-    into its left part and so only remembers p's factor multisets."""
-    return multiset_normal_form(p).is_zero()
 
 
 def apply_substitution(p: DiffPermPoly,

@@ -44,7 +44,6 @@ from .algebra import (
     Monomial,
     Scalar,
     Symbol,
-    annihilator_test,
     is_multilinear,
     multiset_normal_form,
     rename_vars,
@@ -69,7 +68,7 @@ def h0(f: DiffPermPoly, k: int, y: int | None = None,
     """
     if f.is_zero():
         raise AlgebraError("h0 of the zero polynomial")
-    if k not in f.variables():
+    if all(s.var != k for m in f.terms for s in m.factors):
         raise AlgebraError(f"variable x{k} does not occur")
     top = f.max_var()
     if y is None:
@@ -196,18 +195,18 @@ def reduce_identity(f: DiffPermPoly) -> ReductionResult:
     if not is_multilinear(f):
         raise AlgebraError("reduce: input is not multilinear")
     trace = [TraceStep("input", {"op": "input"}, f)]
-    if annihilator_test(f):
+    cls = multiset_normal_form(f)  # f's class modulo the right annihilator
+    if cls.is_zero():
         return ReductionResult(OUTCOME_RIGHT_ANNIHILATOR, None, None, trace)
 
     current = f
     inert: list[Symbol] = []
     fresh = f.max_var()
     for passes in count():
-        # The pass variable has the top derivative order in the class modulo
-        # the right annihilator, ties broken by the larger index; measured on
-        # that class, the extracted top coefficient survives the right
+        # The pass variable has the top derivative order in the class of
+        # ``current``, ties broken by the larger index; measured on that
+        # class, the extracted top coefficient survives the right
         # multiplication.
-        cls = multiset_normal_form(current)
         n, k = max((s.order, s.var) for m in cls.terms for s in m.factors)
         if len(cls.terms) == 1 and n <= 1 and (passes >= 1 or n == 0):
             (mono, coeff), = cls.terms.items()
@@ -235,7 +234,8 @@ def reduce_identity(f: DiffPermPoly) -> ReductionResult:
 
         strip = [Symbol(t, (1,)) for t in ts] + [Symbol(y, (0,)),
                                                  Symbol(z, (0,))]
-        current = _strip_factors(H, strip, u)
+        # in multiset normal form, so its own class
+        cls = current = _strip_factors(H, strip, u)
         inert += strip + [Symbol(u, (0,))]
         if not isinstance(current, DiffPermPoly):  # a constant coefficient
             coeff, factors = current, inert

@@ -8,13 +8,12 @@ multilinear degree-n component, of dimension C(2n-3, n-1), respectively
 n * C(2n-3, n-1), by the product factorisations a•b = (ab)' and, when
 a* = a' and b* = b', a⧫b = (ab)*: the closure is d, resp. star, of the span
 of plain products, whose rank modulo a prime bounds its rank from below.
-A product's row is summed from integer codes of its operands' terms, with
-one digit per variable, so no product polynomial is formed.
-The checks the proof rests on are spelled out at ``verify_dimension``,
-which returns one report per degree; each check raises where it fails, and
-the report names it.  ``generate_closure`` saturates the component exactly,
-by fraction-free Gaussian elimination over integer column ids
-(``SpanBasis``); it is the exact reference used by the tests.
+The proof works on integer codes of monomials, one digit per variable, and
+forms no polynomial; ``generate_S`` is its family as polynomials.  The
+checks it rests on are spelled out at ``verify_dimension``, which returns
+one report per degree, naming the check that failed.  ``generate_closure``
+saturates the component exactly, by fraction-free Gaussian elimination over
+integer column ids (``SpanBasis``); it is the exact reference of the tests.
 The closure component on any k variables is the relabelled component on
 x1..xk, so only those are built.
 """
@@ -36,7 +35,6 @@ from .algebra import (
     Rational,
     Symbol,
     derived_product,
-    monomial_key,
 )
 
 _NORMALIZE_EVERY = 8  # gcd-normalize a working row after this many eliminations
@@ -204,8 +202,8 @@ def _variant_tag(variant: str) -> str:
 
 #: the highest degree the ``dim`` command proves; star degree 12 already has
 #: 352716 columns, while on a 2-core VM star 2..9, with 6435, takes about
-#: 7 s at an 82 MB peak, building 32076 of its 107928 product rows, and
-#: star 2..10, with 24310, about 86 s at 290 MB
+#: 5.4 s at a 50 MB peak, building 32076 of its 107928 product rows, and
+#: star 2..10, with 24310, about 74 s at 154 MB
 MAX_DIM_DEGREE = 12
 
 
@@ -283,13 +281,13 @@ class _Components:
     ``canonical[k]`` spans the component on x1..xk; the one on a k-subset
     is its image under the increasing relabelling (see
     ``generate_closure``), built once per subset.  ``coded[k]`` holds the
-    ``_digits`` of ``canonical[k]`` once the dimension proof has checked it.
+    family of degree k (x1 for k = 1) coded, once the proof has proved it.
     """
 
     def __init__(self):
         self.canonical: list[list[DiffPermPoly]] = [
             [], [DiffPermPoly.generator(1, 0, CTX_Q)]]
-        self.coded: dict[int, list] = {}
+        self.coded: dict[int, _Coded] = {1: [[((1,), 1, 1)]]}
         self._relabelled: dict[tuple[int, ...], list[DiffPermPoly]] = {}
 
     def on(self, subset: tuple[int, ...]) -> list[DiffPermPoly]:
@@ -365,97 +363,100 @@ class DimensionReport(NamedTuple):
         return rec
 
 
-def _leads(family: list[DiffPermPoly]) -> list[Monomial]:
-    """The leads of the family's elements, none of which is zero.  A lead is
-    the greatest monomial, ordered by the derivative order of the last
-    factor first, then by ``monomial_key``; distinct leads put the family
-    in echelon form, so it is independent."""
-    return [max(p.terms, key=lambda m: (m.last.order, monomial_key(m)))
-            for p in family]
-
-
 class _Failed(Exception):
     """A step of the dimension proof failed; the message names it."""
 
 
-def _digits(family: list[DiffPermPoly], j: int, radix: int
-            ) -> list[list[tuple[list[int], int, Rational]]]:
-    """Check 1 on ``family``, the operands of level j + 1 on x1..xj: the
-    terms of each element as (digits, last variable, coefficient),
-    digits[i - 1] being the derivative order + 1 of xi.  Raises ``_Failed``
-    when a term is not multilinear on exactly x1..xj, is not of weight -1
-    or has a digit outside 1..radix-1."""
-    failed = _Failed(f"degree {j + 1}: check 1")
-    out = []
-    for p in family:
-        terms = []
-        for m, c in p.terms.items():
-            digits = [0] * j
-            for s in m.factors:
-                d = s.order + 1
-                if not (0 < s.var <= j and 0 < d < radix) or digits[s.var - 1]:
-                    raise failed
-                digits[s.var - 1] = d
-            if len(m.factors) != j or sum(digits) != 2 * j - 1:
-                raise failed
-            terms.append((digits, m.last.var, c))
-        out.append(terms)
-    return out
+#: a coded family: each element's terms as (digits, last variable,
+#: coefficient), digits[i - 1] being xi's derivative order + 1
+_Coded = list[list[tuple[tuple[int, ...], int, Rational]]]
 
 
-def _moved(family: list[list[tuple[list[int], int, Rational]]],
-           subset: tuple[int, ...], radix: int, top: int
+def _image(digits: tuple[int, ...], last: int, star: bool,
+           c: Rational = 1) -> list[tuple[tuple[int, ...], int, Rational]]:
+    """c d(u), or c star(u), for u coded by ``digits`` and ``last``: as in
+    ``DiffPermPoly.derive`` and ``star``, each variable's digit raised in
+    turn, the last variable's last; star makes the raised variable last."""
+    return [(digits[:v - 1] + (digits[v - 1] + 1,) + digits[v:],
+             v if star else last, c)
+            for v in [*range(1, last), *range(last + 1, len(digits) + 1),
+                      last]]
+
+
+def _family(k: int, star: bool
+            ) -> tuple[list[tuple[tuple[int, ...], int]], _Coded]:
+    """The columns of degree k as (digits, last variable), in the order of
+    ``weight_minus2_monomials``, for star the first of each factor multiset
+    (ending in x1); and ``generate_S`` coded: their images, in order."""
+    units = [(digits, last) for orders in _compositions(k - 2, k)
+             for digits in [tuple(o + 1 for o in orders)]
+             for last in ((1,) if star else range(1, k + 1))]
+    return units, [_image(digits, last, star) for digits, last in units]
+
+
+def _star_is_derivative(s: list) -> bool:
+    """s* = s' for the coded element s: both raise each digit of a term in
+    turn, and star makes the raised variable last."""
+    acc: dict[tuple, Rational] = {}
+    for digits, last, c in s:
+        for raised, v, _ in _image(digits, last, True):
+            acc[raised, v] = acc.get((raised, v), 0) + c
+            acc[raised, last] = acc.get((raised, last), 0) - c
+    return not any(acc.values())
+
+
+def _moved(family: _Coded, subset: tuple[int, ...], radix: int, top: int
            ) -> list[list[tuple[int, Rational]]]:
-    """The ``_digits`` of a family on x1..xj moved onto the variables of
-    ``subset`` by xi -> x_subset[i-1]: each term as (code, coefficient), the
-    code being the digits in base ``radix`` at the subset's places plus
-    ``top`` times the last variable."""
+    """A coded family on x1..xj moved onto ``subset`` by xi -> x_subset[i-1]:
+    each term as (code, coefficient), the code being the digits in base
+    ``radix`` at the subset's places plus ``top`` times the last variable."""
     place = [radix ** (v - 1) for v in subset]
     return [[(sum(map(mul, digits, place)) + top * subset[last - 1], c)
              for digits, last, c in terms] for terms in family]
 
 
-def _level(k: int, variant: str, comps: _Components) -> list[DiffPermPoly]:
-    """The family ``generate_S(k, variant)`` once the factorisation proof
-    (see ``verify_dimension``) shows it is a basis of the closure component
-    on x1..xk, whose operands are ``comps.canonical[-1]``, the family of
-    degree k-1 (or x1), and its relabellings.  Raises ``_Failed`` with
-    "degree k: check c" for the first check c that fails, or "degree k:
-    rank" when the rank falls short."""
+def _level(k: int, variant: str, comps: _Components) -> _Coded:
+    """The family ``generate_S(k, variant)`` coded, once the proof (see
+    ``verify_dimension``) shows it is a basis of the closure component on
+    x1..xk, whose operands are ``comps.coded[k - 1]`` relabelled.  Raises
+    ``_Failed`` naming the first check that fails, or the rank."""
     tag = _variant_tag(variant)
     star = variant == "star"
-    image = DiffPermPoly.star if star else DiffPermPoly.derive
     failed = f"degree {k}: check "
     radix, top = k, 0 if star else k ** k  # codes: see ``verify_dimension``
-    # checks 1 and 5 on this level's operands: the last level's family,
-    # or x1; their relabellings onto other variables are graded alike
-    comps.coded[k - 1] = _digits(comps.canonical[-1], k - 1, radix)
-    if star and any(s.star() != s.derive() for s in comps.canonical[-1]):
+    # checks 1 and 5 on the operands, the last family or x1, as relabelled:
+    # each term on x1..x(k-1), every digit positive, of weight -1
+    operands = comps.coded[k - 1]
+    if not all(len(digits) == k - 1 and 0 < last < k and min(digits) > 0
+               and sum(digits) == 2 * k - 3
+               for terms in operands for digits, last, _ in terms):
+        raise _Failed(failed + "1")
+    if star and not all(map(_star_is_derivative, operands)):
         raise _Failed(failed + "5")
-    cols: dict[int, int] = {}  # column ids, keyed by the columns' codes
-    for m in (monos := weight_minus2_monomials(k)):
-        code = sum((s.order + 1) * radix ** (s.var - 1) for s in m.factors)
-        cols.setdefault(code + top * m.last.var, len(cols))
-    family = _comparison_family(monos, variant)
+    place = [radix ** i for i in range(k)]
+    units, family = _family(k, star)
+    cols = {sum(map(mul, digits, place)) + top * last: col
+            for col, (digits, last) in enumerate(units)}  # ids by code
     if len(family) != len(cols):
         raise _Failed(failed + "2")
-    if not all(family) or len(set(leads := _leads(family))) != len(leads):
+    # a lead: the greatest term by its last variable's digit, then (digits,
+    # last variable)
+    leads = [max(p, key=lambda t: (t[0][t[1] - 1], t[:2]), default=None)
+             for p in family]
+    if None in leads or len({t[:2] for t in leads}) != len(leads):
         raise _Failed(failed + "3")
-    columns = set(monos)
-    for p, lead in zip(family, leads):
-        if not lead.last.order:
-            raise _Failed(failed + "4")
-        u = Monomial(lead.left, lead.last.derived(0, -1))
-        img = image(DiffPermPoly(CTX_Q, {u: 1}))
-        a, b = p.terms[lead], img.terms[lead]  # p = (a / b) img
-        if u not in columns or img.scale(a).terms != p.scale(b).terms:
+    shapes = {digits for digits, _ in units}
+    for p, (digits, last, a) in zip(family, leads):
+        u = digits[:last - 1] + (digits[last - 1] - 1,) + digits[last:]
+        img = _image(u, last, star, a)  # p = a img, term for term
+        if not (a and 0 < last <= k and u in shapes and len(p) == len(img)
+                and set(p) == set(img)):
             raise _Failed(failed + "4")
 
     def rows() -> Iterator[dict[int, Rational]]:
         # in stages by the smaller side's size, each built only when the
-        # rank reads it, sparse rows first to keep the pivots sparse; the
-        # code of a term of ab is the sum of its factors' codes, and a code
-        # that is not a column fails check 1 through ``modular_rank``
+        # rank reads it, sparse rows first to keep the pivots sparse; a term
+        # of ab sums its factors' codes, and one off the columns fails check 1
         for smaller in range(1, k // 2 + 1):
             stage = []
             for left, right in _splits(k, tag, smaller):
@@ -495,32 +496,31 @@ def verify_dimension(n: int, variant: str) -> list[DimensionReport]:
     a•b = (ab)', and a⧫b = (ab)* when a* = a' and b* = b', the component is
     d (resp. star) of the span of the rows ab over the monomials (resp. the
     factor multisets, all that star sees).  A multilinear monomial on x1..xk
-    is coded in base k by one digit per variable, its derivative order + 1,
-    and by its last variable (resp. not), so a term of ab has the sum of the
-    codes its factors have in a and b, and a row is read from integer codes
-    with no product formed.  The proof checks:
+    is coded by one digit per variable, its derivative order + 1, and its
+    last variable; in base k, plus k^k times the last variable (resp. not),
+    a term of ab has the sum of the codes its factors have in a and b.  The
+    families, the checks and the rows work on these codes, and the proof
+    forms no polynomial.  It checks:
 
     1. every operand of level k, the family S_(k-1) or x1, is multilinear
-       in its variables and of weight -1, with every digit below k, so every
-       term of a product ab is a weight -2 monomial on x1..xk, whose code is
-       a column's, and the component lies in d (resp. star) of the columns'
-       span; a row that is built and still has a code off the columns fails
-       this check too;
+       in its variables and of weight -1, so every digit is below k, every
+       term of a product ab is a weight -2 monomial on x1..xk, a column,
+       and the component lies in d (resp. star) of the columns' span; a
+       built row with a code off the columns fails this check too;
     2. the family S_k has one element per column;
-    3. the leads of S_k are pairwise distinct, so S_k is independent;
+    3. the leads of S_k, its elements' greatest terms by the last digit
+       first, are pairwise distinct, so S_k is independent;
     4. each element is a nonzero multiple of d(u) (resp. star(u)) for u a
-       column, its lead with the last factor's order lowered by one; with
-       2 and 3, d (resp. star) maps the columns onto a basis of span(S_k)
-       and is injective on their span;
-    5. for star, s* = s' on every operand s of level k.
+       column, its lead with the last digit lowered; with 2 and 3, d (resp.
+       star) maps the columns onto a basis of span(S_k), injectively;
+    5. for star, s* = s' on every operand s of level k, in closed form.
 
     Then rank |S_k| of the rows modulo ``MODULUS``, a lower bound of their
     rank over Q, hence by 4 of the component's, proves that the component
     is span(S_k).  The rank reads the rows in stages, by the size of the
     smaller operand's variable set, and a stage is built only when the
-    rank has not yet reached |S_k|.  Each check raises where it fails, as
-    does a rank that falls short; from that degree up, each report names
-    the failure in ``failed`` and claims no dimension.
+    rank has not yet reached |S_k|.  From the degree where a check or the
+    rank fails, each report names it in ``failed`` and claims no dimension.
     """
     if n < 2:
         raise AlgebraError("verify_dimension needs n >= 2")
@@ -528,10 +528,10 @@ def verify_dimension(n: int, variant: str) -> list[DimensionReport]:
     for k in range(2, n + 1):
         if failed is None:
             try:
-                comps.canonical.append(_level(k, variant, comps))
+                comps.coded[k] = _level(k, variant, comps)
             except _Failed as e:
                 failed = str(e)
         reports.append(DimensionReport(
             k, variant, dimension_formula(k, variant),
-            dim=None if failed else len(comps.canonical[k]), failed=failed))
+            dim=None if failed else len(comps.coded[k]), failed=failed))
     return reports

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import permdiff.spans as spans
+from oracles import decode, encode
 from permdiff.algebra import CTX_Q, DiffPermPoly, Monomial, Symbol, normalize
 
 settings.register_profile(
@@ -59,7 +60,14 @@ def monomial_pool_deg3():
 
 def break_family(monkeypatch, how):
     """Pass the degree-k comparison family through ``how(k, family)``
-    wherever it is made: in the coordinate proof and in ``generate_S``."""
-    real = spans._comparison_family
+    wherever it is made: in ``generate_S`` and, decoded into polynomials
+    and coded again, in the coordinate proof."""
+    real, real_coded = spans._comparison_family, spans._family
     monkeypatch.setattr(spans, "_comparison_family", lambda monos, variant: (
         how(monos[0].degree, real(monos, variant))))
+
+    def coded(k, star):
+        units, family = real_coded(k, star)
+        return units, encode(how(k, decode(family)), k)
+
+    monkeypatch.setattr(spans, "_family", coded)

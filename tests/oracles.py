@@ -11,11 +11,16 @@ check the library against them:
     evaluation;
   * ``witt_prec``: the prec product of Witt elements, from the bracket
     kernel's own rule data;
+  * ``annihilator_test``: membership of the right annihilator, which the
+    reduction decides on the multiset normal form it computes anyway;
   * ``span_basis`` and ``rank``: the exact span of a list of polynomials,
     against which the modular rank of the dimension proof is checked;
   * ``smallest_pivot_rank``: the dimension proof's first modular rank, with
     another pivot order and prime, against which the proof's reports are
     checked;
+  * ``encode``, ``decode``, ``digits`` and ``leads``: between polynomials
+    and the integer-coded families of the dimension proof, which never
+    forms a polynomial, and the proof's checks 1 and 3 on polynomials;
   * ``x`` and ``v``: a generator of the rational context and a variable
     leaf of an expression tree.
 """
@@ -37,10 +42,12 @@ from permdiff.algebra import (
     Monomial,
     Rational,
     Scalar,
+    Symbol,
     is_multilinear,
+    multiset_normal_form,
 )
 from permdiff.exprs import Var
-from permdiff.spans import SpanBasis
+from permdiff.spans import SpanBasis, _Failed
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +143,18 @@ def witt_prec(v: witt.WittElement, w: witt.WittElement) -> witt.WittElement:
 
 
 # ---------------------------------------------------------------------------
+# the right annihilator
+# ---------------------------------------------------------------------------
+
+
+def annihilator_test(p: DiffPermPoly) -> bool:
+    """Right-annihilator membership: p q = 0 for every q iff the multiset
+    normal form of p is zero, since a right product sorts every factor of p
+    into its left part and so only remembers p's factor multisets."""
+    return multiset_normal_form(p).is_zero()
+
+
+# ---------------------------------------------------------------------------
 # exact spans
 # ---------------------------------------------------------------------------
 
@@ -183,6 +202,78 @@ def smallest_pivot_rank(rows: Iterable[dict[int, Rational]],
                 else:
                     del r[c]
     return len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# coded families of the dimension proof
+# ---------------------------------------------------------------------------
+
+
+def encode(family: list[DiffPermPoly], k: int) -> list[list[tuple]]:
+    """Each polynomial's terms as the dimension proof codes them: (digits,
+    last variable, coefficient), in term order.  The digit of xi is the sum
+    of order + 1 over its factors, its order + 1 on a multilinear term and
+    0 where xi is absent, for x1..xk and any variable past xk; the code of
+    a product term is the sum of its factors' codes, so is this."""
+    out = []
+    for p in family:
+        terms = []
+        for m, c in p.terms.items():
+            ds = [0] * max(k, *(s.var for s in m.factors))
+            for s in m.factors:
+                ds[s.var - 1] += s.order + 1
+            terms.append((tuple(ds), m.last.var, c))
+        out.append(terms)
+    return out
+
+
+def decode(family: list[list[tuple]]) -> list[DiffPermPoly]:
+    """The polynomials of a coded family, each keeping its terms' order; a
+    digit 0 is an absent variable."""
+    out = []
+    for terms in family:
+        acc: dict[Monomial, Scalar] = {}
+        for ds, last, c in terms:
+            left = tuple(Symbol(v, (d - 1,)) for v, d in enumerate(ds, 1)
+                         if d and v != last)
+            m = Monomial(left, Symbol(last, (ds[last - 1] - 1,)))
+            acc[m] = acc.get(m, 0) + c
+        out.append(DiffPermPoly(CTX_Q, acc))
+    return out
+
+
+def digits(family: list[DiffPermPoly], j: int, radix: int
+           ) -> list[list[tuple]]:
+    """Check 1 of the dimension proof on polynomials, the operands of level
+    j + 1 on x1..xj: ``encode(family, j)``, or ``spans._Failed`` when a term
+    is not multilinear on exactly x1..xj, is not of weight -1 or has a digit
+    outside 1..radix-1."""
+    failed = _Failed(f"degree {j + 1}: check 1")
+    for p in family:
+        for m in p.terms:
+            ds = [0] * j
+            for s in m.factors:
+                d = s.order + 1
+                if not (0 < s.var <= j and 0 < d < radix) or ds[s.var - 1]:
+                    raise failed
+                ds[s.var - 1] = d
+            if len(m.factors) != j or sum(ds) != 2 * j - 1:
+                raise failed
+    return encode(family, j)
+
+
+def lead_order(m: Monomial) -> tuple:
+    """The order of check 3 on the monomials of one multilinear degree: the
+    last factor's derivative order, then the digits (order + 1 of each
+    variable) and the last variable, as the proof compares codes."""
+    (ds, last, _), = encode([DiffPermPoly(CTX_Q, {m: 1})], 0)[0]
+    return ds[last - 1], ds, last
+
+
+def leads(family: list[DiffPermPoly]) -> list[Monomial]:
+    """The leads of the family's elements, none of which is zero, in the
+    order of check 3 (``lead_order``)."""
+    return [max(p.terms, key=lead_order) for p in family]
 
 
 # ---------------------------------------------------------------------------

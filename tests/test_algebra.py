@@ -15,7 +15,7 @@ from conftest import (
     polys_st,
     symbols_st,
 )
-from oracles import specialize_delta, subs, x
+from oracles import annihilator_test, specialize_delta, subs, x
 from permdiff.algebra import (
     CTX_DELTA,
     CTX_Q,
@@ -26,7 +26,6 @@ from permdiff.algebra import (
     DiffPermPoly,
     Monomial,
     Symbol,
-    annihilator_test,
     apply_substitution,
     derived_product,
     grade,

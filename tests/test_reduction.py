@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from oracles import decompose, x
+from oracles import annihilator_test, decompose, x
 from permdiff.algebra import (
     CTX_DELTA,
     CTX_Q,
@@ -14,7 +14,6 @@ from permdiff.algebra import (
     DiffPermPoly,
     Monomial,
     Symbol,
-    annihilator_test,
     apply_substitution,
     rename_vars,
 )

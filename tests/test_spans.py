@@ -12,7 +12,17 @@ from conftest import break_family, polys_st
 from hypothesis import given, settings
 
 import permdiff.spans as spans
-from oracles import rank, smallest_pivot_rank, span_basis, x
+from oracles import (
+    decode,
+    digits,
+    encode,
+    lead_order,
+    leads,
+    rank,
+    smallest_pivot_rank,
+    span_basis,
+    x,
+)
 from permdiff.algebra import (
     CTX_Q,
     AlgebraError,
@@ -481,15 +491,15 @@ def exact_report(n, variant):
 
 
 def coordinate_proof(n, variant):
-    """The proof's outcome in degree n: the family, or the failure that
-    ended it."""
+    """The proof's outcome in degree n: the family, decoded into
+    polynomials, or the failure that ended it."""
     comps = spans._Components()
     try:
         for k in range(2, n + 1):
-            comps.canonical.append(spans._level(k, variant, comps))
+            comps.coded[k] = spans._level(k, variant, comps)
     except spans._Failed as e:
         return str(e)
-    return comps.canonical[n]
+    return decode(comps.coded[n])
 
 
 def assert_fails(n, variant, failed):
@@ -585,21 +595,61 @@ class TestCoordinateProof:
     @pytest.mark.parametrize("n,level", [(3, 2), (4, 2), (4, 3)])
     def test_family_breaking_the_lemma_falls_back(self, monkeypatch, n,
                                                   level):
-        # equal terms, so checks 1-4 pass at ``level``; its star is negated,
-        # so s* = s' fails for the operands of the next level
-        class StarNegated(DiffPermPoly):
-            __slots__ = ()
+        # the family of ``level`` passes its checks and is proved; then its
+        # first element gives way to the coded prime element d(u) of the
+        # same degree, multilinear and of weight -1 (check 1 holds) but with
+        # d(u)* != d(u)', so s* = s' fails for the operands of the next level
+        real = spans._level
 
-            def star(self):
-                return -super().star()
+        def swapped(k, variant, comps):
+            family = real(k, variant, comps)
+            if k == level:
+                family = spans._family(k, False)[1][:1] + family[1:]
+            return family
 
-        break_family(monkeypatch, lambda k, family: [
-            StarNegated(p.ctx, p.terms) if k == level else p
-            for p in family])
+        monkeypatch.setattr(spans, "_level", swapped)
         assert coordinate_proof(level, "star") == \
-            spans.generate_S(level, "star")
+            generate_S(level, "prime")[:1] + generate_S(level, "star")[1:]
         assert_fails(n, "star", f"degree {level + 1}: check 5")
         assert exact_report(n, "star").ok
+
+    @pytest.mark.parametrize("variant,n", [("star", 3), ("star", 5),
+                                           ("prime", 2), ("prime", 4)])
+    def test_element_with_a_term_reweighted_falls_back(self, monkeypatch,
+                                                       variant, n):
+        # a term below the lead of the first element is doubled: the same
+        # terms, the same size and leads, but no multiple of an image
+        def broken(k, family):
+            if k != n:
+                return family
+            p = family[0]
+            lead = leads([p])[0]
+            m = next(m for m in p.terms if m != lead)
+            return [p + DiffPermPoly(CTX_Q, {m: p.terms[m]})] + family[1:]
+
+        break_family(monkeypatch, broken)
+        assert_fails(n, variant, f"degree {n}: check 4")
+
+    @pytest.mark.parametrize("variant", ["star", "prime"])
+    @pytest.mark.parametrize("how", ["zeroed", "repeated"])
+    def test_coded_element_no_polynomial_keeps_falls_back(
+            self, monkeypatch, variant, how):
+        # coded, an element may carry zero coefficients, or a term twice,
+        # which no polynomial keeps: it is then no nonzero multiple of an
+        # image, though it has an image's terms
+        real = spans._family
+
+        def broken(k, star):
+            units, family = real(k, star)
+            if k == 3:
+                p = family[0]
+                p = ([(d, last, 0) for d, last, _ in p] if how == "zeroed"
+                     else p + p[:1])
+                family = [p] + family[1:]
+            return units, family
+
+        monkeypatch.setattr(spans, "_family", broken)
+        assert_fails(4, variant, "degree 3: check 4")
 
     @pytest.mark.parametrize("added", ["stray", "partner"])
     @pytest.mark.parametrize("variant,n", [("star", 3), ("star", 5),
@@ -612,9 +662,8 @@ class TestCoordinateProof:
         def broken(k, family):
             if k != n:
                 return family
-            leads = spans._leads(family)
-            top = max(range(len(family)), key=lambda i: (
-                leads[i].last.order, monomial_key(leads[i])))
+            lead = leads(family)
+            top = max(range(len(family)), key=lambda i: lead_order(lead[i]))
             extra = family[top - 1]
             if added == "stray":
                 extra = x(1)
@@ -623,11 +672,28 @@ class TestCoordinateProof:
             return family[:top] + [family[top] + extra] + family[top + 1:]
 
         break_family(monkeypatch, broken)
-        assert spans._leads(spans.generate_S(n, variant)) is not None
+        assert leads(spans.generate_S(n, variant)) is not None
         assert_fails(n, variant, f"degree {n}: check 4")
         exact = exact_report(n, variant)
         assert exact.ok == (added == "partner")
         assert bool(exact.missing_from_closure) == (added == "stray")
+
+    @pytest.mark.parametrize("variant,n", [("star", 3), ("star", 4),
+                                           ("prime", 3)])
+    def test_image_of_a_non_column_falls_back(self, monkeypatch, variant, n):
+        # the first element gives way to d(u), resp. star(u), for u =
+        # x1^(n-1) x2 ... xn, of weight -1, not a column: the size and the
+        # distinct leads stay, and u, the lead with the last digit lowered,
+        # is no column
+        u = x(1, n - 1)
+        for i in range(2, n + 1):
+            u = u * x(i)
+        image = u.star() if variant == "star" else u.derive()
+        break_family(monkeypatch, lambda k, family: (
+            [image] + family[1:] if k == n else family))
+        assert_fails(n, variant, f"degree {n}: check 4")
+        exact = exact_report(n, variant)
+        assert exact.missing_from_closure == [format_poly(image)]
 
     @pytest.mark.parametrize("scale", [Fraction(1, 3), 3])
     @pytest.mark.parametrize("variant,n", [("star", 5), ("prime", 4)])
@@ -639,6 +705,76 @@ class TestCoordinateProof:
         r = verify_dimension(n, variant)[-1]
         exact = exact_report(n, variant)
         assert r.ok and exact.ok and r.dim == exact.rank_closure
+
+
+def code_of(m, k):
+    """The (digits, last variable) of the monomial m on x1..xk."""
+    (digits, last, _), = encode([DiffPermPoly(CTX_Q, {m: 1})], k)[0]
+    return digits, last
+
+
+class TestCodedFamily:
+    """The fast path against the slow one: the coded family and the closed
+    forms of checks 4 and 5 against ``generate_S``, ``DiffPermPoly.derive``
+    and ``DiffPermPoly.star``."""
+
+    @pytest.mark.parametrize("variant,k", [(variant, k) for k in range(2, 8)
+                                           for variant in ("star", "prime")])
+    def test_decoded_family_is_generate_S(self, variant, k):
+        # the same elements in the same order, each with its terms in the
+        # same order; the columns are the weight -2 monomials in order, for
+        # star the first of each factor multiset
+        units, family = spans._family(k, variant == "star")
+        assert [list(p.terms.items()) for p in decode(family)] == \
+            [list(p.terms.items()) for p in generate_S(k, variant)]
+        monos = [code_of(m, k) for m in weight_minus2_monomials(k)]
+        if variant == "star":
+            firsts = {}
+            for digits, last in monos:
+                firsts.setdefault(digits, last)
+            monos = list(firsts.items())
+            assert {last for _, last in monos} == {1}
+        assert units == monos
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_closed_forms_on_every_column(self, k):
+        # the image of check 4 is d(u), resp. star(u), term for term and in
+        # order, scaled; check 5 refuses u itself, since u* != u'
+        for m in weight_minus2_monomials(k):
+            u = DiffPermPoly(CTX_Q, {m: 1})
+            digits, last = code_of(m, k)
+            for star, image in ((True, u.star()), (False, u.derive())):
+                got, = decode([spans._image(digits, last, star, -3)])
+                assert list(got.terms.items()) == \
+                    list(image.scale(-3).terms.items())
+            assert u.star() != u.derive()
+            assert not spans._star_is_derivative(encode([u], k)[0])
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_check_5_agrees_with_the_polynomials(self, k):
+        # s* = s' on every star element; the prime family is refused
+        # element by element, the negative control
+        for variant in ("star", "prime"):
+            coded = spans._family(k, variant == "star")[1]
+            for s, p in zip(coded, generate_S(k, variant)):
+                holds = p.star() == p.derive()
+                assert holds == (variant == "star")
+                assert spans._star_is_derivative(s) == holds
+
+    def test_check_1_refuses_a_digit_at_the_radix(self, monkeypatch):
+        # the codes of degree k are in base k, and a digit k beside positive
+        # ones breaks the weight: the operand x1'' x2 of degree 3 is
+        # refused, while x1'' x2 x3, digits 3, 1, 1, passes in degree 4
+        refuse_rank(monkeypatch)
+        comps = spans._Components()
+        comps.coded[2] = encode([x(1, 2) * x(2)], 2)
+        assert comps.coded[2] == [[((3, 1), 2, 1)]]
+        for variant in ("star", "prime"):
+            with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
+                spans._level(3, variant, comps)
+        comps.coded[3] = encode([x(2) * x(3) * x(1, 2)], 3)
+        with pytest.raises(AssertionError, match="^the rank was called$"):
+            spans._level(4, "prime", comps)
 
 
 def slow_rows(k, variant, comps):
@@ -729,29 +865,65 @@ class TestStagedRows:
         # an order at the radix 3 of degree 3: of weight -1 only with a
         # negative order beside it, whose digit 0 is off the code too
         DiffPermPoly.monomial([Symbol(2, (-1,)), Symbol(1, (2,))]),
+        # of weight -3, but three digits 1 sum as those of a weight -1 term
+        # on two variables: only their number refuses them
+        x(1) * x(3) * x(2),
     ])
     def test_operand_term_off_the_code_fails_check_1(self, monkeypatch,
                                                      variant, bad):
-        # every bad term is of weight -1; in an operand of the degree-3
-        # proof it fails check 1 before any row is read, so none of its
-        # codes is taken for a column's
+        # every bad term but the last is of weight -1; in an operand of the
+        # degree-3 proof it fails check 1 before any row is read, so none of
+        # its codes is taken for a column's
         good = generate_S(2, variant)
-        assert spans._digits(good, 2, 3)
+        assert digits(good, 2, 3) == encode(good, 2)
         with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
-            spans._digits([good[0] + bad], 2, 3)
+            digits([good[0] + bad], 2, 3)
         comps = spans._Components()
-        comps.canonical += [good, [good[0] + bad] + good[1:]]
+        comps.coded[2] = encode([good[0] + bad] + good[1:], 2)
         refuse_rank(monkeypatch)
         with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
             spans._level(3, variant, comps)
 
-    def test_digits_below_the_radix(self):
-        # x1' x2 has the digits 2 and 1: below the radix 3 of degree 3, not
-        # below a radix of 2
-        family = [x(1, 1) * x(2)]
-        assert spans._digits(family, 2, 3) == [[([2, 1], 2, 1)]]
+    @pytest.mark.parametrize("variant", ["star", "prime"])
+    @pytest.mark.parametrize("bad", [x(1) * x(2), x(1, 1) * x(2, 1)])
+    def test_operand_term_of_another_weight_fails_check_1(
+            self, monkeypatch, variant, bad):
+        # multilinear on x1, x2 with digits below the radix 3, but of
+        # weight -2, resp. 0: only the weight refuses it
+        good = generate_S(2, variant)
         with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
-            spans._digits(family, 2, 2)
+            digits([good[0] + bad], 2, 3)
+        comps = spans._Components()
+        comps.coded[2] = encode([good[0] + bad] + good[1:], 2)
+        refuse_rank(monkeypatch)
+        with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
+            spans._level(3, variant, comps)
+
+    @pytest.mark.parametrize("last", [0, 3])
+    def test_operand_ending_off_its_variables_fails_check_1(self, monkeypatch,
+                                                           last):
+        # coded, a term may name a last variable it has no digit for, which
+        # no polynomial does
+        comps = spans._Components()
+        comps.coded[2] = [[((2, 1), last, 1)]]
+        refuse_rank(monkeypatch)
+        for variant in ("star", "prime"):
+            with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
+                spans._level(3, variant, comps)
+
+    def test_digits_below_the_radix(self, monkeypatch):
+        # x1' x2 has the digits 2 and 1: below the radix 3 of degree 3, not
+        # below a radix of 2; coded, it passes check 1 of degree 3, and the
+        # proof goes on to the rank
+        family = [x(1, 1) * x(2)]
+        assert digits(family, 2, 3) == [[((2, 1), 2, 1)]]
+        with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
+            digits(family, 2, 2)
+        comps = spans._Components()
+        comps.coded[2] = encode(family, 2)
+        refuse_rank(monkeypatch)
+        with pytest.raises(AssertionError, match="^the rank was called$"):
+            spans._level(3, "prime", comps)
 
     @pytest.mark.parametrize("variant", ["star", "prime"])
     @pytest.mark.parametrize("bad", [
@@ -767,7 +939,7 @@ class TestStagedRows:
 
         def with_bad_x1(comps):
             init(comps)
-            comps.canonical[1] = [bad]
+            comps.coded[1] = encode([bad], 1)
 
         monkeypatch.setattr(spans._Components, "__init__", with_bad_x1)
         refuse_rank(monkeypatch)

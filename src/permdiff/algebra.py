@@ -537,38 +537,30 @@ def format_scalar(c: Scalar) -> str:
             "digits and cannot be printed") from None
 
 
-def format_poly(p: DiffPermPoly) -> str:
-    if p.is_zero():
-        return "0"
-    names: dict[Symbol, str] = {}  # each distinct symbol is formatted once
-    parts = []
-    for m, c in p.sorted_terms():
-        words = []
-        for s in m.factors:
-            w = names.get(s)
-            if w is None:
-                w = names[s] = format_symbol(s)
-            words.append(w)
-        mono = " ".join(words)
-        if isinstance(c, DeltaPoly):
-            if len([x for x in c.coeffs if x]) > 1:
-                parts.append((+1, f"({format_scalar(c)}) {mono}"))
-            else:
-                s = format_scalar(c)
-                if s.startswith("-"):
-                    parts.append((-1, f"{s[1:]} {mono}" if s != "-1" else mono))
-                else:
-                    parts.append((+1, f"{s} {mono}" if s != "1" else mono))
+def format_sum(terms: Iterable[tuple[str, Scalar]]) -> str:
+    """The text of a sum from its (monomial text, coefficient) pairs, in the
+    order given: each coefficient's sign joins its term, a coefficient of 1
+    is left out, and the empty sum is "0"."""
+    out = []
+    for mono, c in terms:
+        s = format_scalar(c)
+        if isinstance(c, DeltaPoly) and len([x for x in c.coeffs if x]) > 1:
+            out += (" + ", f"({s}) {mono}")
         else:
-            sign = 1 if c > 0 else -1
-            a = abs(c)
-            parts.append((sign, mono if a == 1
-                          else f"{format_scalar(a)} {mono}"))
-    sign, head = parts[0]
-    out = ("-" if sign < 0 else "") + head
-    for sign, piece in parts[1:]:
-        out += (" - " if sign < 0 else " + ") + piece
-    return out
+            sign, s = (" - ", s[1:]) if s[0] == "-" else (" + ", s)
+            out += (sign, mono if s == "1" else f"{s} {mono}")
+    if not out:
+        return "0"
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
+
+
+def format_poly(p: DiffPermPoly) -> str:
+    # each distinct symbol is formatted once
+    names = {s: format_symbol(s) for s in {s for m in p.terms
+                                           for s in m.factors}}
+    return format_sum((" ".join([names[s] for s in m.factors]), c)
+                      for m, c in p.sorted_terms())
 
 
 # ---------------------------------------------------------------------------
@@ -690,18 +682,6 @@ def apply_substitution(p: DiffPermPoly,
                 key = Monomial(tuple(sorted(head + mm.left)), mm.last)
                 acc[key] = get(key, 0) + hc * cc
     return DiffPermPoly(ctx, acc)
-
-
-def rename_vars(p: DiffPermPoly, mapping: Mapping[int, int]) -> DiffPermPoly:
-    """Substitution of generators for generators (derivative orders kept)."""
-    image = {s: Symbol(mapping[s.var], s.dord) if s.var in mapping else s
-             for s in {s for m in p.terms for s in m.factors}}
-    acc: dict[Monomial, Scalar] = {}
-    for m, c in p.terms.items():
-        key = Monomial(tuple(sorted([image[s] for s in m.left])),
-                       image[m.last])
-        acc[key] = acc.get(key, 0) + c
-    return DiffPermPoly(p.ctx, acc)
 
 
 def is_multilinear(p: DiffPermPoly) -> bool:

@@ -260,16 +260,16 @@ def _cmd_table(args) -> int:
 def _cmd_reduce(args) -> int:
     poly = eval_on_generators(parse_expr(args.expr, product=args.product))
     result = reduce_identity(poly)
-    # each trace polynomial is formatted once; the first step is the input
-    texts = [format_poly(s.poly) for s in result.trace]
+    # each step printed once: the first is the input, the last the
+    # certificate when there is one
+    texts = [s.text() for s in result.trace]
     doc = {"input": texts[0], "outcome": result.outcome}
     summary = [f"outcome: {result.outcome}"]
     if result.certificate is not None:
-        (mono, coeff), = result.certificate.terms.items()
-        doc["m"] = result.m
-        doc["coefficient"] = format_scalar(coeff)
-        doc["certificate"] = format_poly(result.certificate)
-        summary.append(f"certificate: {doc['certificate']} = 0")
+        (_, coeff), = result.certificate.terms.items()
+        doc.update(m=result.m, coefficient=format_scalar(coeff),
+                   certificate=texts[-1])
+        summary.append(f"certificate: {texts[-1]} = 0")
     doc["trace"] = [{"step": i, "name": s.name,
                      "rule": s.rule, "poly": text}
                     for i, (s, text) in enumerate(zip(result.trace, texts))]

@@ -13,6 +13,8 @@ check the library against them:
     kernel's own rule data;
   * ``annihilator_test``: membership of the right annihilator, which the
     reduction decides on the multiset normal form it computes anyway;
+  * ``rename_vars``: generators substituted for generators, with which the
+    tests restate ``reduction.h0`` and the swap of y and z in a step;
   * ``span_basis`` and ``rank``: the exact span of a list of polynomials,
     against which the modular rank of the dimension proof is checked;
   * ``smallest_pivot_rank``: the dimension proof's first modular rank, with
@@ -152,6 +154,23 @@ def annihilator_test(p: DiffPermPoly) -> bool:
     normal form of p is zero, since a right product sorts every factor of p
     into its left part and so only remembers p's factor multisets."""
     return multiset_normal_form(p).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# renaming generators
+# ---------------------------------------------------------------------------
+
+
+def rename_vars(p: DiffPermPoly, mapping: dict[int, int]) -> DiffPermPoly:
+    """Substitution of generators for generators (derivative orders kept)."""
+    image = {s: Symbol(mapping[s.var], s.dord) if s.var in mapping else s
+             for s in {s for m in p.terms for s in m.factors}}
+    acc: dict[Monomial, Scalar] = {}
+    for m, c in p.terms.items():
+        key = Monomial(tuple(sorted([image[s] for s in m.left])),
+                       image[m.last])
+        acc[key] = acc.get(key, 0) + c
+    return DiffPermPoly(p.ctx, acc)
 
 
 # ---------------------------------------------------------------------------

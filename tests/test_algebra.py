@@ -15,7 +15,7 @@ from conftest import (
     polys_st,
     symbols_st,
 )
-from oracles import annihilator_test, specialize_delta, subs, x
+from oracles import annihilator_test, rename_vars, specialize_delta, subs, x
 from permdiff.algebra import (
     CTX_DELTA,
     CTX_Q,
@@ -30,7 +30,6 @@ from permdiff.algebra import (
     derived_product,
     grade,
     normalize,
-    rename_vars,
     symbol,
 )
 

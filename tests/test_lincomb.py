@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import monomials_st
+from oracles import rename_vars
 from perm_tensor import PermTensorElem, TBasis
 from permdiff.algebra import (
     CTX_DELTA,
@@ -24,7 +25,6 @@ from permdiff.algebra import (
     apply_substitution,
     multiset_normal_form,
     normalize,
-    rename_vars,
 )
 from permdiff.exprs import FormalVectorField
 from permdiff.witt import (

@@ -1,12 +1,17 @@
+import contextlib
+import io
+import json
+import time
 from functools import reduce
 from math import factorial
 from operator import mul
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 
-from oracles import annihilator_test, decompose, x
+from oracles import annihilator_test, decompose, rename_vars, x
 from permdiff.algebra import (
     CTX_DELTA,
     CTX_Q,
@@ -15,13 +20,17 @@ from permdiff.algebra import (
     Monomial,
     Symbol,
     apply_substitution,
-    rename_vars,
+    format_poly,
 )
+from permdiff.cli import main
 from permdiff.reduction import (
     OUTCOME_DERIVATIVE_ONLY,
     OUTCOME_RIGHT_ANNIHILATOR,
+    TRACE_BUDGET,
+    _decode,
+    _encode,
+    _extract,
     _lower,
-    _strip_factors,
     h0,
     h_step,
     multiset_normal_form,
@@ -48,18 +57,18 @@ def multilinear_st(nvars=3, max_order=2):
 
 
 @st.composite
-def replay_inputs(draw):
-    """Multilinear inputs in 2-4 variables with derivative orders 0..2 and
-    small coefficients: a random combination, the difference of two
-    orderings of one factor multiset (a right annihilator), or the sum of
-    both."""
-    nvars = draw(st.integers(2, 4))
+def replay_inputs(draw, max_vars=4, max_order=2):
+    """Multilinear inputs in 2..max_vars variables with derivative orders
+    0..max_order and small coefficients: a random combination, the
+    difference of two orderings of one factor multiset (a right
+    annihilator), or the sum of both."""
+    nvars = draw(st.integers(2, max_vars))
     kind = draw(st.sampled_from(("random", "difference", "sum")))
     f = DiffPermPoly.zero()
     if kind != "difference":
-        f = draw(multilinear_st(nvars, 2))
+        f = draw(multilinear_st(nvars, max_order))
     if kind != "random":
-        orders = draw(st.tuples(*[st.integers(0, 2)] * nvars))
+        orders = draw(st.tuples(*[st.integers(0, max_order)] * nvars))
         first = draw(st.permutations(
             [x(i + 1, order) for i, order in enumerate(orders)]))
         # the second ordering ends in another factor, so the two differ
@@ -234,7 +243,8 @@ def pass_shaped(draw, antisymmetric):
 
 
 class TestClosedForm:
-    """The sweep of ``_lower`` against the substitution definitions."""
+    """The coded sweep behind ``h_step`` against the substitution
+    definitions."""
 
     @settings(max_examples=80)
     @given(pass_shaped(antisymmetric=True))
@@ -247,7 +257,7 @@ class TestClosedForm:
     def test_final_step_is_the_definition(self, case):
         # the closing substitution needs no antisymmetry
         h, t, (y, z, u) = case
-        assert _lower(h, t, (y, u)) == final_by_substitution(h, t, y, u)
+        assert h_step(h, t, (y, u)) == final_by_substitution(h, t, y, u)
 
     Y, Z, T, U = 2, 3, 4, 5
 
@@ -265,7 +275,7 @@ class TestClosedForm:
             "y-twice", "missing-z"])
     def test_unexpected_shape_is_refused(self, h, roles):
         with pytest.raises(AlgebraError, match="unexpected shape"):
-            _lower(h, self.T, roles)
+            h_step(h, self.T, roles)
 
     def test_role_as_t_is_refused(self):
         # the sweep gives the definition for a fresh t, and even for x1,
@@ -279,7 +289,7 @@ class TestClosedForm:
                 h_step(h, t, (2, 3, 4))
         for t in (2, 4):
             with pytest.raises(AlgebraError, match="not a fresh variable"):
-                _lower(h, t, (2, 4))
+                h_step(h, t, (2, 4))
 
     def test_other_contexts_are_refused(self):
         h = DiffPermPoly.from_terms(
@@ -520,14 +530,20 @@ class TestMultisetNormalForm:
 
 
 class TestStripFactors:
-    """``_strip_factors`` gives the top coefficient back, as a remainder or
-    a nonzero scalar, and refuses every other shape."""
+    """``_extract``, on the codes of a polynomial, gives the top coefficient
+    back, as a remainder or a nonzero scalar, and refuses every other
+    shape."""
 
     X, T, Y, U = (Symbol(1, (2,)), Symbol(3, (1,)), Symbol(4, (0,)),
                   Symbol(5, (0,)))
+    STRIP = [(3, 1), (4, 0)]
 
     def strip(self, terms):
-        return _strip_factors(DiffPermPoly(CTX_Q, terms), [self.T, self.Y], 5)
+        got = _extract(*_encode(DiffPermPoly(CTX_Q, terms), self.U),
+                       self.STRIP)
+        if isinstance(got, tuple):
+            return _decode(got[0], None, got[1])
+        return got
 
     def test_remainder(self):
         got = self.strip({Monomial((self.X, self.T, self.Y), self.U): 3})
@@ -544,10 +560,130 @@ class TestStripFactors:
         # a scalar part beside a remainder
         {Monomial((T, Y), U): 1, Monomial((X, T, Y), U): 1},
         # a zero scalar part: two monomials, one with its left factors out
-        # of order, strip to nothing and cancel
+        # of order, would strip to nothing and cancel; their codes are not
+        # on one list of variables
         {Monomial((T, Y), U): 1, Monomial((Y, T), U): -1},
     ], ids=["last-factor", "missing-symbol", "scalar-and-remainder",
             "zero-scalar"])
     def test_unexpected_shape_is_refused(self, terms):
         with pytest.raises(AlgebraError, match="unexpected shape"):
             self.strip(terms)
+
+    @pytest.mark.parametrize("variables, terms", [
+        # t'' where t' belongs, and y derived
+        ((1, 3, 4), {(2, 2, 0): 1}),
+        ((1, 3, 4), {(2, 1, 0): 1, (2, 1, 1): 1}),
+        # the stripped variables are not the trailing slots
+        ((3, 4, 1), {(1, 0, 2): 1}),
+        # fewer slots than stripped symbols
+        ((4,), {(0,): 1}),
+        # nothing left, and no nonzero scalar
+        ((3, 4), {}),
+    ], ids=["t-twice-derived", "y-derived", "slots-out-of-place",
+            "too-few-slots", "zero-scalar"])
+    def test_bad_codes_are_refused(self, variables, terms):
+        with pytest.raises(AlgebraError, match="unexpected shape: cannot "
+                                               "extract the top coefficient"):
+            _extract(variables, terms, self.STRIP)
+
+
+def expression(f):
+    """The text of f in the CLI's grammar: each monomial is the left-nested
+    product of its factors, left factors first."""
+    parts = []
+    for m, c in f.sorted_terms():
+        factors = " * ".join("d(" * s.order + f"x{s.var}" + ")" * s.order
+                             for s in m.factors)
+        parts.append(f"{'-' if c < 0 else '+'} {abs(c)} * {factors}")
+    return " ".join(parts)
+
+
+def reduce_stdout(text):
+    """The exit code and stdout of ``reduce TEXT --quiet``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reduce", text, "--quiet"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def reduce_reading_every_step(f):
+    """``reduce_identity`` that decodes every step before returning."""
+    r = reduce_identity(f)
+    for step in r.trace:
+        step.poly
+    return r
+
+
+# the five-pass input of the CI step "Multi-pass reduction"
+FIVE_PASSES = ("d(d(x1)) * x2 * d(x3) * d(x4) * x5 - d(d(d(x2))) * d(d(x3))"
+               " * d(d(d(x4))) * d(d(d(x5))) * d(d(d(x1)))")
+
+
+class TestCodedTrace:
+    """Each step is printed from its codes and decoded only when read; the
+    text and the decoded polynomial agree with the polynomial path."""
+
+    @staticmethod
+    def check(f):
+        text = expression(f)
+        code, plain, _ = reduce_stdout(text)
+        assert code == 0
+        with mock.patch("permdiff.cli.reduce_identity",
+                        reduce_reading_every_step):
+            assert reduce_stdout(text)[1] == plain
+        r = reduce_identity(f)
+        for step in r.trace:
+            assert step.text() == format_poly(step.poly)
+        assert replay_trace(r, f) == len(r.trace)
+        return r
+
+    @given(replay_inputs(max_vars=5, max_order=3))
+    @settings(max_examples=40, deadline=None)
+    def test_random_inputs_of_up_to_five_passes(self, f):
+        if not f.is_zero():
+            r = self.check(f)
+            # steer the search towards inputs of more passes
+            target(sum(s.name.endswith(":final") for s in r.trace))
+
+    def test_five_passes(self):
+        from permdiff.exprs import eval_on_generators, parse_expr
+        f = eval_on_generators(parse_expr(FIVE_PASSES))
+        r = self.check(f)
+        assert r.m == 29
+        assert sum(s.name.endswith(":final") for s in r.trace) == 5
+
+    def test_h0_of_a_class_with_one_variable(self):
+        # the pass variable is the only one: the codes have no other slot
+        self.check(x(1, 2))
+
+
+class TestTraceBudget:
+    """A trace holds at most ``TRACE_BUDGET`` terms, about 2^n for
+    d^n(x1) * x2 (131 078 at n = 17); past it ``reduce`` exits 2 and
+    writes nothing."""
+
+    @staticmethod
+    def chain(n):
+        return "d(" * n + "x1" + ")" * n + " * x2"
+
+    def test_order_17_fits(self):
+        code, out, _ = reduce_stdout(self.chain(17))
+        assert code == 0 and json.loads(out)["m"] == 21
+        r = reduce_identity(x(1, 17) * x(2))
+        assert sum(len(s.poly) for s in r.trace) == 131078 < TRACE_BUDGET
+
+    def test_order_30_exits_two_within_seconds(self):
+        start = time.perf_counter()
+        code, out, err = reduce_stdout(self.chain(30))
+        assert time.perf_counter() - start < 30
+        assert (code, out) == (2, "")
+        assert err == (f"error: reduce: the trace would exceed its budget of "
+                       f"{TRACE_BUDGET} terms\n")
+
+    def test_a_sweep_stops_past_its_room(self):
+        # y'' z - z'' y on (y, z) lowers to four terms; room for one
+        with pytest.raises(AlgebraError, match="budget"):
+            _lower({(2, 0): 1, (0, 2): -1}, (0, 1), 1)
+        # the two y z t'' cancel, so three terms are built and two kept
+        assert _lower({(2, 0): 1, (0, 2): -1}, (0, 1), 3) == \
+            {(1, 0, 1): 2, (0, 1, 1): -2}

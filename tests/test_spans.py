@@ -19,6 +19,7 @@ from oracles import (
     lead_order,
     leads,
     rank,
+    rename_vars,
     smallest_pivot_rank,
     span_basis,
     x,
@@ -31,7 +32,6 @@ from permdiff.algebra import (
     derived_product,
     format_poly,
     monomial_key,
-    rename_vars,
 )
 from permdiff.cli import main
 from permdiff.spans import (

@@ -16,6 +16,8 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 from .algebra import (
     AlgebraError,
@@ -36,8 +38,6 @@ from .exprs import (
 from .reduction import reduce_identity
 from .spans import MAX_DIM_DEGREE, verify_dimension
 from .witt import basis_doc, structure_table, table_patterns, verify_tables
-
-OPNAMES = DERIVED_PRODUCT_TAGS
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +157,20 @@ def _entry_texts(n: int, entries, pad: str):
                f',\n{p1}"result": {items}\n{pad}}}')
 
 
-def _emit(obj, quiet: bool, summary: list[str], fmt: str = "json") -> None:
+def _emit(obj, quiet: bool, summary: Iterable[str], fmt: str = "json"
+          ) -> None:
+    """Write ``obj`` as JSON to stdout and the summary lines to stderr,
+    unless ``quiet``; or, as text, the summary lines to stdout.  The lines
+    are read only when they are written."""
     if fmt == "json":
         write_json(obj, sys.stdout.write)
         sys.stdout.write("\n")
+        out = None if quiet else sys.stderr
     else:
+        out = sys.stdout
+    if out is not None:
         for line in summary:
-            sys.stdout.write(line + "\n")
-    if not quiet and fmt == "json":
-        for line in summary:
-            sys.stderr.write(line + "\n")
+            out.write(line + "\n")
 
 
 def _cmd_check(args) -> int:
@@ -273,18 +277,19 @@ def _cmd_reduce(args) -> int:
     doc["trace"] = [{"step": i, "name": s.name,
                      "rule": s.rule, "poly": text}
                     for i, (s, text) in enumerate(zip(result.trace, texts))]
-    summary += [f"  {s.name}: {text}" for s, text in zip(result.trace, texts)]
-    _emit(doc, args.quiet, summary, args.format)
+    steps = (f"  {s.name}: {text}" for s, text in zip(result.trace, texts))
+    _emit(doc, args.quiet, chain(summary, steps), args.format)
     return 0
 
 
 def _cmd_expand(args) -> int:
     expr = parse_expr(args.expr, product=args.product)
     poly = eval_on_generators(expr)
+    text = format_poly(poly)
     doc = {"expression": pretty(expr),
            "terms": [_term_json(m, c) for m, c in poly.sorted_terms()],
-           "text": format_poly(poly)}
-    _emit(doc, args.quiet, [f"{format_poly(poly)}"], args.format)
+           "text": text}
+    _emit(doc, args.quiet, [text], args.format)
     return 0
 
 
@@ -305,7 +310,7 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--suite", choices=(*SUITE_IDS, "all"),
                    help="suite id a..h, or 'all'")
     g.add_argument("--file", help="file with one candidate identity per line")
-    p.add_argument("--product", choices=OPNAMES, default=None,
+    p.add_argument("--product", choices=DERIVED_PRODUCT_TAGS, default=None,
                    help="product used by assoc(...)/bracket(...)")
     p.set_defaults(func=_cmd_check)
 
@@ -331,12 +336,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", parents=[common], help="run the identity reduction pipeline")
     p.add_argument("expr", help="multilinear identity candidate")
-    p.add_argument("--product", choices=OPNAMES, default=None)
+    p.add_argument("--product", choices=DERIVED_PRODUCT_TAGS, default=None)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("expand", parents=[common], help="expand an expression to normal form")
     p.add_argument("expr")
-    p.add_argument("--product", choices=OPNAMES, default=None)
+    p.add_argument("--product", choices=DERIVED_PRODUCT_TAGS, default=None)
     p.set_defaults(func=_cmd_expand)
     return ap
 
@@ -348,15 +353,6 @@ def main(argv: list[str] | None = None) -> int:
                 stream.reconfigure(encoding="utf-8")
             except (ValueError, OSError):
                 pass
-    threads = os.environ.get("PERMDIFF_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write("PERMDIFF_THREADS must be a positive integer\n")
-            return 2
-        # all computations run on one thread, which respects any cap
     try:
         args = make_parser().parse_args(argv)
     except SystemExit as exc:

@@ -202,8 +202,8 @@ def _variant_tag(variant: str) -> str:
 
 #: the highest degree the ``dim`` command proves; star degree 12 already has
 #: 352716 columns, while on a 2-core VM star 2..9, with 6435, takes about
-#: 5.4 s at a 50 MB peak, building 32076 of its 107928 product rows, and
-#: star 2..10, with 24310, about 74 s at 154 MB
+#: 4 to 4.5 s at a 37 MB peak, building the 15521 of its 107928 product rows
+#: that the rank reads, and star 2..10, with 24310, about 75 s at 156 MB
 MAX_DIM_DEGREE = 12
 
 
@@ -454,11 +454,10 @@ def _level(k: int, variant: str, comps: _Components) -> _Coded:
             raise _Failed(failed + "4")
 
     def rows() -> Iterator[dict[int, Rational]]:
-        # in stages by the smaller side's size, each built only when the
-        # rank reads it, sparse rows first to keep the pivots sparse; a term
-        # of ab sums its factors' codes, and one off the columns fails check 1
+        # in stages by the smaller side's size, each row built as the rank
+        # reads it; a term of ab sums its factors' codes, and one off the
+        # columns fails check 1
         for smaller in range(1, k // 2 + 1):
-            stage = []
             for left, right in _splits(k, tag, smaller):
                 rights = _moved(comps.coded[len(right)], right, radix, top)
                 for a in _moved(comps.coded[len(left)], left, radix, 0):
@@ -471,12 +470,11 @@ def _level(k: int, variant: str, comps: _Components) -> _Coded:
                         try:
                             # a star column sums a factor multiset's terms,
                             # which may cancel
-                            stage.append({cols[code]: c
-                                          for code, c in acc.items() if c})
+                            row = {cols[code]: c
+                                   for code, c in acc.items() if c}
                         except KeyError:
                             raise _Failed(failed + "1") from None
-            stage.sort(key=len)
-            yield from stage
+                        yield row
 
     if modular_rank(rows(), stop=len(family)) != len(family):
         raise _Failed(f"degree {k}: rank")
@@ -518,9 +516,10 @@ def verify_dimension(n: int, variant: str) -> list[DimensionReport]:
     Then rank |S_k| of the rows modulo ``MODULUS``, a lower bound of their
     rank over Q, hence by 4 of the component's, proves that the component
     is span(S_k).  The rank reads the rows in stages, by the size of the
-    smaller operand's variable set, and a stage is built only when the
-    rank has not yet reached |S_k|.  From the degree where a check or the
-    rank fails, each report names it in ``failed`` and claims no dimension.
+    smaller operand's variable set, and each row is built as the rank reads
+    it, so none is built once the rank reaches |S_k|.  From the degree where
+    a check or the rank fails, each report names it in ``failed`` and claims
+    no dimension.
     """
     if n < 2:
         raise AlgebraError("verify_dimension needs n >= 2")

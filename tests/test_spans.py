@@ -789,15 +789,13 @@ def slow_rows(k, variant, comps):
         cols[m] = ids.setdefault(column(m), len(ids))
     out = []
     for smaller in range(1, k // 2 + 1):
-        stage = []
         for left, right in spans._splits(k, tag, smaller):
             for a in comps.on(left):
                 for b in comps.on(right):
                     row = {}
                     for m, c in (a * b).terms.items():
                         row[cols[m]] = row.get(cols[m], 0) + c
-                    stage.append({col: c for col, c in row.items() if c})
-        out += sorted(stage, key=len)
+                    out.append({col: c for col, c in row.items() if c})
     return out
 
 
@@ -820,9 +818,9 @@ def every_row(log):
 
 
 class TestStagedRows:
-    """The proof reads product rows in stages and builds only the stages the
-    rank needs; the grading check (check 1) stands in for the rows it never
-    builds."""
+    """The proof reads product rows in stages and builds each row as the rank
+    reads it, so it builds only the rows the rank needs; the grading check
+    (check 1) stands in for the rows it never builds."""
 
     @pytest.mark.parametrize("variant,n", [("star", 6), ("prime", 5)])
     def test_every_product_row_lies_in_the_columns(self, variant, n):
@@ -856,6 +854,24 @@ class TestStagedRows:
             assert coded == [list(row.items())
                              for row in slow_rows(k, variant, comps)], k
             comps.canonical.append(generate_S(k, variant))
+
+    @pytest.mark.parametrize("variant", ["star", "prime"])
+    def test_rows_of_a_stage_have_one_length(self, monkeypatch, variant):
+        # each operand of degree j has j terms, each with its own code and
+        # coefficient 1, and operands on complementary variables have
+        # distinct product codes: every row of stage s in degree k has
+        # s (k - s) entries, each 1, so no order by length could move a row
+        log = []
+        monkeypatch.setattr(spans, "modular_rank", every_row(log))
+        assert all(r.ok for r in verify_dimension(7, variant))
+        tag = spans._variant_tag(variant)
+        size = [0, 1] + [dimension_formula(j, variant) for j in range(2, 7)]
+        for k, rows in zip(range(2, 8), log, strict=True):
+            assert [len(row) for row in rows] == [
+                s * (k - s) for s in range(1, k // 2 + 1)
+                for left, right in spans._splits(k, tag, s)
+                for _ in range(size[len(left)] * size[len(right)])], k
+            assert {c for row in rows for _, c in row} == {1}, k
 
     @pytest.mark.parametrize("variant", ["star", "prime"])
     @pytest.mark.parametrize("bad", [

@@ -8,14 +8,15 @@ multilinear degree-n component, of dimension C(2n-3, n-1), respectively
 n * C(2n-3, n-1), by the product factorisations a•b = (ab)' and, when
 a* = a' and b* = b', a⧫b = (ab)*: the closure is d, resp. star, of the span
 of plain products, whose rank modulo a prime bounds its rank from below.
-The proof works on integer codes of monomials, one digit per variable, and
-forms no polynomial; ``generate_S`` is its family as polynomials.  The
-checks it rests on are spelled out at ``verify_dimension``, which returns
-one report per degree, naming the check that failed.  ``generate_closure``
-saturates the component exactly, by fraction-free Gaussian elimination over
-integer column ids (``SpanBasis``); it is the exact reference of the tests.
-The closure component on any k variables is the relabelled component on
-x1..xk, so only those are built.
+The prime rank is k times the star rank in degree k, so only star rows
+are ranked.  The proof works on integer codes of monomials, one digit per
+variable, and forms no polynomial; ``generate_S`` is its family as
+polynomials.  The checks it rests on are spelled out at
+``verify_dimension``, which returns one report per degree, naming the check
+that failed.  ``generate_closure`` saturates the component exactly, by
+fraction-free Gaussian elimination over integer column ids (``SpanBasis``);
+it is the exact reference of the tests.  The closure component on any k
+variables is the relabelled component on x1..xk, so only those are built.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import (
@@ -145,14 +146,14 @@ class SpanBasis:
 MODULUS = 1073741789
 
 
-def modular_rank(rows: Iterable[dict[int, Rational]],
+def modular_rank(rows: Iterable[dict[int, int]],
                  stop: int | None = None) -> int:
-    """Rank over GF(MODULUS) of sparse rational rows, each a map from column
+    """Rank over GF(MODULUS) of sparse integer rows, each a map from column
     to value; reading stops once the rank reaches ``stop``.
 
-    Each row's denominators are cleared before it is reduced modulo the
-    prime, which scales the row by a nonzero rational, so the result never
-    exceeds the rank over Q, whatever the prime.
+    Each entry is reduced modulo the prime, so the result never exceeds the
+    rank over Q, whatever the prime.  An entry that is no integer, such as a
+    ``Fraction``, raises ``TypeError``.
 
     A row pivots on its largest column.  Any nonzero entry is a sound pivot,
     and the rank after each row, hence the rows read before it reaches
@@ -166,12 +167,12 @@ def modular_rank(rows: Iterable[dict[int, Rational]],
     pivots: dict[int, dict[int, int]] = {}
     rows = iter(rows)  # no row is pulled once the rank reaches ``stop``
     while len(pivots) != stop and (row := next(rows, None)) is not None:
-        denom = _common_denominator(row.values())
         r = {}
         for c, v in row.items():
-            v = int(v * denom) % p
+            v = index(v) % p
             if v:
                 r[c] = v
+        get = r.get
         while r:
             lead = max(r)
             prow = pivots.get(lead)
@@ -181,7 +182,7 @@ def modular_rank(rows: Iterable[dict[int, Rational]],
                 break
             f = r[lead]
             for c, v in prow.items():
-                w = (r.get(c, 0) - f * v) % p
+                w = (get(c, 0) - f * v) % p
                 if w:
                     r[c] = w
                 else:
@@ -203,7 +204,8 @@ def _variant_tag(variant: str) -> str:
 #: the highest degree the ``dim`` command proves; star degree 12 already has
 #: 352716 columns, while on a 2-core VM star 2..9, with 6435, takes about
 #: 4 to 4.5 s at a 37 MB peak, building the 15521 of its 107928 product rows
-#: that the rank reads, and star 2..10, with 24310, about 75 s at 156 MB
+#: that the rank reads, and star 2..10, with 24310, about 75 s at 156 MB;
+#: prime 2..9, whose rank is star 9's, takes about 8 s at 170 MB
 MAX_DIM_DEGREE = 12
 
 
@@ -288,6 +290,7 @@ class _Components:
         self.canonical: list[list[DiffPermPoly]] = [
             [], [DiffPermPoly.generator(1, 0, CTX_Q)]]
         self.coded: dict[int, _Coded] = {1: [[((1,), 1, 1)]]}
+        self.star: _Components | None = None  # prime: the star families
         self._relabelled: dict[tuple[int, ...], list[DiffPermPoly]] = {}
 
     def on(self, subset: tuple[int, ...]) -> list[DiffPermPoly]:
@@ -377,10 +380,12 @@ def _image(digits: tuple[int, ...], last: int, star: bool,
     """c d(u), or c star(u), for u coded by ``digits`` and ``last``: as in
     ``DiffPermPoly.derive`` and ``star``, each variable's digit raised in
     turn, the last variable's last; star makes the raised variable last."""
-    return [(digits[:v - 1] + (digits[v - 1] + 1,) + digits[v:],
-             v if star else last, c)
-            for v in [*range(1, last), *range(last + 1, len(digits) + 1),
-                      last]]
+    out = []
+    for v in (*range(1, last), *range(last + 1, len(digits) + 1), last):
+        raised = [*digits]
+        raised[v - 1] += 1
+        out.append((tuple(raised), v if star else last, c))
+    return out
 
 
 def _family(k: int, star: bool
@@ -405,14 +410,14 @@ def _star_is_derivative(s: list) -> bool:
     return not any(acc.values())
 
 
-def _moved(family: _Coded, subset: tuple[int, ...], radix: int, top: int
-           ) -> list[list[tuple[int, Rational]]]:
+def _moved(family: _Coded, subset: tuple[int, ...], radix: int
+           ) -> list[list[int]]:
     """A coded family on x1..xj moved onto ``subset`` by xi -> x_subset[i-1]:
-    each term as (code, coefficient), the code being the digits in base
-    ``radix`` at the subset's places plus ``top`` times the last variable."""
+    each term as its code, the digits in base ``radix`` at the subset's
+    places; the coefficients are dropped (see ``verify_dimension``)."""
     place = [radix ** (v - 1) for v in subset]
-    return [[(sum(map(mul, digits, place)) + top * subset[last - 1], c)
-             for digits, last, c in terms] for terms in family]
+    return [[sum(map(mul, digits, place)) for digits, _, _ in terms]
+            for terms in family]
 
 
 def _level(k: int, variant: str, comps: _Components) -> _Coded:
@@ -420,10 +425,8 @@ def _level(k: int, variant: str, comps: _Components) -> _Coded:
     ``verify_dimension``) shows it is a basis of the closure component on
     x1..xk, whose operands are ``comps.coded[k - 1]`` relabelled.  Raises
     ``_Failed`` naming the first check that fails, or the rank."""
-    tag = _variant_tag(variant)
-    star = variant == "star"
+    star = _variant_tag(variant) == "loz"
     failed = f"degree {k}: check "
-    radix, top = k, 0 if star else k ** k  # codes: see ``verify_dimension``
     # checks 1 and 5 on the operands, the last family or x1, as relabelled:
     # each term on x1..x(k-1), every digit positive, of weight -1
     operands = comps.coded[k - 1]
@@ -433,15 +436,12 @@ def _level(k: int, variant: str, comps: _Components) -> _Coded:
         raise _Failed(failed + "1")
     if star and not all(map(_star_is_derivative, operands)):
         raise _Failed(failed + "5")
-    place = [radix ** i for i in range(k)]
     units, family = _family(k, star)
-    cols = {sum(map(mul, digits, place)) + top * last: col
-            for col, (digits, last) in enumerate(units)}  # ids by code
-    if len(family) != len(cols):
+    if len(family) != len(units):
         raise _Failed(failed + "2")
     # a lead: the greatest term by its last variable's digit, then (digits,
     # last variable)
-    leads = [max(p, key=lambda t: (t[0][t[1] - 1], t[:2]), default=None)
+    leads = [max(p, key=lambda t: (t[0][t[1] - 1], t[0], t[1]), default=None)
              for p in family]
     if None in leads or len({t[:2] for t in leads}) != len(leads):
         raise _Failed(failed + "3")
@@ -449,29 +449,36 @@ def _level(k: int, variant: str, comps: _Components) -> _Coded:
     for p, (digits, last, a) in zip(family, leads):
         u = digits[:last - 1] + (digits[last - 1] - 1,) + digits[last:]
         img = _image(u, last, star, a)  # p = a img, term for term
-        if not (a and 0 < last <= k and u in shapes and len(p) == len(img)
-                and set(p) == set(img)):
+        if not (a and 0 < last <= k and u in shapes
+                and (p == img or len(p) == len(img) and set(p) == set(img))):
             raise _Failed(failed + "4")
+    if not star:  # the rank is k times the star rank of degree k
+        stars = comps.star = comps.star or _Components()
+        for j in range(max(stars.coded) + 1, k + 1):
+            stars.coded[j] = _level(j, "star", stars)
+        if len(family) != k * len(stars.coded[k]):
+            raise _Failed(f"degree {k}: rank")
+        return family
+    place = [k ** i for i in range(k)]  # codes: see ``verify_dimension``
+    cols = {sum(map(mul, digits, place)): col
+            for col, (digits, _) in enumerate(units)}
 
-    def rows() -> Iterator[dict[int, Rational]]:
+    def rows() -> Iterator[dict[int, int]]:
         # in stages by the smaller side's size, each row built as the rank
         # reads it; a term of ab sums its factors' codes, and one off the
         # columns fails check 1
         for smaller in range(1, k // 2 + 1):
-            for left, right in _splits(k, tag, smaller):
-                rights = _moved(comps.coded[len(right)], right, radix, top)
-                for a in _moved(comps.coded[len(left)], left, radix, 0):
+            for left, right in _splits(k, "loz", smaller):
+                rights = _moved(comps.coded[len(right)], right, k)
+                for a in _moved(comps.coded[len(left)], left, k):
                     for b in rights:
-                        acc: dict[int, Rational] = {}
-                        get = acc.get
-                        for ca, va in a:
-                            for cb, vb in b:
-                                acc[ca + cb] = get(ca + cb, 0) + va * vb
+                        row: dict[int, int] = {}
+                        get = row.get
                         try:
-                            # a star column sums a factor multiset's terms,
-                            # which may cancel
-                            row = {cols[code]: c
-                                   for code, c in acc.items() if c}
+                            for ca in a:
+                                for cb in b:
+                                    col = cols[ca + cb]
+                                    row[col] = get(col, 0) + 1
                         except KeyError:
                             raise _Failed(failed + "1") from None
                         yield row
@@ -495,10 +502,9 @@ def verify_dimension(n: int, variant: str) -> list[DimensionReport]:
     d (resp. star) of the span of the rows ab over the monomials (resp. the
     factor multisets, all that star sees).  A multilinear monomial on x1..xk
     is coded by one digit per variable, its derivative order + 1, and its
-    last variable; in base k, plus k^k times the last variable (resp. not),
-    a term of ab has the sum of the codes its factors have in a and b.  The
-    families, the checks and the rows work on these codes, and the proof
-    forms no polynomial.  It checks:
+    last variable; read in base k, the digits of a term of ab sum those its
+    factors have in a and b.  The families, the checks and the rows work on
+    these codes, and the proof forms no polynomial.  It checks:
 
     1. every operand of level k, the family S_(k-1) or x1, is multilinear
        in its variables and of weight -1, so every digit is below k, every
@@ -513,13 +519,28 @@ def verify_dimension(n: int, variant: str) -> list[DimensionReport]:
        star) maps the columns onto a basis of span(S_k), injectively;
     5. for star, s* = s' on every operand s of level k, in closed form.
 
-    Then rank |S_k| of the rows modulo ``MODULUS``, a lower bound of their
-    rank over Q, hence by 4 of the component's, proves that the component
-    is span(S_k).  The rank reads the rows in stages, by the size of the
-    smaller operand's variable set, and each row is built as the rank reads
-    it, so none is built once the rank reaches |S_k|.  From the degree where
-    a check or the rank fails, each report names it in ``failed`` and claims
-    no dimension.
+    Then, for star, rank |S_k| of the rows modulo ``MODULUS``, a lower bound
+    of their rank over Q, hence by 4 of the component's, proves that the
+    component is span(S_k).  By 4 the rows may take every coefficient of an
+    operand as 1, so they are integral.  The rank reads them in stages, by
+    the size of the smaller side's variable set, each built as it is read.
+
+    For prime, the rank of the rows is k times the star rank of degree k:
+
+    - Blocks.  By 4 every term of a prime row ab carries b's last variable,
+      so the rows split into k column-disjoint blocks.
+    - Transposition.  Swapping x_l and x_k is an automorphism.  It maps the
+      span of block l onto that of block k, so the prime rank is k times
+      block k's rank.
+    - π is a bijection.  π, which forgets which factor is last, is
+      multiplicative and π(d(u)) = π(star(u)).  Checks 2-4 on both families
+      make π of the prime operands nonzero multiples of the star operands,
+      each one met.  π is a bijection from block k's columns onto the star
+      columns, so block k's rank is the star rank.
+
+    So checks 1-4, the star level of degree k and |S_k| = k |star S_k|
+    prove prime degree k.  From the degree where a check or the rank fails,
+    each report names it in ``failed`` and claims no dimension.
     """
     if n < 2:
         raise AlgebraError("verify_dimension needs n >= 2")

@@ -23,6 +23,8 @@ check the library against them:
   * ``encode``, ``decode``, ``digits`` and ``leads``: between polynomials
     and the integer-coded families of the dimension proof, which never
     forms a polynomial, and the proof's checks 1 and 3 on polynomials;
+  * ``prime_rows`` and ``prime_rank``: the prime product rows and their
+    rank, which the proof took before it took the star rank in their place;
   * ``x`` and ``v``: a generator of the rational context and a variable
     leaf of an expression tree.
 """
@@ -32,9 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Iterator
 
-from permdiff import witt
+from permdiff import spans, witt
 from permdiff.algebra import (
     CTX_Q,
     AlgebraError,
@@ -279,6 +282,42 @@ def digits(family: list[DiffPermPoly], j: int, radix: int
             if len(m.factors) != j or sum(ds) != 2 * j - 1:
                 raise failed
     return encode(family, j)
+
+
+def prime_rows(k: int) -> Iterator[dict[int, Rational]]:
+    """Every product row ab of the prime proof of degree k, stage by stage
+    as ``spans._level`` reads the star rows, over the columns of
+    ``spans._family(k, False)``: a and b are the prime families of the
+    degrees below (x1 in degree 1) on complementary variables.  A term's
+    code is its digits in base k plus k^k times its last variable, so a
+    term of ab has the sum of its factors' codes."""
+    top = k ** k
+    families = {1: [[((1,), 1, 1)]]}
+    families.update((j, spans._family(j, False)[1]) for j in range(2, k))
+
+    def moved(family, subset, top):
+        place = [k ** (v - 1) for v in subset]
+        return [[(sum(map(mul, ds, place)) + top * subset[last - 1], c)
+                 for ds, last, c in terms] for terms in family]
+
+    place = [k ** i for i in range(k)]
+    cols = {sum(map(mul, ds, place)) + top * last: col
+            for col, (ds, last) in enumerate(spans._family(k, False)[0])}
+    for smaller in range(1, k // 2 + 1):
+        for left, right in spans._splits(k, "bullet", smaller):
+            rights = moved(families[len(right)], right, top)
+            for a in moved(families[len(left)], left, 0):
+                for b in rights:
+                    acc: dict[int, Rational] = {}
+                    for ca, va in a:
+                        for cb, vb in b:
+                            acc[ca + cb] = acc.get(ca + cb, 0) + va * vb
+                    yield {cols[code]: c for code, c in acc.items() if c}
+
+
+def prime_rank(k: int) -> int:
+    """The rank modulo ``spans.MODULUS`` of every prime row of degree k."""
+    return spans.modular_rank(prime_rows(k))
 
 
 def lead_order(m: Monomial) -> tuple:

@@ -3,7 +3,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from unittest.mock import patch
 
 import hypothesis.strategies as st
@@ -18,6 +18,8 @@ from oracles import (
     encode,
     lead_order,
     leads,
+    prime_rank,
+    prime_rows,
     rank,
     rename_vars,
     smallest_pivot_rank,
@@ -172,7 +174,14 @@ def matrices(max_rows, max_cols, entries):
 
 
 def as_rows(matrix):
-    return [dict(enumerate(row)) for row in matrix]
+    """The rows of a rational matrix as integer rows for ``modular_rank``,
+    each scaled by its common denominator, which leaves the rank over Q
+    unchanged."""
+    rows = []
+    for row in matrix:
+        denom = lcm(*(Fraction(a).denominator for a in row))
+        rows.append({j: int(a * denom) for j, a in enumerate(row)})
+    return rows
 
 
 class TestModularRankAgainstFractionOracle:
@@ -205,10 +214,17 @@ class TestModularRankAgainstFractionOracle:
     def test_reads_no_row_past_the_bound(self):
         # the proof's rows are built as they are read
         def rows():
-            yield from ({0: 1}, {0: 2}, {1: Fraction(1, 3)})
+            yield from ({0: 1}, {0: 2}, {1: 3})
             raise AssertionError("a row was read past the bound")
 
         assert modular_rank(rows(), stop=2) == 2
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 3), Fraction(2), 1.0])
+    def test_an_entry_that_is_no_integer_is_refused(self, entry):
+        # the proof's rows are integral; a row with denominators is scaled
+        # to integers first, and one that is not raises before any rank
+        with pytest.raises(TypeError):
+            modular_rank([{0: 1}, {1: entry}])
 
 
 small_polys = polys_st(max_var=2, max_order=1, max_degree=2, max_terms=3)
@@ -799,6 +815,19 @@ def slow_rows(k, variant, comps):
     return out
 
 
+def ranked_rows(monkeypatch, n, variant):
+    """Every product row of each degree 2..n, as lists of items: for star
+    the rows the proof gives the rank, for prime, whose proof ranks no
+    prime row, the oracle's ``prime_rows``."""
+    log = []
+    monkeypatch.setattr(spans, "modular_rank", every_row(log))
+    assert all(r.ok for r in verify_dimension(n, variant))
+    if variant == "prime":
+        log = [[list(row.items()) for row in prime_rows(k)]
+               for k in range(2, n + 1)]
+    return log
+
+
 def refuse_rank(monkeypatch):
     """Fail the test if the proof calls the rank: a check must refuse the
     operands before any row is read."""
@@ -846,9 +875,7 @@ class TestStagedRows:
         # the fast path against the slow one: each row summed from codes is
         # the row of the polynomial product, entry for entry and in the
         # same order, and so is the order of the rows
-        log = []
-        monkeypatch.setattr(spans, "modular_rank", every_row(log))
-        assert all(r.ok for r in verify_dimension(n, variant))
+        log = ranked_rows(monkeypatch, n, variant)
         comps = spans._Components()
         for k, coded in zip(range(2, n + 1), log):
             assert coded == [list(row.items())
@@ -861,9 +888,7 @@ class TestStagedRows:
         # coefficient 1, and operands on complementary variables have
         # distinct product codes: every row of stage s in degree k has
         # s (k - s) entries, each 1, so no order by length could move a row
-        log = []
-        monkeypatch.setattr(spans, "modular_rank", every_row(log))
-        assert all(r.ok for r in verify_dimension(7, variant))
+        log = ranked_rows(monkeypatch, 7, variant)
         tag = spans._variant_tag(variant)
         size = [0, 1] + [dimension_formula(j, variant) for j in range(2, 7)]
         for k, rows in zip(range(2, 8), log, strict=True):
@@ -990,3 +1015,76 @@ class TestStagedRows:
         assert log == [(1, 1), (3, 3), (10, 13), (35, 51), (126, 212),
                        (462, 888)]
         assert 0 < sum(read for _, read in log) < pairs
+
+
+class TestPrimeFromStarRank:
+    """The premises of the prime proof, which takes the star rank of each
+    degree in place of the rank of the prime rows, against the prime rows
+    the proof no longer builds."""
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_every_prime_row_has_one_last_variable(self, k):
+        # the blocks: each row lies in the columns of one last variable
+        units = spans._family(k, False)[0]
+        lasts = [{units[col][1] for col in row} for row in prime_rows(k)]
+        assert all(len(last) == 1 for last in lasts)
+        assert set().union(*lasts) == set(range(1, k + 1))
+
+    def test_pi_maps_block_k_onto_the_star_rows(self, monkeypatch):
+        # π forgets the last variable: on the columns ending in xk it is
+        # one to one onto the star columns, and the rows of that block go
+        # to the star rows, all of them and nothing else
+        log = ranked_rows(monkeypatch, 7, "star")
+        for k, star_rows in zip(range(2, 8), log, strict=True):
+            star_col = {ds: col for col, (ds, _)
+                        in enumerate(spans._family(k, True)[0])}
+            pi = {col: star_col[ds] for col, (ds, last)
+                  in enumerate(spans._family(k, False)[0]) if last == k}
+            assert sorted(pi.values()) == list(range(len(star_col)))
+            block = {frozenset((pi[col], c) for col, c in row.items())
+                     for row in prime_rows(k) if min(row) in pi}
+            assert block == {frozenset(row) for row in star_rows}, k
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_full_prime_rank_is_k_times_the_star_rank(self, monkeypatch, k):
+        star_rows = ranked_rows(monkeypatch, k, "star")[-1]
+        monkeypatch.undo()
+        star = modular_rank(dict(row) for row in star_rows)
+        assert star == dimension_formula(k, "star")
+        assert prime_rank(k) == k * star == dimension_formula(k, "prime")
+
+    def test_prime_element_with_two_last_variables_fails_check_4(
+            self, monkeypatch):
+        # the first prime element of degree 4 has its first term's last
+        # variable moved from x1 to x2: its lead and the star families are
+        # unchanged, so only the prime checks can refuse it, and check 4,
+        # which keeps every prime element in one block, does
+        real = spans._family
+
+        def broken(k, star):
+            units, family = real(k, star)
+            if k == 4 and not star:
+                (ds, last, c), *rest = family[0]
+                assert (ds, last) == ((1, 2, 1, 3), 1)
+                family = [[(ds, 2, c), *rest]] + family[1:]
+            return units, family
+
+        monkeypatch.setattr(spans, "_family", broken)
+        assert_fails(4, "prime", "degree 4: check 4")
+        assert verify_dimension(5, "prime")[1].ok
+        assert all(r.ok for r in verify_dimension(5, "star"))
+
+    def test_star_family_dropping_an_element_fails_the_prime_degree(
+            self, monkeypatch):
+        # the prime family of degree 3 is whole and passes checks 1-4, but
+        # the star level of degree 3, whose rank the prime proof takes,
+        # fails its check 2, and so does the prime degree
+        real = spans._family
+
+        def broken(k, star):
+            units, family = real(k, star)
+            return units, family[1:] if star and k == 3 else family
+
+        monkeypatch.setattr(spans, "_family", broken)
+        assert_fails(4, "prime", "degree 3: check 2")
+        assert verify_dimension(2, "prime")[0].ok

@@ -293,6 +293,7 @@ def _cmd_expand(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="permdiff",
@@ -312,7 +313,6 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--file", help="file with one candidate identity per line")
     p.add_argument("--product", choices=DERIVED_PRODUCT_TAGS, default=None,
                    help="product used by assoc(...)/bracket(...)")
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dim", parents=[common], help="verify multilinear dimensions of the "
                                    "generated subalgebras")
@@ -320,7 +320,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True,
                    help=f"degree or range within 2..{MAX_DIM_DEGREE}, "
                         "e.g. 4 or 2..6")
-    p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("table", parents=[common], help="emit Witt-type bracket tables")
     p.add_argument("--n", type=int, choices=(1, 2), required=True)
@@ -332,17 +331,14 @@ def make_parser() -> argparse.ArgumentParser:
                         "Lie and Leibniz; no rank-one Leibniz rule is "
                         "embedded) over exponents 0..max(bound, 3), "
                         "whatever --n and --kind say")
-    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("reduce", parents=[common], help="run the identity reduction pipeline")
     p.add_argument("expr", help="multilinear identity candidate")
     p.add_argument("--product", choices=DERIVED_PRODUCT_TAGS, default=None)
-    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("expand", parents=[common], help="expand an expression to normal form")
     p.add_argument("expr")
     p.add_argument("--product", choices=DERIVED_PRODUCT_TAGS, default=None)
-    p.set_defaults(func=_cmd_expand)
     return ap
 
 
@@ -358,7 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # looked up here, not bound into the cached parser, so a command
+        # function rebound in this module is the one that runs
+        return globals()[f"_cmd_{args.command}"](args)
     except BrokenPipeError:
         # the reader closed stdout early: say nothing, point stdout at the
         # null device so the interpreter's last flush cannot fail again, and

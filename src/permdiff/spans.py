@@ -205,7 +205,7 @@ def _variant_tag(variant: str) -> str:
 #: 352716 columns, while on a 2-core VM star 2..9, with 6435, takes about
 #: 4 to 4.5 s at a 37 MB peak, building the 15521 of its 107928 product rows
 #: that the rank reads, and star 2..10, with 24310, about 75 s at 156 MB;
-#: prime 2..9, whose rank is star 9's, takes about 8 s at 170 MB
+#: prime 2..9, whose rank is star 9's, about 5.2 to 5.7 s at 161 MB
 MAX_DIM_DEGREE = 12
 
 
@@ -276,31 +276,6 @@ def _relabel(p: DiffPermPoly, subset: tuple[int, ...]) -> DiffPermPoly:
                                 for m, c in p.terms.items()})
 
 
-class _Components:
-    """Spanning lists of the closure components on x1..xk for k = 1, 2, ...,
-    and their images on other variable sets.
-
-    ``canonical[k]`` spans the component on x1..xk; the one on a k-subset
-    is its image under the increasing relabelling (see
-    ``generate_closure``), built once per subset.  ``coded[k]`` holds the
-    family of degree k (x1 for k = 1) coded, once the proof has proved it.
-    """
-
-    def __init__(self):
-        self.canonical: list[list[DiffPermPoly]] = [
-            [], [DiffPermPoly.generator(1, 0, CTX_Q)]]
-        self.coded: dict[int, _Coded] = {1: [[((1,), 1, 1)]]}
-        self.star: _Components | None = None  # prime: the star families
-        self._relabelled: dict[tuple[int, ...], list[DiffPermPoly]] = {}
-
-    def on(self, subset: tuple[int, ...]) -> list[DiffPermPoly]:
-        got = self._relabelled.get(subset)
-        if got is None:
-            got = self._relabelled[subset] = [
-                _relabel(p, subset) for p in self.canonical[len(subset)]]
-        return got
-
-
 def _splits(k: int, tag: str, smaller: int | None = None
             ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every split (left, right) of x1..xk into complementary nonempty
@@ -333,15 +308,19 @@ def generate_closure(tag: str, n: int) -> list[DiffPermPoly]:
         raise AlgebraError(f"closure is defined for loz/bullet, not {tag!r}")
     if n < 1:
         raise AlgebraError("degree must be >= 1")
-    comps = _Components()
+    canonical = [[], [DiffPermPoly.generator(1, 0, CTX_Q)]]
+    relabelled: dict[tuple[int, ...], list[DiffPermPoly]] = {}
     for k in range(2, n + 1):
         basis = SpanBasis(CTX_Q)
         for left, right in _splits(k, tag):
-            for a in comps.on(left):
-                for b in comps.on(right):
+            for subset in {left, right} - relabelled.keys():
+                relabelled[subset] = [_relabel(p, subset)
+                                      for p in canonical[len(subset)]]
+            for a in relabelled[left]:
+                for b in relabelled[right]:
                     basis.add(derived_product(tag, a, b))
-        comps.canonical.append(basis.elements)
-    return comps.canonical[n]
+        canonical.append(basis.elements)
+    return canonical[n]
 
 
 class DimensionReport(NamedTuple):
@@ -373,6 +352,7 @@ class _Failed(Exception):
 #: a coded family: each element's terms as (digits, last variable,
 #: coefficient), digits[i - 1] being xi's derivative order + 1
 _Coded = list[list[tuple[tuple[int, ...], int, Rational]]]
+_X1: _Coded = [[((1,), 1, 1)]]  # x1 coded, the operand of degree 2
 
 
 def _image(digits: tuple[int, ...], last: int, star: bool,
@@ -420,16 +400,15 @@ def _moved(family: _Coded, subset: tuple[int, ...], radix: int
             for terms in family]
 
 
-def _level(k: int, variant: str, comps: _Components) -> _Coded:
-    """The family ``generate_S(k, variant)`` coded, once the proof (see
-    ``verify_dimension``) shows it is a basis of the closure component on
-    x1..xk, whose operands are ``comps.coded[k - 1]`` relabelled.  Raises
-    ``_Failed`` naming the first check that fails, or the rank."""
-    star = _variant_tag(variant) == "loz"
+def _level(k: int, star: bool, coded: dict[int, _Coded]) -> _Coded:
+    """The family ``generate_S`` of degree k coded, once checks 1-4 (and for
+    star 5 and the rank) of ``verify_dimension`` hold on it and its operands,
+    ``coded[k - 1]`` relabelled.  Raises ``_Failed`` naming the first check
+    that fails, or the rank; the prime rank is left to ``_proved``."""
     failed = f"degree {k}: check "
     # checks 1 and 5 on the operands, the last family or x1, as relabelled:
     # each term on x1..x(k-1), every digit positive, of weight -1
-    operands = comps.coded[k - 1]
+    operands = coded[k - 1]
     if not all(len(digits) == k - 1 and 0 < last < k and min(digits) > 0
                and sum(digits) == 2 * k - 3
                for terms in operands for digits, last, _ in terms):
@@ -452,12 +431,7 @@ def _level(k: int, variant: str, comps: _Components) -> _Coded:
         if not (a and 0 < last <= k and u in shapes
                 and (p == img or len(p) == len(img) and set(p) == set(img))):
             raise _Failed(failed + "4")
-    if not star:  # the rank is k times the star rank of degree k
-        stars = comps.star = comps.star or _Components()
-        for j in range(max(stars.coded) + 1, k + 1):
-            stars.coded[j] = _level(j, "star", stars)
-        if len(family) != k * len(stars.coded[k]):
-            raise _Failed(f"degree {k}: rank")
+    if not star:
         return family
     place = [k ** i for i in range(k)]  # codes: see ``verify_dimension``
     cols = {sum(map(mul, digits, place)): col
@@ -469,8 +443,8 @@ def _level(k: int, variant: str, comps: _Components) -> _Coded:
         # columns fails check 1
         for smaller in range(1, k // 2 + 1):
             for left, right in _splits(k, "loz", smaller):
-                rights = _moved(comps.coded[len(right)], right, k)
-                for a in _moved(comps.coded[len(left)], left, k):
+                rights = _moved(coded[len(right)], right, k)
+                for a in _moved(coded[len(left)], left, k):
                     for b in rights:
                         row: dict[int, int] = {}
                         get = row.get
@@ -495,16 +469,17 @@ def verify_dimension(n: int, variant: str) -> list[DimensionReport]:
     in order.  Each degree's proof rests on the family of the degree below,
     so one call proves a whole range of degrees.
 
-    The proof of degree k is ``_level``.  The component on x1..xk is
-    spanned by the products of elements a, b of the components on
-    complementary pieces, each a lower-degree family (or x1) relabelled.  As
-    a•b = (ab)', and a⧫b = (ab)* when a* = a' and b* = b', the component is
-    d (resp. star) of the span of the rows ab over the monomials (resp. the
-    factor multisets, all that star sees).  A multilinear monomial on x1..xk
-    is coded by one digit per variable, its derivative order + 1, and its
-    last variable; read in base k, the digits of a term of ab sum those its
-    factors have in a and b.  The families, the checks and the rows work on
-    these codes, and the proof forms no polynomial.  It checks:
+    ``_proved`` runs the proof degree by degree, each degree in ``_level``.
+    The component on x1..xk is spanned by the products of elements a, b of
+    the components on complementary pieces, each a lower-degree family (or
+    x1) relabelled.  As a•b = (ab)', and a⧫b = (ab)* when a* = a' and
+    b* = b', the component is d (resp. star) of the span of the rows ab over
+    the monomials (resp. the factor multisets, all that star sees).  A
+    multilinear monomial on x1..xk is coded by one digit per variable, its
+    derivative order + 1, and its last variable; read in base k, the digits
+    of a term of ab sum those its factors have in a and b.  The families,
+    the checks and the rows work on these codes, and the proof forms no
+    polynomial.  It checks:
 
     1. every operand of level k, the family S_(k-1) or x1, is multilinear
        in its variables and of weight -1, so every digit is below k, every
@@ -538,20 +513,35 @@ def verify_dimension(n: int, variant: str) -> list[DimensionReport]:
       each one met.  π is a bijection from block k's columns onto the star
       columns, so block k's rank is the star rank.
 
-    So checks 1-4, the star level of degree k and |S_k| = k |star S_k|
-    prove prime degree k.  From the degree where a check or the rank fails,
-    each report names it in ``failed`` and claims no dimension.
+    So checks 1-4, the star level of degree k and |S_k| = k |star S_k|,
+    in that order, prove prime degree k.  From the degree where a check or
+    the rank fails, each report names it in ``failed`` and claims no
+    dimension.
     """
     if n < 2:
         raise AlgebraError("verify_dimension needs n >= 2")
-    comps, failed, reports = _Components(), None, []
-    for k in range(2, n + 1):
-        if failed is None:
-            try:
-                comps.coded[k] = _level(k, variant, comps)
-            except _Failed as e:
-                failed = str(e)
-        reports.append(DimensionReport(
-            k, variant, dimension_formula(k, variant),
-            dim=None if failed else len(comps.coded[k]), failed=failed))
+    star = _variant_tag(variant) == "loz"
+    reports = []
+    try:
+        for k, family in enumerate(_proved(n, star), 2):
+            reports.append(DimensionReport(
+                k, variant, dimension_formula(k, variant), len(family)))
+    except _Failed as e:
+        reports += [DimensionReport(k, variant, dimension_formula(k, variant),
+                                    None, str(e))
+                    for k in range(len(reports) + 2, n + 1)]
     return reports
+
+
+def _proved(n: int, star: bool) -> Iterator[_Coded]:
+    """The proved family of each degree k = 2..n coded, in order; raises
+    ``_Failed`` at the first failure.  Every star family proved so far is an
+    operand of the star rows, and a prime degree takes the star rank."""
+    stars, primes = {1: _X1}, {1: _X1}
+    for k in range(2, n + 1):
+        if not star:
+            primes[k] = _level(k, False, primes)
+        stars[k] = _level(k, True, stars)
+        if not star and len(primes[k]) != k * len(stars[k]):
+            raise _Failed(f"degree {k}: rank")
+        yield (stars if star else primes)[k]

@@ -710,6 +710,20 @@ class TestDispatch:
             assert run_cli(capsys, "check", "--suite", "d",
                            "--quiet") == unset, threads
 
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        # two commands in one process build one parser, and print what they
+        # print with a parser built afresh for each call
+        runs = [("dim", "--variant", "star", "--n", "2..4", "--quiet"),
+                ("expand", "x1 * d(x2)", "--format", "text")]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "make_parser", cli.make_parser.__wrapped__)
+            fresh = [run_cli(capsys, *argv) for argv in runs]
+        cli.make_parser.cache_clear()
+        assert [run_cli(capsys, *argv) for argv in runs] == fresh
+        info = cli.make_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert [code for code, _, _ in fresh] == [0, 0]
+
 
 class TestDeterminism:
     def test_check_all_byte_identical_in_process(self, capsys):

@@ -509,13 +509,11 @@ def exact_report(n, variant):
 def coordinate_proof(n, variant):
     """The proof's outcome in degree n: the family, decoded into
     polynomials, or the failure that ended it."""
-    comps = spans._Components()
     try:
-        for k in range(2, n + 1):
-            comps.coded[k] = spans._level(k, variant, comps)
+        *_, family = spans._proved(n, variant == "star")
     except spans._Failed as e:
         return str(e)
-    return decode(comps.coded[n])
+    return decode(family)
 
 
 def assert_fails(n, variant, failed):
@@ -617,8 +615,8 @@ class TestCoordinateProof:
         # d(u)* != d(u)', so s* = s' fails for the operands of the next level
         real = spans._level
 
-        def swapped(k, variant, comps):
-            family = real(k, variant, comps)
+        def swapped(k, star, coded):
+            family = real(k, star, coded)
             if k == level:
                 family = spans._family(k, False)[1][:1] + family[1:]
             return family
@@ -780,23 +778,29 @@ class TestCodedFamily:
     def test_check_1_refuses_a_digit_at_the_radix(self, monkeypatch):
         # the codes of degree k are in base k, and a digit k beside positive
         # ones breaks the weight: the operand x1'' x2 of degree 3 is
-        # refused, while x1'' x2 x3, digits 3, 1, 1, passes in degree 4
+        # refused, while x1'' x2 x3, digits 3, 1, 1, passes in degree 4,
+        # where the prime level, which ranks nothing, returns its family
         refuse_rank(monkeypatch)
-        comps = spans._Components()
-        comps.coded[2] = encode([x(1, 2) * x(2)], 2)
-        assert comps.coded[2] == [[((3, 1), 2, 1)]]
-        for variant in ("star", "prime"):
+        coded = {1: spans._X1, 2: encode([x(1, 2) * x(2)], 2)}
+        assert coded[2] == [[((3, 1), 2, 1)]]
+        for star in (True, False):
             with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
-                spans._level(3, variant, comps)
-        comps.coded[3] = encode([x(2) * x(3) * x(1, 2)], 3)
-        with pytest.raises(AssertionError, match="^the rank was called$"):
-            spans._level(4, "prime", comps)
+                spans._level(3, star, coded)
+        coded[3] = encode([x(2) * x(3) * x(1, 2)], 3)
+        assert spans._level(4, False, coded) == spans._family(4, False)[1]
 
 
-def slow_rows(k, variant, comps):
+def on(families, subset):
+    """The polynomial family of degree len(subset), x1 for 1, moved onto
+    ``subset``; ``families[j]`` is the family of degree j."""
+    return [_relabel(p, subset) for p in families[len(subset)]]
+
+
+def slow_rows(k, variant, families):
     """Every product row of degree k, stage by stage, each from the
-    polynomial product a * b through the map from monomials to columns: the
-    reference for the coded rows of ``spans._level``."""
+    polynomial product a * b of the ``families`` (see ``on``) through the
+    map from monomials to columns: the reference for the coded rows of
+    ``spans._level``."""
     tag = spans._variant_tag(variant)
     column = (lambda m: tuple(sorted(m.factors))) if variant == "star" \
         else (lambda m: m)
@@ -806,8 +810,8 @@ def slow_rows(k, variant, comps):
     out = []
     for smaller in range(1, k // 2 + 1):
         for left, right in spans._splits(k, tag, smaller):
-            for a in comps.on(left):
-                for b in comps.on(right):
+            for a in on(families, left):
+                for b in on(families, right):
                     row = {}
                     for m, c in (a * b).terms.items():
                         row[cols[m]] = row.get(cols[m], 0) + c
@@ -857,7 +861,7 @@ class TestStagedRows:
         # monomial of each product is a weight -2 monomial on x1..xk; the
         # stages by the smaller side's size are all the splits
         tag = spans._variant_tag(variant)
-        comps = spans._Components()
+        families = [[], [x(1)]]
         for k in range(2, n + 1):
             cols = set(weight_minus2_monomials(k))
             splits = list(spans._splits(k, tag))
@@ -865,10 +869,10 @@ class TestStagedRows:
                       for split in spans._splits(k, tag, smaller)]
             assert sorted(staged) == sorted(splits)
             for left, right in splits:
-                for a in comps.on(left):
-                    for b in comps.on(right):
+                for a in on(families, left):
+                    for b in on(families, right):
                         assert set((a * b).terms) <= cols, (k, a, b)
-            comps.canonical.append(generate_S(k, variant))
+            families.append(generate_S(k, variant))
 
     @pytest.mark.parametrize("variant,n", [("star", 6), ("prime", 6)])
     def test_coded_rows_are_the_product_rows(self, monkeypatch, variant, n):
@@ -876,11 +880,11 @@ class TestStagedRows:
         # the row of the polynomial product, entry for entry and in the
         # same order, and so is the order of the rows
         log = ranked_rows(monkeypatch, n, variant)
-        comps = spans._Components()
+        families = [[], [x(1)]]
         for k, coded in zip(range(2, n + 1), log):
             assert coded == [list(row.items())
-                             for row in slow_rows(k, variant, comps)], k
-            comps.canonical.append(generate_S(k, variant))
+                             for row in slow_rows(k, variant, families)], k
+            families.append(generate_S(k, variant))
 
     @pytest.mark.parametrize("variant", ["star", "prime"])
     def test_rows_of_a_stage_have_one_length(self, monkeypatch, variant):
@@ -919,11 +923,10 @@ class TestStagedRows:
         assert digits(good, 2, 3) == encode(good, 2)
         with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
             digits([good[0] + bad], 2, 3)
-        comps = spans._Components()
-        comps.coded[2] = encode([good[0] + bad] + good[1:], 2)
+        coded = {1: spans._X1, 2: encode([good[0] + bad] + good[1:], 2)}
         refuse_rank(monkeypatch)
         with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
-            spans._level(3, variant, comps)
+            spans._level(3, variant == "star", coded)
 
     @pytest.mark.parametrize("variant", ["star", "prime"])
     @pytest.mark.parametrize("bad", [x(1) * x(2), x(1, 1) * x(2, 1)])
@@ -934,37 +937,33 @@ class TestStagedRows:
         good = generate_S(2, variant)
         with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
             digits([good[0] + bad], 2, 3)
-        comps = spans._Components()
-        comps.coded[2] = encode([good[0] + bad] + good[1:], 2)
+        coded = {1: spans._X1, 2: encode([good[0] + bad] + good[1:], 2)}
         refuse_rank(monkeypatch)
         with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
-            spans._level(3, variant, comps)
+            spans._level(3, variant == "star", coded)
 
     @pytest.mark.parametrize("last", [0, 3])
     def test_operand_ending_off_its_variables_fails_check_1(self, monkeypatch,
                                                            last):
         # coded, a term may name a last variable it has no digit for, which
         # no polynomial does
-        comps = spans._Components()
-        comps.coded[2] = [[((2, 1), last, 1)]]
+        coded = {1: spans._X1, 2: [[((2, 1), last, 1)]]}
         refuse_rank(monkeypatch)
-        for variant in ("star", "prime"):
+        for star in (True, False):
             with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
-                spans._level(3, variant, comps)
+                spans._level(3, star, coded)
 
     def test_digits_below_the_radix(self, monkeypatch):
         # x1' x2 has the digits 2 and 1: below the radix 3 of degree 3, not
         # below a radix of 2; coded, it passes check 1 of degree 3, and the
-        # proof goes on to the rank
+        # prime level, which ranks nothing, returns its family
         family = [x(1, 1) * x(2)]
         assert digits(family, 2, 3) == [[((2, 1), 2, 1)]]
         with pytest.raises(spans._Failed, match="^degree 3: check 1$"):
             digits(family, 2, 2)
-        comps = spans._Components()
-        comps.coded[2] = encode(family, 2)
+        coded = {1: spans._X1, 2: encode(family, 2)}
         refuse_rank(monkeypatch)
-        with pytest.raises(AssertionError, match="^the rank was called$"):
-            spans._level(3, "prime", comps)
+        assert spans._level(3, False, coded) == spans._family(3, False)[1]
 
     @pytest.mark.parametrize("variant", ["star", "prime"])
     @pytest.mark.parametrize("bad", [
@@ -976,13 +975,7 @@ class TestStagedRows:
                                                  bad):
         # the operand of degree 2 is x1; a hand-built one in its place is
         # refused before any product row is read
-        init = spans._Components.__init__
-
-        def with_bad_x1(comps):
-            init(comps)
-            comps.coded[1] = encode([bad], 1)
-
-        monkeypatch.setattr(spans._Components, "__init__", with_bad_x1)
+        monkeypatch.setattr(spans, "_X1", encode([bad], 1))
         refuse_rank(monkeypatch)
         assert_fails(3, variant, "degree 2: check 1")
 
@@ -1004,11 +997,11 @@ class TestStagedRows:
     def test_rows_are_built_lazily(self, monkeypatch):
         # the rank reaches |S_k| before it reads every row: it reads the
         # same rows per degree as it did from polynomial products
-        comps, pairs = spans._Components(), 0
+        families, pairs = [[], [x(1)]], 0
         for k in range(2, 8):
-            pairs += sum(len(comps.on(left)) * len(comps.on(right))
+            pairs += sum(len(families[len(left)]) * len(families[len(right)])
                          for left, right in spans._splits(k, "loz"))
-            comps.canonical.append(generate_S(k, "star"))
+            families.append(generate_S(k, "star"))
         log = []
         monkeypatch.setattr(spans, "modular_rank", counting(modular_rank, log))
         assert verify_dimension(7, "star")[-1].ok
@@ -1088,3 +1081,19 @@ class TestPrimeFromStarRank:
         monkeypatch.setattr(spans, "_family", broken)
         assert_fails(4, "prime", "degree 3: check 2")
         assert verify_dimension(2, "prime")[0].ok
+
+    def test_prime_checks_come_before_the_star_level(self, monkeypatch):
+        # in a prime degree, checks 1-4 on the prime family come before the
+        # star level of that degree: the prime family of degree 3 lacks an
+        # element and, modulo 2, the star rank of degree 3 falls short, and
+        # the prime degree names its own check 2
+        real = spans._family
+
+        def broken(k, star):
+            units, family = real(k, star)
+            return units, family if star or k != 3 else family[1:]
+
+        monkeypatch.setattr(spans, "_family", broken)
+        monkeypatch.setattr(spans, "MODULUS", 2)
+        assert_fails(4, "star", "degree 3: rank")
+        assert_fails(4, "prime", "degree 3: check 2")

@@ -1,12 +1,14 @@
 """Command-line front end: check identities, compute dimensions, emit tables
 and reduction traces, expand and print expressions.
 
-Machine-readable JSON goes to stdout; a human summary goes to stderr unless
---quiet is given.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parse error, 3 internal error.  All output is deterministic byte-for-byte
-given the same flags.  Expressions are read in the grammar of
-``exprs.parse_expr``; ``assoc`` and ``bracket`` use the product selected
-with --product.
+Machine-readable JSON goes to stdout, streamed from the standard encoder in
+batches as ``json.dumps(obj, indent=2, ensure_ascii=False)`` would write it
+(a table's entries from texts made as they are computed); a human summary
+goes to stderr unless --quiet is given.  Exit codes: 0 success, 1
+verification failure, 2 usage or parse error, 3 internal error.  All output
+is deterministic byte-for-byte given the same flags.  Expressions are read
+in the grammar of ``exprs.parse_expr``; ``assoc`` and ``bracket`` use the
+product selected with --product.
 """
 
 from __future__ import annotations
@@ -49,122 +51,78 @@ def _term_json(m, c) -> dict:
     return {"monomial": format_monomial(m), "coeff": format_scalar(c)}
 
 
-_QUOTE = json.encoder.encode_basestring  # JSON string literal, non-ASCII kept
-# the JSON text of a scalar, by exact type
-_SCALARS = {str: _QUOTE, int: int.__repr__, type(None): lambda _: "null",
-            bool: lambda b: "true" if b else "false"}
-_BATCH = 1 << 16  # characters per write: one write per piece is slow on an
-                  # unbuffered stdout (python -u)
+_BATCH = 1 << 16  # characters per write to stdout: one write per encoder
+                  # chunk is slow on an unbuffered stdout (python -u)
+_ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False)
+# stands in a table document for its entries, which _emit writes from the
+# texts it is given, as the list of a key of the top-level object
+_ENTRIES = "\0entries\0"
 
 
-def write_json(obj, write) -> None:
-    """Pass ``json.dumps(obj, indent=2, ensure_ascii=False)`` to ``write``
-    in batches of about 64 KB, as it is encoded.
-
-    Scalars are of the exact types ``str``, ``int``, ``bool`` and ``None``,
-    containers lists, tuples and dicts with ``str`` keys; anything else
-    raises ``TypeError``.  A callable is written as the list of the texts it
-    yields when called with the indent of its items, each encoded whole
-    (see ``_entry_texts``), so a long list need never be held whole.  The
-    standard encoder runs in pure Python when it indents; this writer makes
-    one call per container, not per value.
-    """
-    out: list[str] = []
-    size = 0
-    scalar = _SCALARS.get
-
-    def put(text: str) -> None:
-        nonlocal size
-        out.append(text)
-        size += len(text)
-        if size >= _BATCH:
-            write("".join(out))
-            out.clear()
-            size = 0
-
-    def value(o, pad: str) -> None:
-        if isinstance(o, dict):
-            if not o:
-                return put("{}")
-            inner = pad + "  "
-            sep = "{\n" + inner
-            for k, item in o.items():
-                head = sep + _QUOTE(k) + ": "  # TypeError unless k is a str
-                text = scalar(type(item))
-                if text is None:
-                    put(head)
-                    value(item, inner)
-                else:
-                    put(head + text(item))
-                sep = ",\n" + inner
-            put("\n" + pad + "}")
-        elif isinstance(o, (list, tuple)) or callable(o):
-            inner = pad + "  "
-            sep = first = "[\n" + inner
-            if callable(o):
-                for text in o(inner):
-                    put(sep + text)
-                    sep = ",\n" + inner
-            else:
-                for item in o:
-                    text = scalar(type(item))
-                    if text is None:
-                        put(sep)
-                        value(item, inner)
-                    else:
-                        put(sep + text(item))
-                    sep = ",\n" + inner
-            put("[]" if sep is first else "\n" + pad + "]")
-        else:
-            text = scalar(type(o))
-            if text is None:
-                raise TypeError(f"Object of type {type(o).__name__} "
-                                "is not JSON serializable")
-            put(text(o))
-
-    value(obj, "")
-    if out:
-        write("".join(out))
+def _basis_text(n: int, b, pad: str) -> str:
+    """The JSON text of the basis element ``b`` written at indent ``pad``,
+    as the encoder lays out ``basis_doc(n, b)``."""
+    doc = basis_doc(n, b)
+    e = f",\n{pad}    ".join(map(str, doc["e"]))
+    return (f'{{\n{pad}  "e": [\n{pad}    {e}\n{pad}  ],\n{pad}  "alpha": '
+            f'"{doc["alpha"]}",\n{pad}  "i": "{doc["i"]}"\n{pad}}}')
 
 
-def _encoded(obj, pad: str) -> str:
-    """The text of ``obj`` written at indent ``pad``.  Every newline in the
-    text is structure (strings escape theirs), so each is followed by
-    ``pad`` more blanks than at the top level."""
-    pieces: list[str] = []
-    write_json(obj, pieces.append)
-    return "".join(pieces).replace("\n", "\n" + pad)
-
-
-def _entry_texts(n: int, entries, pad: str):
-    """The text of each entry of a structure table written at indent
-    ``pad``, as one string.  A basis element's text is encoded the first
-    time it is met at each of its two indents and kept for the table: the
-    results reach exponents up to 2 * bound + 1, so a few thousand texts."""
-    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
-    sides, terms = {}, {}  # the texts at indents p1 and p3
-    def new(texts: dict, b, indent: str) -> str:
-        texts[b] = text = _encoded(basis_doc(n, b), indent)
-        return text
+def _entry_texts(n: int, entries):
+    """The text of each entry of a structure table as an item of the
+    top-level object's list, as one string.  A basis element's text is
+    made the first time it is met at each of its two indents and kept for
+    the table: the results reach exponents up to 2 * bound + 1, so a few
+    thousand texts."""
+    p6, p8, p10 = " " * 6, " " * 8, " " * 10
+    side = functools.cache(lambda b: _basis_text(n, b, p6))
+    term = functools.cache(lambda b: _basis_text(n, b, p10))
     for left, right, result in entries:
-        items = [f'{{\n{p3}"coeff": "{c}",\n{p3}"basis": '
-                 f'{terms.get(b) or new(terms, b, p3)}\n{p2}}}'
+        items = [f'{{\n{p10}"coeff": "{c}",\n{p10}"basis": {term(b)}\n{p8}}}'
                  for b, c in result]
-        items = (f"[\n{p2}" + f",\n{p2}".join(items) + f"\n{p1}]"
+        items = (f"[\n{p8}" + f",\n{p8}".join(items) + f"\n{p6}]"
                  if items else "[]")
-        yield (f'{{\n{p1}"left": {sides.get(left) or new(sides, left, p1)}'
-               f',\n{p1}"right": {sides.get(right) or new(sides, right, p1)}'
-               f',\n{p1}"result": {items}\n{pad}}}')
+        yield (f'{{\n{p6}"left": {side(left)},\n{p6}"right": {side(right)}'
+               f',\n{p6}"result": {items}\n    }}')
 
 
-def _emit(obj, quiet: bool, summary: Iterable[str], fmt: str = "json"
-          ) -> None:
-    """Write ``obj`` as JSON to stdout and the summary lines to stderr,
-    unless ``quiet``; or, as text, the summary lines to stdout.  The lines
-    are read only when they are written."""
+def _spliced(chunks, items):
+    """The encoder's ``chunks`` with the list of ``items`` in place of the
+    value ``_ENTRIES``, or ``[]`` when there are none."""
+    mark = _ENCODER.encode(_ENTRIES)
+    for chunk in chunks:
+        if chunk == mark:
+            sep = first = "[\n    "
+            for text in items:
+                yield sep + text
+                sep = ",\n    "
+            chunk = "[]" if sep is first else "\n  ]"
+        yield chunk
+
+
+def _emit(obj, quiet: bool, summary: Iterable[str], fmt: str = "json",
+          items: Iterable[str] | None = None) -> None:
+    """Write ``obj`` to stdout as ``json.dumps(obj, indent=2,
+    ensure_ascii=False)`` and the summary lines to stderr, unless
+    ``quiet``; or, as text, the summary lines to stdout.  The JSON is
+    written in batches of about ``_BATCH`` characters as it is encoded,
+    with ``items``, if given, as the list in place of ``_ENTRIES``, so a
+    long list need never be held whole.  The lines are read only when they
+    are written."""
     if fmt == "json":
-        write_json(obj, sys.stdout.write)
-        sys.stdout.write("\n")
+        chunks = _ENCODER.iterencode(obj)
+        if items is not None:
+            chunks = _spliced(chunks, items)
+        batch, size = [], 0
+        for chunk in chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= _BATCH:
+                sys.stdout.write("".join(batch))
+                batch.clear()
+                size = 0
+        batch.append("\n")
+        sys.stdout.write("".join(batch))
         out = None if quiet else sys.stderr
     else:
         out = sys.stdout
@@ -244,7 +202,7 @@ def _cmd_dim(args) -> int:
 
 def _cmd_table(args) -> int:
     doc = structure_table(args.n, args.kind, args.bound)
-    doc["entries"] = functools.partial(_entry_texts, args.n, doc["entries"])
+    entries, doc["entries"] = _entry_texts(args.n, doc["entries"]), _ENTRIES
     count = (len(table_patterns(args.n, args.kind))
              * (args.bound + 1) ** (2 * args.n))
     summary = [f"table n={args.n} kind={args.kind} bound={args.bound}: "
@@ -257,7 +215,7 @@ def _cmd_table(args) -> int:
         summary.append(f"verification: {ver.total_checks} instantiations, "
                        f"{'all match' if ver.ok else 'MISMATCHES FOUND'}")
         code = 0 if ver.ok else 1
-    _emit(doc, args.quiet, summary, args.format)
+    _emit(doc, args.quiet, summary, args.format, entries)
     return code
 
 

@@ -37,7 +37,7 @@ from permdiff.exprs import (
     suite_cases,
 )
 from permdiff.spans import MAX_DIM_DEGREE
-from permdiff.witt import MAX_TABLE_BOUND
+from permdiff.witt import MAX_TABLE_BOUND, basis_doc
 
 DEEP = "d(" * 3000 + "x1" + ")" * 3000
 # a product of 1000 factors with no parentheses, which parses into a chain
@@ -763,40 +763,71 @@ _json_values = st.recursive(
     max_leaves=30)
 
 
+class CountingStdout(io.StringIO):
+    writes = largest = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.largest = max(self.largest, len(text))
+        return super().write(text)
+
+
 class TestJsonWriter:
     @staticmethod
-    def written(obj):
-        pieces = []
-        cli.write_json(obj, pieces.append)
-        return "".join(pieces)
+    def written(monkeypatch, obj, items=None):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli._emit(obj, True, [], "json", items)
+        return out.getvalue()
 
     @given(_json_values)
     @settings(max_examples=300)
     def test_matches_json_dumps(self, obj):
-        assert self.written(obj) == json.dumps(obj, indent=2,
-                                               ensure_ascii=False)
+        # NUL strings among them: with no items, _ENTRIES is a string too
+        with pytest.MonkeyPatch.context() as mp:
+            assert self.written(mp, obj) == json.dumps(
+                obj, indent=2, ensure_ascii=False) + "\n"
 
-    def test_empty_generator(self):
-        assert self.written({"a": lambda pad: ()}) == '{\n  "a": []\n}'
-        assert self.written([lambda pad: [repr(pad)]]) \
-            == "[\n  [\n    '    '\n  ]\n]"
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_streamed_list(self, monkeypatch, n):
+        doc = cli.structure_table(n, "lie", 1)
+        entries = list(doc["entries"])
+        doc["entries"] = cli._ENTRIES
+        out = self.written(monkeypatch, doc, cli._entry_texts(n, entries))
+        doc["entries"] = [
+            {"left": basis_doc(n, left), "right": basis_doc(n, right),
+             "result": [{"coeff": str(c), "basis": basis_doc(n, b)}
+                        for b, c in result]}
+            for left, right, result in entries]
+        assert any(entry["result"] for entry in doc["entries"])
+        assert out == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        empty = {"n": n, "entries": cli._ENTRIES}
+        assert self.written(monkeypatch, empty, iter(())) == json.dumps(
+            {"n": n, "entries": []}, indent=2) + "\n"
 
-    @pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, [1, Fraction(3)],
-                                     {"coeff": 1.0}, {1: "int key"},
-                                     (x for x in ())])
-    def test_other_values_are_type_errors(self, obj):
+    # the encoder refuses these as json.dumps does, nested or not
+    @pytest.mark.parametrize("obj", [Fraction(1, 2), {1, 2},
+                                     [1, Fraction(3)],
+                                     {"coeff": Fraction(1)},
+                                     {"e": [0, {1}]}, (x for x in ())])
+    def test_other_values_are_type_errors(self, monkeypatch, obj):
         with pytest.raises(TypeError):
-            self.written(obj)
+            self.written(monkeypatch, obj)
+
+    def test_reduce_is_written_in_few_batches(self, monkeypatch):
+        # the 8-variable bullet chain that the benchmark reduces, up to a
+        # relabelling: 510 KB, which the encoder yields as 589 chunks
+        chain = "x1"
+        for i in range(2, 9):
+            chain = f"bullet({chain}, x{i})"
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["reduce", chain, "--quiet"]) == 0
+        assert len(out.getvalue()) > 500_000
+        assert out.writes <= 20
+        assert out.largest <= 256 * 1024
 
     def test_table_is_written_in_few_batches(self, monkeypatch):
-        class CountingStdout(io.StringIO):
-            writes = largest = 0
-
-            def write(self, text):
-                self.writes += 1
-                self.largest = max(self.largest, len(text))
-                return super().write(text)
-
         out = CountingStdout()
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["table", "--n", "2", "--kind", "lie", "--bound", "4",
@@ -807,13 +838,13 @@ class TestJsonWriter:
 
     def test_each_basis_text_is_encoded_once(self, monkeypatch):
         encoded = []
-        encode = cli._encoded
+        encode = cli._basis_text
 
-        def counted(obj, pad):
-            encoded.append((json.dumps(obj), pad))
-            return encode(obj, pad)
+        def counted(n, b, pad):
+            encoded.append((b, pad))
+            return encode(n, b, pad)
 
-        monkeypatch.setattr(cli, "_encoded", counted)
+        monkeypatch.setattr(cli, "_basis_text", counted)
         out = io.StringIO()
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["table", "--n", "2", "--kind", "lie", "--bound", "2",

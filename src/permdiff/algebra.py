@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 
@@ -634,54 +636,30 @@ def apply_substitution(p: DiffPermPoly,
                        images: Mapping[int, DiffPermPoly]) -> DiffPermPoly:
     """Endomorphism sending each variable to its image polynomial.
 
-    A derived occurrence x_k^{(s)} goes to the s-fold derivative of the
-    image of x_k, and each monomial goes to the product of its factors'
-    images.  By the perm law a product q1 ... qk is the sorted multiset of
-    every factor but the final factor of its last term, so each output term
-    is sorted once: the unsubstituted left factors are a fixed prefix, the
-    substituted ones expand into the terms of their images, and the final
-    factor's image supplies the final factor.
+    Each monomial goes to the product, in factor order, of its factors'
+    images, and a derived occurrence x_k^{(s)} to the s-fold derivative of
+    the image of x_k; a variable with no image is its own image.
     """
     ctx = p.ctx
     if ctx.delta:
         raise AlgebraError("ambiguous δ-derivation: substitute before "
                            "expanding, or work in a rational context")
-    for v, q in images.items():
-        if q.ctx != ctx:
-            raise AlgebraError("substitution image context mismatch")
-    cache: dict[Symbol, list[tuple[Monomial, Scalar]]] = {}
+    if any(q.ctx != ctx for q in images.values()):
+        raise AlgebraError("substitution image context mismatch")
 
-    def image_of(sym: Symbol) -> list[tuple[Monomial, Scalar]]:
-        got = cache.get(sym)
-        if got is None:
-            q = images[sym.var]
-            for ax, times in enumerate(sym.dord):
-                for _ in range(times):
-                    q = q.derive(ax + 1)
-            got = cache[sym] = list(q.terms.items())
-        return got
+    def image(sym: Symbol) -> DiffPermPoly:
+        if sym.var not in images:
+            return DiffPermPoly(ctx, {Monomial((), sym): 1})
+        q = images[sym.var]
+        for j, times in enumerate(sym.dord, 1):
+            for _ in range(times):
+                q = q.derive(j)
+        return q
 
-    acc: dict[Monomial, Scalar] = {}
-    get = acc.get
-    for m, c in p.terms.items():
-        fixed = []
-        heads = [((), c)]  # factors from substituted left factors, coefficient
-        for sym in m.left:
-            if sym.var in images:
-                heads = [(fs + mm.left + (mm.last,), hc * cc)
-                         for fs, hc in heads for mm, cc in image_of(sym)]
-            else:
-                fixed.append(sym)
-        last = m.last
-        finals = (image_of(last) if last.var in images
-                  else ((Monomial((), last), 1),))
-        fixed = tuple(fixed)
-        for fs, hc in heads:
-            head = fixed + fs
-            for mm, cc in finals:
-                key = Monomial(tuple(sorted(head + mm.left)), mm.last)
-                acc[key] = get(key, 0) + hc * cc
-    return DiffPermPoly(ctx, acc)
+    return DiffPermPoly.from_terms(
+        ((m2, c * c2) for m, c in p.terms.items()
+         for m2, c2 in reduce(mul, map(image, m.factors)).terms.items()),
+        ctx)
 
 
 def is_multilinear(p: DiffPermPoly) -> bool:

@@ -14,9 +14,8 @@ variable, and forms no polynomial; ``generate_S`` is its family as
 polynomials.  The checks it rests on are spelled out at
 ``verify_dimension``, which returns one report per degree, naming the check
 that failed.  ``generate_closure`` saturates the component exactly, by
-fraction-free Gaussian elimination over integer column ids (``SpanBasis``);
-it is the exact reference of the tests.  The closure component on any k
-variables is the relabelled component on x1..xk, so only those are built.
+fraction-free Gaussian elimination over integer column ids (``SpanBasis``),
+on every subset of the variables; it is the exact reference of the tests.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from .algebra import (
     Symbol,
     derived_product,
 )
-
-_NORMALIZE_EVERY = 8  # gcd-normalize a working row after this many eliminations
 
 
 def _common_denominator(values: Iterable[Rational]) -> int:
@@ -102,7 +99,6 @@ class SpanBasis:
         """Remainder of ``row`` against the pivots, empty iff ``row`` lies in
         the span.  ``row`` is consumed: it may be updated in place."""
         pivots = self._pivots
-        steps = 0
         while row:
             lead = min(row)
             prow = pivots.get(lead)
@@ -119,9 +115,6 @@ class SpanBasis:
                     row[c] = w
                 else:
                     del row[c]
-            steps += 1
-            if steps % _NORMALIZE_EVERY == 0 and row:
-                row = _row_gcd_normalize(row)
         return row
 
     def add(self, p: DiffPermPoly) -> bool:
@@ -262,20 +255,6 @@ def _comparison_family(monos: list[Monomial],
     return out
 
 
-def _relabel(p: DiffPermPoly, subset: tuple[int, ...]) -> DiffPermPoly:
-    """Move p from x1..xk onto the variables of ``subset`` by xi -> x_subset[i-1].
-
-    The map is strictly increasing, so sorted left factors stay sorted and
-    distinct monomials stay distinct.
-    """
-    def image(s: Symbol) -> Symbol:
-        return Symbol(subset[s.var - 1], s.dord)
-
-    return DiffPermPoly(p.ctx, {Monomial(tuple(map(image, m.left)),
-                                         image(m.last)): c
-                                for m, c in p.terms.items()})
-
-
 def _splits(k: int, tag: str, smaller: int | None = None
             ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every split (left, right) of x1..xk into complementary nonempty
@@ -297,30 +276,26 @@ def generate_closure(tag: str, n: int) -> list[DiffPermPoly]:
     generated by x1..xn under the tagged product.
 
     The component supported on a variable set A is spanned by products of
-    the components of complementary nonempty pieces of A, so a single pass
-    in order of increasing size saturates.  Only the components on x1..xk
-    are saturated; the one on any other k-subset is its image under the
-    increasing relabelling, which maps each product of one saturation to
-    the matching product of the other and keeps linear independence, so
-    the element lists agree.
+    the components of complementary nonempty pieces of A, so one pass over
+    the subsets of x1..xn in order of increasing size saturates each of
+    them; the splits of a subset are those of ``_splits`` on its indices.
     """
     if tag not in ("loz", "bullet"):
         raise AlgebraError(f"closure is defined for loz/bullet, not {tag!r}")
     if n < 1:
         raise AlgebraError("degree must be >= 1")
-    canonical = [[], [DiffPermPoly.generator(1, 0, CTX_Q)]]
-    relabelled: dict[tuple[int, ...], list[DiffPermPoly]] = {}
-    for k in range(2, n + 1):
-        basis = SpanBasis(CTX_Q)
-        for left, right in _splits(k, tag):
-            for subset in {left, right} - relabelled.keys():
-                relabelled[subset] = [_relabel(p, subset)
-                                      for p in canonical[len(subset)]]
-            for a in relabelled[left]:
-                for b in relabelled[right]:
-                    basis.add(derived_product(tag, a, b))
-        canonical.append(basis.elements)
-    return canonical[n]
+    allvars = range(1, n + 1)
+    comps = {(v,): [DiffPermPoly.generator(v, 0, CTX_Q)] for v in allvars}
+    for size in range(2, n + 1):
+        for subset in combinations(allvars, size):
+            basis = SpanBasis(CTX_Q)
+            for left, right in _splits(size, tag):
+                rights = comps[tuple(subset[i - 1] for i in right)]
+                for a in comps[tuple(subset[i - 1] for i in left)]:
+                    for b in rights:
+                        basis.add(derived_product(tag, a, b))
+            comps[subset] = basis.elements
+    return comps[tuple(allvars)]
 
 
 class DimensionReport(NamedTuple):

@@ -32,6 +32,7 @@ from permdiff.algebra import (
     normalize,
     symbol,
 )
+from test_lincomb import assert_matches, model_substitute
 
 
 def mono(*syms):
@@ -399,6 +400,16 @@ class TestSubstitution:
         q = apply_substitution(p, {1: x(3) * x(4)})
         assert q == (x(3) * x(4)).derive() * x(2)
 
+    def test_refuses_a_delta_context(self):
+        p = DiffPermPoly.generator(1, 0, CTX_DELTA)
+        with pytest.raises(AlgebraError, match="ambiguous δ-derivation"):
+            apply_substitution(p, {})
+
+    def test_refuses_an_image_from_another_context(self):
+        image = DiffPermPoly.generator(2, 0, CTX_DELTA)
+        with pytest.raises(AlgebraError, match="image context mismatch"):
+            apply_substitution(x(1) * x(2), {1: image})
+
     def test_rename_swap(self):
         assert rename_vars(x(1, 1) * x(2), {1: 2, 2: 1}) == x(2, 1) * x(1)
 
@@ -415,25 +426,6 @@ class TestSubstitution:
         assert apply_substitution(p.derive(), img) == \
             apply_substitution(p, img).derive()
 
-    @staticmethod
-    def _by_iterated_products(p, images):
-        """The definition: each monomial goes to the product, in factor
-        order, of its factors' images, a derived occurrence x_k^{(s)} to the
-        s-fold derivative of the image of x_k."""
-        out = DiffPermPoly.zero(p.ctx)
-        for m, c in p.terms.items():
-            prod = None
-            for sym in m.factors:
-                q = images.get(sym.var)
-                if q is None:
-                    q = DiffPermPoly.monomial([sym], 1, p.ctx)
-                else:
-                    for _ in range(sym.order):
-                        q = q.derive()
-                prod = q if prod is None else prod * q
-            out = out + prod.scale(c)
-        return out
-
     @given(st.one_of(polys_st(max_degree=4, max_terms=4), multilinear_st()),
            images_st)
     @example(x(1, 2) * x(2), {1: x(4) * x(5) + x(6).scale(2)})  # derived
@@ -444,8 +436,10 @@ class TestSubstitution:
     @example(x(1) * x(2) * x(3), {1: x(4) - x(5), 2: x(4) + x(5)})
     @settings(max_examples=300)
     def test_matches_iterated_products(self, p, images):
-        assert apply_substitution(p, images) == \
-            self._by_iterated_products(p, images)
+        # against the plain-dict model: each monomial is the product, factor
+        # by factor, of its factors' images
+        assert_matches(apply_substitution(p, images), model_substitute(
+            p.terms, {v: q.terms for v, q in images.items()}))
 
 
 class TestScalars:

@@ -5,9 +5,13 @@ uses; oracles and shorthands that only the tests call live in
 Every public module-level function and class of ``src/permdiff`` must be
 imported by another module of the package (``from .mod import name``), read
 in its own module outside its own definition, or wrapped by
-``perfbench/tracer.py``.  The package root re-exports nothing, so names are
-imported from the modules that define them."""
+``perfbench/tracer.py``.  Every private module-level function, class and
+constant must be read by the package in the same way; ``cli.main`` looks
+each ``_cmd_<name>`` up by the name of its subcommand.  The package root
+re-exports nothing, so names are imported from the modules that define
+them."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -16,6 +20,7 @@ from pathlib import Path
 from types import ModuleType
 
 import permdiff
+from permdiff.cli import make_parser
 from test_trace_targets import _targets
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "permdiff"
@@ -41,30 +46,59 @@ def _read_outside(tree: ast.Module, name: str) -> bool:
     return False
 
 
-def unused_public_names() -> list[str]:
-    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-               for path in sorted(PACKAGE.glob("*.py"))
-               if path.stem != "__init__"}
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "__init__"}
+
+
+def unused_names(modules: dict[str, ast.Module]) -> list[str]:
+    """Every module-level function and class, and every private constant
+    (dunders aside), that the rules in the module docstring leave unused."""
     imported = {(node.module, alias.name)
                 for tree in modules.values() for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names}
     traced = _traced_names()
+    subparsers, = [action for action in make_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    commands = {("cli", f"_cmd_{name}") for name in subparsers.choices}
     unused = []
     for stem, tree in modules.items():
         for top in tree.body:
-            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
-                    or top.name.startswith("_"):
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) \
+                    else [top.target]
+                names = [t.id for t in targets
+                         if isinstance(t, ast.Name) and t.id[0] == "_"]
+            else:
                 continue
-            name = top.name
-            if not ((stem, name) in imported or (stem, name) in traced
-                    or _read_outside(tree, name)):
-                unused.append(f"{stem}.{name}")
+            for name in names:
+                key = (stem, name)
+                if not (name.endswith("__") or key in imported
+                        or key in (commands if name[0] == "_" else traced)
+                        or _read_outside(tree, name)):
+                    unused.append(f"{stem}.{name}")
     return unused
 
 
 def test_every_public_name_of_src_is_used():
-    assert unused_public_names() == []
+    assert [n for n in unused_names(_modules()) if "._" not in n] == []
+
+
+def test_every_private_name_of_src_is_read():
+    assert [n for n in unused_names(_modules()) if "._" in n] == []
+
+
+def test_an_unread_private_name_is_caught():
+    # a constant that nothing reads any more, and a command function that
+    # main never looks up
+    modules = _modules()
+    modules["spans"].body += ast.parse("_STRANDED = 8").body
+    modules["cli"].body += ast.parse("def _cmd_gone(args): pass").body
+    assert unused_names(modules) == ["cli._cmd_gone", "spans._STRANDED"]
 
 
 def test_package_root_binds_only_its_version():
